@@ -322,9 +322,10 @@ Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
     std::uint64_t packets{0}, bytes{0}, dropped_packets{0}, dropped_bytes{0};
   };
   if (store_ != nullptr) {
-    // Chunked mode: one shard per chunk, each decoded (or served from the
-    // per-thread cache) and summed independently. Chunks partition the
-    // same rows the in-RAM columns hold, so the totals are unchanged.
+    // Chunked mode: one shard per chunk, each served from the store's
+    // shared chunk cache (decoded once on a miss) and summed independently.
+    // Chunks partition the same rows the in-RAM columns hold, so the totals
+    // are unchanged.
     static const KernelScanMetrics metrics =
         make_kernel_scan_metrics("summary");
     const obs::StopWatch watch;
@@ -928,29 +929,31 @@ util::Result<Dataset> Dataset::try_load(const std::string& path) {
     // Materialize the flows: decode every dst chunk (each CRC-verified at
     // fetch) and scatter rows back to their original time-sorted position.
     // The rebuilt log is byte-for-byte the one try_save serialized, so the
-    // Dataset constructor reproduces identical indices and columns.
+    // Dataset constructor reproduces identical indices and columns. Each
+    // chunk is visited once, so it decodes into one reused scratch and
+    // bypasses the store's chunk cache.
     auto store_result = store::FlowStore::open(path);
     if (!store_result.ok()) return ctx(store_result.status());
     const std::shared_ptr<const store::FlowStore>& st_ptr = *store_result;
     const std::uint64_t n_flows = st_ptr->flow_count();
     flow::FlowLog data(n_flows);
     std::vector<std::uint64_t> seen((n_flows + 63) / 64, 0);
+    store::ChunkData chunk;
     for (std::size_t k = 0; k < st_ptr->chunk_count(); ++k) {
-      std::shared_ptr<const store::ChunkData> chunk;
-      if (util::Status st = st_ptr->try_chunk(k, /*src=*/false, chunk);
+      if (util::Status st = st_ptr->try_decode(k, /*src=*/false, chunk);
           !st.ok()) {
         return ctx(std::move(st));
       }
-      const std::size_t rows = chunk->rows();
+      const std::size_t rows = chunk.rows();
       for (std::size_t i = 0; i < rows; ++i) {
-        const std::uint32_t pos = chunk->orig_pos[i];
+        const std::uint32_t pos = chunk.orig_pos[i];
         if (pos >= n_flows ||
             ((seen[pos >> 6] >> (pos & 63)) & 1u) != 0) {
           return ctx(util::data_loss(
               "section CHNK: duplicate or out-of-range row position"));
         }
         seen[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-        data[pos] = st_ptr->record_at(*chunk, i);
+        data[pos] = st_ptr->record_at(chunk, i);
       }
     }
 

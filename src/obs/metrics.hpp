@@ -149,9 +149,10 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// True unless the name is timing ("_us"/"_ns" suffix) or scheduling-shape
-/// ("sched." prefix) — the two classes allowed to vary across thread counts
-/// and runs.
+/// True unless the name is timing ("_us"/"_ns" suffix), scheduling-shape
+/// ("sched." prefix) or interleaving-dependent ("stream." ingest and
+/// "store.chunk." cache counters) — the classes allowed to vary across
+/// thread counts and runs.
 [[nodiscard]] bool is_deterministic_metric(std::string_view name);
 
 class Registry {

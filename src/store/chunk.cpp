@@ -119,7 +119,20 @@ bool decode_varints(const std::uint8_t* p, const std::uint8_t* end,
   return p == end;
 }
 
+template <typename... Vecs>
+std::size_t heap_bytes(const Vecs&... vecs) noexcept {
+  return (... + (vecs.capacity() * sizeof(typename Vecs::value_type)));
+}
+
 }  // namespace
+
+std::size_t ChunkData::footprint_bytes() const noexcept {
+  return heap_bytes(cols.time, cols.src_ip, cols.dst_ip, cols.proto,
+                    cols.src_port, cols.dst_port, cols.packets, cols.bytes,
+                    cols.dropped_words, cols.src_member, cols.s_src_ip,
+                    cols.s_time, cols.s_src_port, cols.s_dst_port,
+                    src_mac_id, dst_mac_id, orig_pos);
+}
 
 void append_meta(std::vector<std::uint8_t>& out, const ChunkMeta& meta) {
   append_raw(out, meta.row_begin);

@@ -98,6 +98,8 @@ struct ChunkData {
   [[nodiscard]] std::size_t rows() const noexcept {
     return cols.time.empty() ? cols.s_time.size() : cols.time.size();
   }
+  /// Heap bytes held by the column vectors (capacity, not size).
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 };
 
 /// Serialize one dst-ordered chunk (13 length-prefixed column blocks:

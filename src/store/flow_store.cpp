@@ -6,12 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "util/checksum.hpp"
 
 namespace bw::store {
@@ -79,23 +79,20 @@ util::Result<std::vector<ChunkMeta>> parse_index(
   return metas;
 }
 
-struct CacheSlot {
-  std::uint64_t store_id{0};
-  std::size_t idx{0};
-  bool src{false};
-  std::uint64_t stamp{0};
-  std::shared_ptr<const ChunkData> chunk;
+struct CacheMetrics {
+  obs::Counter& decoded;
+  obs::Counter& cache_hit;
+  obs::Counter& evicted;
+  obs::Counter& decode_us;
 };
 
-/// Per-thread decoded-chunk LRU. Keyed by a process-unique store id so a
-/// FlowStore destroyed and another opened at the same address can never
-/// alias; stale entries age out by eviction.
-thread_local std::array<CacheSlot, 4> t_chunk_cache;
-thread_local std::uint64_t t_cache_stamp = 0;
-
-std::uint64_t next_store_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+const CacheMetrics& cache_metrics() {
+  static const CacheMetrics m{
+      obs::Registry::global().counter("store.chunk.decoded"),
+      obs::Registry::global().counter("store.chunk.cache_hit"),
+      obs::Registry::global().counter("store.chunk.evicted"),
+      obs::Registry::global().counter("store.chunk.decode_us")};
+  return m;
 }
 
 }  // namespace
@@ -199,7 +196,6 @@ util::Result<std::shared_ptr<const FlowStore>> FlowStore::open(
 
   std::shared_ptr<FlowStore> fs(new FlowStore());
   fs->path_ = path;
-  fs->store_id_ = next_store_id();
   for (const Section& s : toc.sections) {
     if (s.id == kSecChunk) fs->dst_sections_.push_back(s);
     if (s.id == kSecSrcChunk) fs->src_sections_.push_back(s);
@@ -274,20 +270,28 @@ util::Result<std::shared_ptr<const FlowStore>> FlowStore::open(
   auto source = ChunkSource::open(path);
   if (!source.ok()) return ctx(source.status());
   fs->source_ = std::move(*source);
+  fs->cache_ = std::vector<CacheEntry>(fs->dst_metas_.size() +
+                                       fs->src_metas_.size());
   return std::shared_ptr<const FlowStore>(std::move(fs));
 }
 
-util::Status FlowStore::decode_at(std::size_t k, bool src,
-                                  ChunkData& out) const {
+util::Status FlowStore::section_error(std::size_t k, bool src,
+                                     util::Status s) const {
+  return std::move(s).with_context("FlowStore: " + path_ + ": section " +
+                                   (src ? "SCHK" : "CHNK") + "[" +
+                                   std::to_string(k) + "]");
+}
+
+util::Status FlowStore::try_decode(std::size_t k, bool src,
+                                   ChunkData& out) const {
   const std::vector<Section>& sections = src ? src_sections_ : dst_sections_;
   const std::vector<ChunkMeta>& metas = src ? src_metas_ : dst_metas_;
-  const char* family = src ? "SCHK" : "CHNK";
   const auto ctx = [&](util::Status s) {
-    return std::move(s).with_context("FlowStore: " + path_ + ": section " +
-                                     family + "[" + std::to_string(k) + "]");
+    return section_error(k, src, std::move(s));
   };
   if (k >= sections.size()) return ctx(util::internal_error("out of range"));
   const Section& section = sections[k];
+  const obs::StopWatch watch;
 
   std::vector<std::uint8_t> scratch;
   const std::uint8_t* payload =
@@ -316,32 +320,71 @@ util::Status FlowStore::decode_at(std::size_t k, bool src,
     }
   }
   chunks_decoded_.fetch_add(1, std::memory_order_relaxed);
+  cache_metrics().decoded.add();
+  cache_metrics().decode_us.add(watch.elapsed_us());
   return util::ok_status();
+}
+
+bool FlowStore::lookup(CacheEntry& e,
+                       std::shared_ptr<const ChunkData>& out) const {
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (e.data == nullptr) return false;
+  e.stamp = ++cache_clock_;
+  out = e.data;
+  cache_metrics().cache_hit.add();
+  return true;
+}
+
+void FlowStore::insert(CacheEntry& e,
+                       const std::shared_ptr<const ChunkData>& data) const {
+  // Evicted chunks are released after the lock drops: freeing ~6 MB of
+  // columns is not work to do while every other thread waits.
+  std::vector<std::shared_ptr<const ChunkData>> evicted;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    e.data = data;
+    e.bytes = data->footprint_bytes();
+    e.stamp = ++cache_clock_;
+    cache_bytes_ += e.bytes;
+    while (cache_bytes_ > kChunkCacheBudgetBytes) {
+      CacheEntry* victim = nullptr;
+      for (CacheEntry& c : cache_) {
+        if (&c != &e && c.data != nullptr &&
+            (victim == nullptr || c.stamp < victim->stamp)) {
+          victim = &c;
+        }
+      }
+      if (victim == nullptr) break;  // the new chunk alone is over budget
+      cache_bytes_ -= victim->bytes;
+      victim->bytes = 0;
+      evicted.push_back(std::move(victim->data));
+    }
+  }
+  cache_metrics().evicted.add(evicted.size());
 }
 
 util::Status FlowStore::try_chunk(
     std::size_t k, bool src, std::shared_ptr<const ChunkData>& out) const {
-  for (CacheSlot& slot : t_chunk_cache) {
-    if (slot.chunk != nullptr && slot.store_id == store_id_ &&
-        slot.idx == k && slot.src == src) {
-      slot.stamp = ++t_cache_stamp;
-      out = slot.chunk;
-      return util::ok_status();
-    }
+  const std::size_t n = src ? src_metas_.size() : dst_metas_.size();
+  if (k >= n) {
+    return section_error(k, src, util::internal_error("out of range"));
   }
+  CacheEntry& e = cache_[src ? dst_metas_.size() + k : k];
+  if (lookup(e, out)) return util::ok_status();
+  // Single flight: the first thread to miss decodes, the others wait here
+  // and then find the chunk resident.
+  const std::lock_guard<std::mutex> flight(e.decode);
+  if (lookup(e, out)) return util::ok_status();
   auto data = std::make_shared<ChunkData>();
-  if (util::Status s = decode_at(k, src, *data); !s.ok()) return s;
-  CacheSlot* victim = &t_chunk_cache[0];
-  for (CacheSlot& slot : t_chunk_cache) {
-    if (slot.stamp < victim->stamp) victim = &slot;
-  }
-  victim->store_id = store_id_;
-  victim->idx = k;
-  victim->src = src;
-  victim->stamp = ++t_cache_stamp;
-  victim->chunk = data;
+  if (util::Status s = try_decode(k, src, *data); !s.ok()) return s;
+  insert(e, data);
   out = std::move(data);
   return util::ok_status();
+}
+
+std::size_t FlowStore::cache_bytes() const {
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  return cache_bytes_;
 }
 
 std::shared_ptr<const ChunkData> FlowStore::chunk(std::size_t k) const {

@@ -23,14 +23,19 @@
 // Consequently reports and kernel scan counters are byte-identical across
 // the in-RAM and out-of-core modes at any thread count.
 //
-// Decoded chunks are cached in a small per-thread LRU (shared_ptr keeps a
-// chunk alive while a visitor iterates it), so parallel event kernels reuse
-// hot chunks without any cross-thread locking.
+// Decoded chunks live in one cache per open store, shared by every thread
+// and bounded by kChunkCacheBudgetBytes. A miss decodes single-flight (a
+// per-chunk mutex, so concurrent misses on one chunk decode it once); an
+// insert over budget evicts the least-recently-used other chunks, and a
+// visitor's shared_ptr keeps an evicted chunk alive until it is done. Peak
+// cache memory is O(budget), independent of the thread count. Failed
+// decodes are never cached: the next touch re-reads and re-reports.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -61,6 +66,11 @@ inline constexpr std::uint32_t kSecSrcIndex =
 /// Rows per chunk for newly written stores: BW_STORE_CHUNK_ROWS (clamped to
 /// [16, 4Mi]; tiny values exist for multi-chunk tests), default 128Ki.
 [[nodiscard]] std::size_t chunk_rows();
+
+/// Byte budget of one store's decoded-chunk cache. A default 128Ki-row
+/// chunk decodes to ~6.4 MB (dst, 49 B/row) or ~2.1 MB (src, 16 B/row), so
+/// the budget holds about seven dst chunks plus their src projections.
+inline constexpr std::size_t kChunkCacheBudgetBytes = std::size_t{64} << 20;
 
 /// Read-only byte access to one file: mmap when available (and not
 /// disabled), pread into a caller scratch buffer otherwise.
@@ -117,16 +127,23 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   }
   [[nodiscard]] bool mapped() const noexcept { return source_.mapped(); }
 
-  /// Decode (or fetch from the per-thread cache) one chunk. Throws
+  /// Fetch one chunk from the shared cache, decoding it on a miss. Throws
   /// std::runtime_error on corruption — scans run inside guarded pipeline
   /// stages, which turn this into a degraded-stage report.
   [[nodiscard]] std::shared_ptr<const ChunkData> chunk(std::size_t k) const;
   [[nodiscard]] std::shared_ptr<const ChunkData> src_chunk(
       std::size_t k) const;
 
-  /// Non-throwing chunk decode (materializing loads report a Status).
+  /// Non-throwing cached fetch. An error names the section (`CHNK[k]` /
+  /// `SCHK[k]`) and leaves the cache untouched.
   [[nodiscard]] util::Status try_chunk(
       std::size_t k, bool src, std::shared_ptr<const ChunkData>& out) const;
+
+  /// Decode one chunk into `out` without touching the cache, reusing its
+  /// capacity: a materializing load visits each chunk once and keeps one
+  /// scratch ChunkData. The CRC, row-count and MAC-id checks all run.
+  [[nodiscard]] util::Status try_decode(std::size_t k, bool src,
+                                        ChunkData& out) const;
 
   /// Reassemble the AoS record of dst-chunk row `i` (MAC ids resolved
   /// through the dictionary).
@@ -235,16 +252,31 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   [[nodiscard]] std::uint64_t chunks_pruned() const noexcept {
     return chunks_pruned_.load(std::memory_order_relaxed);
   }
+  /// Decoded bytes resident in the cache right now.
+  [[nodiscard]] std::size_t cache_bytes() const;
 
  private:
+  /// One cache slot per dst chunk, then one per src chunk.
+  struct CacheEntry {
+    std::mutex decode;  ///< held by the one thread decoding this chunk
+    std::shared_ptr<const ChunkData> data;  ///< guarded by cache_mutex_
+    std::size_t bytes{0};
+    std::uint64_t stamp{0};  ///< LRU clock value of the last touch
+  };
+
   FlowStore() = default;
 
-  [[nodiscard]] util::Status decode_at(std::size_t k, bool src,
-                                       ChunkData& out) const;
+  [[nodiscard]] util::Status section_error(std::size_t k, bool src,
+                                           util::Status s) const;
+  /// Serve `e` from the cache if resident, refreshing its LRU stamp.
+  [[nodiscard]] bool lookup(CacheEntry& e,
+                            std::shared_ptr<const ChunkData>& out) const;
+  /// Make `data` resident in `e`, then evict LRU entries down to budget.
+  void insert(CacheEntry& e,
+              const std::shared_ptr<const ChunkData>& data) const;
 
   ChunkSource source_;
   std::string path_;
-  std::uint64_t store_id_{0};  ///< unique per open; keys the thread cache
   std::uint64_t flow_count_{0};
   std::uint64_t unknown_mac_flows_{0};
   std::vector<util::container::Section> dst_sections_;
@@ -254,6 +286,10 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   std::vector<std::uint64_t> mac_dict_;  ///< sorted ascending; ids index it
   mutable std::atomic<std::uint64_t> chunks_decoded_{0};
   mutable std::atomic<std::uint64_t> chunks_pruned_{0};
+  mutable std::mutex cache_mutex_;
+  mutable std::vector<CacheEntry> cache_;
+  mutable std::size_t cache_bytes_{0};    ///< guarded by cache_mutex_
+  mutable std::uint64_t cache_clock_{0};  ///< guarded by cache_mutex_
 };
 
 }  // namespace bw::store

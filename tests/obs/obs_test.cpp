@@ -90,6 +90,10 @@ TEST(MetricsTest, DeterminismNamingConvention) {
   // Scheduling shape varies with the thread count.
   EXPECT_FALSE(is_deterministic_metric("sched.parallel.chunks"));
   EXPECT_FALSE(is_deterministic_metric("sched.parallel.for_calls"));
+  // Chunk-cache hits and evictions follow the thread interleaving.
+  EXPECT_FALSE(is_deterministic_metric("store.chunk.decoded"));
+  EXPECT_FALSE(is_deterministic_metric("store.chunk.evicted"));
+  EXPECT_TRUE(is_deterministic_metric("store.chunks"));
 }
 
 TEST(RegistryTest, FindOrCreateReturnsStableHandles) {

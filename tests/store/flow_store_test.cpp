@@ -6,14 +6,17 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/dataset.hpp"
 #include "core/corpus.hpp"
+#include "obs/metrics.hpp"
 #include "store/flow_store.hpp"
 
 namespace bw::store {
@@ -288,6 +291,88 @@ TEST_F(FlowStoreTest, OutOfRangeChunkIsAnError) {
   const util::Status s =
       (*store)->try_chunk((*store)->chunk_count() + 7, false, chunk);
   EXPECT_FALSE(s.ok());
+}
+
+// The shared decoded-chunk cache, on the same multi-chunk fixture. A suite
+// of its own so CTest can label it `tsan` (see tests/CMakeLists.txt).
+class FlowStoreCacheTest : public FlowStoreTest {};
+
+TEST_F(FlowStoreCacheTest, ConcurrentMissesDecodeEachChunkOnce) {
+  auto store = FlowStore::open(*path_);
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+  const FlowStore& s = **store;
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::uint64_t> rows(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Half the threads walk backwards so misses collide from both ends.
+      for (std::size_t j = 0; j < s.chunk_count(); ++j) {
+        const std::size_t k = t % 2 == 0 ? j : s.chunk_count() - 1 - j;
+        rows[t] += s.chunk(k)->rows();
+      }
+      for (std::size_t j = 0; j < s.src_chunk_count(); ++j) {
+        const std::size_t k = t % 2 == 0 ? j : s.src_chunk_count() - 1 - j;
+        rows[t] += s.src_chunk(k)->rows();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::uint64_t r : rows) EXPECT_EQ(r, 2 * s.flow_count());
+  EXPECT_EQ(s.chunks_decoded(), s.chunk_count() + s.src_chunk_count());
+  EXPECT_GT(s.cache_bytes(), 0u);
+}
+
+TEST_F(FlowStoreCacheTest, SecondFullWalkAddsNoDecodes) {
+  auto store = FlowStore::open(*path_);
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+  const FlowStore& s = **store;
+  ASSERT_GT(s.chunk_count(), 3u);
+  const auto walk = [&] {
+    std::uint64_t rows = 0;
+    s.for_each_chunk([&](const ChunkData& ch) { rows += ch.rows(); });
+    for (std::size_t k = 0; k < s.src_chunk_count(); ++k) {
+      rows += s.src_chunk(k)->rows();
+    }
+    return rows;
+  };
+  EXPECT_EQ(walk(), 2 * s.flow_count());
+  const std::uint64_t decoded = s.chunks_decoded();
+  EXPECT_EQ(decoded, s.chunk_count() + s.src_chunk_count());
+  EXPECT_EQ(walk(), 2 * s.flow_count());
+  EXPECT_EQ(s.chunks_decoded(), decoded);
+}
+
+TEST_F(FlowStoreCacheTest, LoadPathLeavesNothingResident) {
+  auto store = FlowStore::open(*path_);
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+  const FlowStore& s = **store;
+  // try_decode is the load path's access: every check runs, nothing stays.
+  ChunkData scratch;
+  for (std::size_t k = 0; k < s.chunk_count(); ++k) {
+    ASSERT_TRUE(s.try_decode(k, /*src=*/false, scratch).ok());
+    EXPECT_EQ(scratch.rows(), s.dst_metas()[k].row_count);
+  }
+  EXPECT_EQ(s.chunks_decoded(), s.chunk_count());
+  EXPECT_EQ(s.cache_bytes(), 0u);
+  // Positive control: the cached accessor does keep the chunk resident.
+  EXPECT_GT(s.chunk(0)->footprint_bytes(), 0u);
+  EXPECT_EQ(s.cache_bytes(), s.chunk(0)->footprint_bytes());
+
+  // Dataset::try_load decodes each dst chunk exactly once and never serves
+  // one from a cache.
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t decoded0 = reg.counter("store.chunk.decoded").value();
+  const std::uint64_t hits0 = reg.counter("store.chunk.cache_hit").value();
+  auto loaded = core::Dataset::try_load(*path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->flows().size(), s.flow_count());
+  EXPECT_EQ(reg.counter("store.chunk.decoded").value() - decoded0,
+            s.chunk_count());
+  EXPECT_EQ(reg.counter("store.chunk.cache_hit").value(), hits0);
 }
 
 }  // namespace

@@ -105,6 +105,26 @@ TEST_F(StoreFaultTest, CorruptDstChunkFailsAtTouchNamingTheSection) {
       << loaded.status().to_string();
 }
 
+TEST_F(StoreFaultTest, FailedDecodeIsNeverCached) {
+  const std::string path = corrupt_copy(find_section(kSecChunk));
+  auto store = FlowStore::open(path);
+  ASSERT_TRUE(store.ok()) << store.status().to_string();
+  std::shared_ptr<const ChunkData> first;
+  std::shared_ptr<const ChunkData> second;
+  const util::Status a = (*store)->try_chunk(0, /*src=*/false, first);
+  const util::Status b = (*store)->try_chunk(0, /*src=*/false, second);
+  ASSERT_FALSE(a.ok());
+  ASSERT_FALSE(b.ok());
+  EXPECT_NE(a.to_string().find("CHNK[0]"), std::string::npos) << a.to_string();
+  // The second touch re-reads and re-verifies rather than finding a
+  // poisoned (or empty) cache entry.
+  EXPECT_EQ(a.to_string(), b.to_string());
+  EXPECT_EQ(first, nullptr);
+  EXPECT_EQ(second, nullptr);
+  EXPECT_EQ((*store)->chunks_decoded(), 0u);
+  EXPECT_EQ((*store)->cache_bytes(), 0u);
+}
+
 TEST_F(StoreFaultTest, CorruptSrcChunkIsStillCaughtByFullLoad) {
   const std::string path = corrupt_copy(find_section(kSecSrcChunk));
   // The materializing loader never decodes src chunks — it must verify
