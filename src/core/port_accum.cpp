@@ -1,8 +1,19 @@
 #include "core/port_accum.hpp"
 
-#include <algorithm>
-
 namespace bw::core {
+
+void PortAccumulator::merge(const PortAccumulator& other) {
+  src_in_.insert(other.src_in_.begin(), other.src_in_.end());
+  dst_in_.insert(other.dst_in_.begin(), other.dst_in_.end());
+  src_out_.insert(other.src_out_.begin(), other.src_out_.end());
+  dst_out_.insert(other.dst_out_.begin(), other.dst_out_.end());
+  // Replaying the other side's tallies through the same per-record steps
+  // keeps every invariant without a second derivation.
+  for (const auto& [day, d] : other.daily_in_) {
+    for (const auto& [pp, packets] : d.packets) add_day_port(day, pp, packets);
+  }
+  for (const std::int64_t day : other.days_out_) add_out_day(day);
+}
 
 HostPortStats finalize_port_host(net::Ipv4 ip, std::optional<bgp::Asn> origin,
                                  const PortAccumulator& acc,
@@ -10,26 +21,16 @@ HostPortStats finalize_port_host(net::Ipv4 ip, std::optional<bgp::Asn> origin,
   HostPortStats h;
   h.ip = ip;
   h.origin = origin;
-  h.unique_src_ports_in = acc.src_in.size();
-  h.unique_dst_ports_in = acc.dst_in.size();
-  h.unique_src_ports_out = acc.src_out.size();
-  h.unique_dst_ports_out = acc.dst_out.size();
-  h.days_with_inbound = acc.days_in.size();
-  h.days_with_outbound = acc.days_out.size();
-  std::size_t both = 0;
-  for (const std::int64_t d : acc.days_in) {
-    if (acc.days_out.contains(d)) ++both;
-  }
-  h.days_bidirectional = both;
+  h.unique_src_ports_in = acc.src_in_.size();
+  h.unique_dst_ports_in = acc.dst_in_.size();
+  h.unique_src_ports_out = acc.src_out_.size();
+  h.unique_dst_ports_out = acc.dst_out_.size();
+  h.days_with_inbound = acc.daily_in_.size();
+  h.days_with_outbound = acc.days_out_.size();
+  h.days_bidirectional = acc.bidir_days_;
 
-  std::set<net::ProtoPort> tops;
-  for (const auto& [day, ports] : acc.daily_in) {
-    const auto top = std::max_element(
-        ports.begin(), ports.end(),
-        [](const auto& x, const auto& y) { return x.second < y.second; });
-    tops.insert(top->first);
-  }
-  h.top_ports.assign(tops.begin(), tops.end());
+  h.top_ports.reserve(acc.top_days_.size());
+  for (const auto& [pp, days] : acc.top_days_) h.top_ports.push_back(pp);
   h.port_variation = h.days_with_inbound > 0
                          ? static_cast<double>(h.top_ports.size()) /
                                static_cast<double>(h.days_with_inbound)

@@ -174,19 +174,7 @@ PortStatsReport compute_port_stats(const Dataset& dataset,
   std::unordered_map<net::Ipv4, Accumulator> acc;
   acc.reserve(exclusions.size());
   for (auto& shard : shard_accs) {
-    for (auto& [ip, sa] : shard) {
-      auto& a = acc[ip];
-      a.src_in.merge(sa.src_in);
-      a.dst_in.merge(sa.dst_in);
-      a.src_out.merge(sa.src_out);
-      a.dst_out.merge(sa.dst_out);
-      a.days_in.merge(sa.days_in);
-      a.days_out.merge(sa.days_out);
-      for (const auto& [day, ports] : sa.daily_in) {
-        auto& day_ports = a.daily_in[day];
-        for (const auto& [pp, packets] : ports) day_ports[pp] += packets;
-      }
-    }
+    for (const auto& [ip, sa] : shard) acc[ip].merge(sa);
   }
 
   // Finalise per host in sorted-address order (deterministic output and

@@ -99,18 +99,6 @@ bool OnlineEventLog::excluded(net::Ipv4 ip, util::TimeMs t,
   return last_reaching(it->second, t, window) >= 0;
 }
 
-std::vector<std::size_t> OnlineEventLog::sorted_order() const {
-  std::vector<std::size_t> order(events_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    if (events_[a].begin != events_[b].begin) {
-      return events_[a].begin < events_[b].begin;
-    }
-    return events_[a].prefix < events_[b].prefix;
-  });
-  return order;
-}
-
 std::vector<std::pair<net::Ipv4, bgp::Asn>> OnlineEventLog::host_universe()
     const {
   std::vector<std::pair<net::Ipv4, bgp::Asn>> out;

@@ -51,7 +51,9 @@
 namespace bw::stream::incremental {
 
 /// One merged RTBH event, growing in place as updates arrive. `drop` is
-/// the event's Section 4.2 tally, fed by the kernels at flow delivery.
+/// the event's Section 4.2 tally, fed by the kernels at flow delivery;
+/// `drop_stale` tells the kernels' snapshot cache that the tally changed
+/// since it was last flattened.
 struct OnlineEvent {
   net::Prefix prefix;
   bgp::Asn sender{0};
@@ -61,6 +63,7 @@ struct OnlineEvent {
   bool open{false};     ///< an announce..withdraw interval is in progress
   std::size_t announcements{0};  ///< active intervals, the open one included
   core::DropEventTally drop;
+  bool drop_stale{true};
 };
 
 class OnlineEventLog {
@@ -110,9 +113,6 @@ class OnlineEventLog {
     return events_;
   }
   [[nodiscard]] std::deque<OnlineEvent>& events() noexcept { return events_; }
-
-  /// Event indices in the batch report order: (span.begin, prefix).
-  [[nodiscard]] std::vector<std::size_t> sorted_order() const;
 
   /// Blackholed /32 hosts (the port-stats universe), with the frozen
   /// origin of each — in ascending address order.

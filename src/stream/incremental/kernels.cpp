@@ -46,6 +46,7 @@ void IncrementalKernels::on_event(const StreamEvent& ev) {
                      event.drop.host_event && cfg_.member_asn
                          ? cfg_.member_asn(rec.src_mac)
                          : std::nullopt);
+      event.drop_stale = true;
     });
     topk_.add({rec.proto, rec.dst_port}, rec.packets);
     pending_.push_back(rec);
@@ -68,11 +69,15 @@ void IncrementalKernels::commit(const flow::FlowRecord& rec) {
   const std::int64_t day =
       util::slot_index(rec.time - cfg_.period.begin, util::kDay);
   if (!log_.excluded(rec.dst_ip, rec.time, cfg_.ports.reaction_window)) {
-    port_acc_[rec.dst_ip].add_inbound(day, rec.src_port, rec.proto,
-                                      rec.dst_port, rec.packets);
+    HostAccumulator& h = port_acc_[rec.dst_ip];
+    h.acc.add_inbound(day, rec.src_port, rec.proto, rec.dst_port,
+                      rec.packets);
+    h.row_stale = true;
   }
   if (!log_.excluded(rec.src_ip, rec.time, cfg_.ports.reaction_window)) {
-    port_acc_[rec.src_ip].add_outbound(day, rec.src_port, rec.dst_port);
+    HostAccumulator& h = port_acc_[rec.src_ip];
+    h.acc.add_outbound(day, rec.src_port, rec.dst_port);
+    h.row_stale = true;
   }
 
   log_.for_each_covering(rec.dst_ip, rec.time, [&](std::size_t event) {
@@ -92,7 +97,40 @@ void IncrementalKernels::finish(util::TimeMs period_end) {
   }
 }
 
-IncrementalSnapshot IncrementalKernels::snapshot(bool final_report) const {
+void IncrementalKernels::refresh_drop_deltas() {
+  std::deque<OnlineEvent>& events = log_.events();
+  // Events in the batch report order (span.begin, prefix). An event's begin
+  // is fixed at creation and creation follows delivery time, so a new event
+  // sorts after all but the equal-begin tail: the insertion shifts only
+  // that tail.
+  const auto before = [&events](std::size_t a, std::size_t b) {
+    if (events[a].begin != events[b].begin) {
+      return events[a].begin < events[b].begin;
+    }
+    return events[a].prefix < events[b].prefix;
+  };
+  position_.resize(events.size());
+  for (std::size_t idx = order_.size(); idx < events.size(); ++idx) {
+    const auto at = std::upper_bound(order_.begin(), order_.end(), idx, before);
+    const auto pos = at - order_.begin();
+    order_.insert(at, idx);
+    deltas_.insert(deltas_.begin() + pos, core::DropEventDelta{});
+    for (std::size_t p = static_cast<std::size_t>(pos); p < order_.size();
+         ++p) {
+      position_[order_[p]] = p;
+    }
+  }
+  // New events start stale, so this also flattens them.
+  for (std::size_t idx = 0; idx < events.size(); ++idx) {
+    OnlineEvent& event = events[idx];
+    if (!event.drop_stale) continue;
+    deltas_[position_[idx]] = event.drop.delta();
+    event.drop_stale = false;
+  }
+}
+
+IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
+                                                 std::size_t topk) {
   static obs::Counter& snapshots = kernel_counter("snapshots");
   snapshots.add();
 
@@ -107,33 +145,30 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report) const {
   snap.rtbh_events = log_.events().size();
   snap.open_rtbh_events = log_.open_count();
 
-  // Events in the batch report order (span.begin, prefix); index positions
-  // below refer to this order, exactly like the batch event indices.
-  const std::vector<std::size_t> order = log_.sorted_order();
-  std::vector<std::size_t> position(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
-
   // --- drop rates: per-event tallies through the shared assembler ---
-  std::vector<core::DropEventDelta> deltas;
-  deltas.reserve(order.size());
-  for (const std::size_t idx : order) {
-    deltas.push_back(log_.events()[idx].drop.delta());
-  }
-  snap.drop = core::assemble_drop_rate_report(deltas, cfg_.drop,
-                                              deltas.size());
+  refresh_drop_deltas();
+  snap.drop = core::assemble_drop_rate_report(deltas_, cfg_.drop,
+                                              deltas_.size());
 
   // --- port stats: universe hosts with any committed record, finalized by
-  // the shared finalize_port_host ---
+  // the shared finalize_port_host when their accumulator changed ---
   const auto universe = log_.host_universe();
   snap.ports.blackholed_hosts_total = universe.size();
   snap.ports.hosts.reserve(universe.size());
   for (const auto& [ip, origin] : universe) {
     const auto it = port_acc_.find(ip);
     if (it == port_acc_.end()) continue;  // no record outside RTBH windows
-    snap.ports.hosts.push_back(core::finalize_port_host(
-        ip,
-        origin != 0 ? std::optional<bgp::Asn>(origin) : std::nullopt,
-        it->second, cfg_.ports));
+    HostAccumulator& h = it->second;
+    core::HostPortStats& row = host_rows_[ip];
+    if (h.row_stale) {
+      // The origin is frozen at the prefix's first announce, so only the
+      // accumulator can invalidate a cached row.
+      row = core::finalize_port_host(
+          ip, origin != 0 ? std::optional<bgp::Asn>(origin) : std::nullopt,
+          h.acc, cfg_.ports);
+      h.row_stale = false;
+    }
+    snap.ports.hosts.push_back(row);
   }
   for (const core::HostPortStats& h : snap.ports.hosts) {
     if (h.classification == core::HostClass::kUnclassified) continue;
@@ -157,9 +192,9 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report) const {
     const core::HostPortStats* server = sit->second;
     core::CollateralEvent ce;
     ce.server = ip;
-    ce.event_index = position[key >> 32];
+    ce.event_index = position_[key >> 32];
     for (const auto& [pp, counts] : ports) {
-      // top_ports comes out of a std::set, so it is sorted.
+      // finalize_port_host emits top_ports in key order.
       if (!std::binary_search(server->top_ports.begin(),
                               server->top_ports.end(), pp)) {
         continue;
@@ -172,7 +207,7 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report) const {
   snap.collateral = core::assemble_collateral_report(
       std::move(rows), servers.size(), cfg_.sampling_rate);
 
-  snap.top_ports = topk_.top(16);
+  snap.top_ports = topk_.top(topk);
   snap.topk_total = topk_.total_weight();
   snap.topk_max_error = topk_.max_error();
   return snap;

@@ -32,6 +32,24 @@
 // (all delivered BGP updates, all committed flows); cumulative totals are
 // monotone from one snapshot to the next. finish() commits everything and
 // makes the final snapshot the batch fixed point.
+//
+// Snapshot cost. A snapshot re-derives only what changed since the
+// previous one (docs/streaming.md has the full cost model):
+//
+//   host rows     each universe host's finalized HostPortStats is cached;
+//                 commit() marks the row stale when it touches the host's
+//                 accumulator, and only stale rows are finalized again.
+//   drop deltas   each event's flattened DropEventDelta is cached in report
+//                 order; the delivery-time tally callback marks the event
+//                 stale, and only stale events are flattened again. Events
+//                 created since the last snapshot are slotted into the
+//                 order (they begin no earlier than any older event, so
+//                 they land at or near the end).
+//   top-K         a bounded selection over the contiguous counters.
+//
+// A cold kernel fed the same events has every cache empty, so its snapshot
+// is the from-scratch answer; the convergence tests diff the two at every
+// cadence boundary.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +121,10 @@ class IncrementalKernels {
   /// record. After this, snapshot() is the batch fixed point.
   void finish(util::TimeMs period_end);
 
-  [[nodiscard]] IncrementalSnapshot snapshot(bool final_report) const;
+  /// The current reports, with the `topk` largest port counters. Refreshes
+  /// the snapshot caches, hence non-const.
+  [[nodiscard]] IncrementalSnapshot snapshot(bool final_report,
+                                             std::size_t topk);
 
   [[nodiscard]] std::uint64_t events_seen() const noexcept {
     return events_seen_;
@@ -116,6 +137,8 @@ class IncrementalKernels {
  private:
   void commit(const flow::FlowRecord& rec);
   void drain_pending();
+  /// Slot new events into the report order and re-flatten stale deltas.
+  void refresh_drop_deltas();
 
   IncrementalConfig cfg_;
   util::DurationMs lag_;
@@ -128,11 +151,23 @@ class IncrementalKernels {
   std::uint64_t flows_seen_{0};
   std::uint64_t flows_committed_{0};
 
+  struct HostAccumulator {
+    core::PortAccumulator acc;
+    bool row_stale{true};  ///< acc changed since host_rows_ finalized it
+  };
   /// Per-host outside-RTBH accumulation, keyed by every IP seen: whether a
   /// host ends up in the report universe (a /32 gets blackholed) can be
   /// decided later than its records commit, so all of them accumulate and
   /// the universe filters at snapshot time.
-  std::unordered_map<net::Ipv4, core::PortAccumulator> port_acc_;
+  std::unordered_map<net::Ipv4, HostAccumulator> port_acc_;
+  /// Finalized rows of the universe hosts, valid while !row_stale.
+  std::unordered_map<net::Ipv4, core::HostPortStats> host_rows_;
+
+  /// Event indices in report order, their inverse, and each event's
+  /// flattened drop delta in report order (valid while !drop_stale).
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> position_;
+  std::vector<core::DropEventDelta> deltas_;
 
   struct CollateralCounts {
     std::uint64_t packets{0};

@@ -142,10 +142,14 @@ util::Status RollingReporter::finish(util::TimeMs period_end) {
 }
 
 void RollingReporter::emit(bool final_report) {
-  const IncrementalSnapshot snap = kernels_.snapshot(final_report);
+  static obs::Counter& snapshot_us =
+      obs::Registry::global().counter("stream.kernel.snapshot_us");
+  static obs::Counter& snapshot_bytes =
+      obs::Registry::global().counter("stream.kernel.snapshot_bytes");
+  const obs::StopWatch watch;
+  IncrementalSnapshot snap = kernels_.snapshot(final_report, cfg_.topk_k);
 
-  std::vector<TopKPorts::Entry> top = snap.top_ports;
-  if (top.size() > cfg_.topk_k) top.resize(cfg_.topk_k);
+  std::vector<TopKPorts::Entry> top = std::move(snap.top_ports);
   const double stability =
       lines_.empty() ? 1.0 : topk_stability(last_top_, top);
 
@@ -172,6 +176,8 @@ void RollingReporter::emit(bool final_report) {
 
   lines_.push_back(os.str());
   last_top_ = std::move(top);
+  snapshot_bytes.add(lines_.back().size());
+  snapshot_us.add(watch.elapsed_us());
 }
 
 }  // namespace bw::stream::incremental

@@ -4,53 +4,62 @@
 
 namespace bw::stream::incremental {
 
+namespace {
+
+/// The SpaceSaving eviction order: (count asc, err asc, key asc).
+bool evicts_before(const TopKPorts::Entry& a, const TopKPorts::Entry& b) {
+  if (a.count != b.count) return a.count < b.count;
+  if (a.err != b.err) return a.err < b.err;
+  return a.pp < b.pp;
+}
+
+/// The report order of top(): (count desc, err asc, key asc).
+bool ranks_before(const TopKPorts::Entry& a, const TopKPorts::Entry& b) {
+  if (a.count != b.count) return a.count > b.count;
+  if (a.err != b.err) return a.err < b.err;
+  return a.pp < b.pp;
+}
+
+}  // namespace
+
 TopKPorts::TopKPorts(std::size_t capacity, bool exact)
     : capacity_(capacity == 0 ? 1 : capacity), exact_(exact) {}
 
 void TopKPorts::add(net::ProtoPort pp, std::uint64_t weight) {
   total_ += weight;
-  if (const auto it = counters_.find(pp); it != counters_.end()) {
-    it->second.count += weight;
+  const auto [it, inserted] = slot_.try_emplace(
+      key_of(pp), static_cast<std::uint32_t>(entries_.size()));
+  if (!inserted) {
+    entries_[it->second].count += weight;
     return;
   }
-  if (exact_ || counters_.size() < capacity_) {
-    counters_.emplace(pp, Counter{weight, 0});
+  if (exact_ || entries_.size() < capacity_) {
+    entries_.push_back({pp, weight, 0});
     return;
   }
-  // SpaceSaving eviction: replace the minimum counter under the total
-  // order (count, err, key) — key last so ties break deterministically —
-  // and let the newcomer inherit its estimate as the error floor.
-  auto victim = counters_.begin();
-  for (auto it = std::next(counters_.begin()); it != counters_.end(); ++it) {
-    const auto& [vk, vc] = *victim;
-    const auto& [ik, ic] = *it;
-    if (ic.count < vc.count ||
-        (ic.count == vc.count && ic.err < vc.err)) {
-      victim = it;  // (key asc is the map order: first minimum wins)
-    }
-  }
-  const std::uint64_t floor = victim->second.count;
-  counters_.erase(victim);
-  counters_.emplace(pp, Counter{floor + weight, floor});
+  // SpaceSaving eviction: the newcomer takes over the slot of the minimum
+  // counter under the total order (count, err, key) — key last so ties
+  // break deterministically — and inherits its estimate as the error floor.
+  const auto victim =
+      std::min_element(entries_.begin(), entries_.end(), evicts_before);
+  const std::uint64_t floor = victim->count;
+  it->second = static_cast<std::uint32_t>(victim - entries_.begin());
+  slot_.erase(key_of(victim->pp));
+  *victim = {pp, floor + weight, floor};
   ++evictions_;
 }
 
 std::vector<TopKPorts::Entry> TopKPorts::top(std::size_t k) const {
-  std::vector<Entry> out;
-  out.reserve(counters_.size());
-  for (const auto& [pp, c] : counters_) out.push_back({pp, c.count, c.err});
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    if (a.err != b.err) return a.err < b.err;
-    return a.pp < b.pp;
-  });
-  if (out.size() > k) out.resize(k);
+  std::vector<Entry> out(std::min(k, entries_.size()));
+  std::partial_sort_copy(entries_.begin(), entries_.end(), out.begin(),
+                         out.end(), ranks_before);
   return out;
 }
 
 std::uint64_t TopKPorts::max_error() const {
+  if (exact_) return 0;
   std::uint64_t worst = 0;
-  for (const auto& [pp, c] : counters_) worst = std::max(worst, c.err);
+  for (const Entry& e : entries_) worst = std::max(worst, e.err);
   return worst;
 }
 

@@ -81,7 +81,8 @@ class FaultInjectionTest : public ::testing::Test {
   static std::string corrupt(const bt::FaultPlan& plan, bt::FaultLog* log) {
     static int counter = 0;
     const std::string dir =
-        ::testing::TempDir() + "/bw_faulty_" + std::to_string(counter++);
+        ::testing::TempDir() + "/bw_faulty_" + std::to_string(::getpid()) +
+        "_" + std::to_string(counter++);
     std::filesystem::remove_all(dir);
     auto corpus = bt::CsvCorpus::load(*clean_dir_);
     EXPECT_TRUE(corpus.ok()) << corpus.status().to_string();
@@ -116,7 +117,8 @@ std::size_t FaultInjectionTest::baseline_control_rows_ = 0;
 TEST_F(FaultInjectionTest, CorpusRoundTripsLosslessly) {
   auto corpus = bt::CsvCorpus::load(*clean_dir_);
   ASSERT_TRUE(corpus.ok());
-  const std::string dir = ::testing::TempDir() + "/bw_fault_roundtrip";
+  const std::string dir = ::testing::TempDir() + "/bw_fault_roundtrip_" +
+                          std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(corpus.value().save(dir).ok());
   for (const char* name :

@@ -1,6 +1,6 @@
-// Property suite for the streaming top-K port tracker (ISSUE 10):
-// random weighted port streams diffed against a brute-force exact-count
-// oracle, over 5 seeds.
+// Property suite for the streaming top-K port tracker: random weighted
+// port streams diffed against a brute-force exact-count oracle, over 5
+// seeds, plus a hand-built stream that pins the SpaceSaving victim order.
 //
 //   exact mode          every reported entry matches the oracle count,
 //                       zero error, and the top list IS the oracle's
@@ -142,6 +142,51 @@ TEST(TopKPortsPropertyTest, DeterministicAcrossIdenticalRuns) {
   }
   EXPECT_EQ(a.top(32), b.top(32));
   EXPECT_EQ(a.evictions(), b.evictions());
+}
+
+/// Tracked key -> (count, err), read back through the public top list.
+std::map<std::uint16_t, std::pair<std::uint64_t, std::uint64_t>> counters_of(
+    const TopKPorts& sketch) {
+  std::map<std::uint16_t, std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const auto& e : sketch.top(sketch.tracked())) {
+    out[e.pp.port] = {e.count, e.err};
+  }
+  return out;
+}
+
+TEST(TopKPortsPropertyTest, SpaceSavingEvictsMinimumByCountThenErrThenKey) {
+  const auto tcp = [](std::uint16_t port) {
+    return net::ProtoPort{net::Proto::kTcp, port};
+  };
+  using Counters =
+      std::map<std::uint16_t, std::pair<std::uint64_t, std::uint64_t>>;
+  TopKPorts sketch(3, /*exact=*/false);
+  // Keys arrive in descending order, so the smallest key of a tie does not
+  // sit in the first slot.
+  sketch.add(tcp(30), 5);
+  sketch.add(tcp(20), 5);
+  sketch.add(tcp(10), 5);
+
+  // All three tie on (count 5, err 0): the smallest key goes.
+  sketch.add(tcp(40), 1);
+  EXPECT_EQ(counters_of(sketch),
+            (Counters{{20, {5, 0}}, {30, {5, 0}}, {40, {6, 5}}}));
+
+  // All three tie on count 6; err breaks the tie before the key does, so
+  // 20 (err 0, smaller key than 30) goes and 40 (err 5) survives.
+  sketch.add(tcp(30), 1);
+  sketch.add(tcp(20), 1);
+  sketch.add(tcp(50), 1);
+  EXPECT_EQ(counters_of(sketch),
+            (Counters{{30, {6, 0}}, {40, {6, 5}}, {50, {7, 6}}}));
+
+  // Count comes first: 30 (count 6) goes although 40 and 50 carry errors.
+  sketch.add(tcp(40), 2);
+  sketch.add(tcp(1), 1);
+  EXPECT_EQ(counters_of(sketch),
+            (Counters{{1, {7, 6}}, {40, {8, 5}}, {50, {7, 6}}}));
+  EXPECT_EQ(sketch.evictions(), 3u);
+  EXPECT_EQ(sketch.max_error(), 6u);
 }
 
 TEST(TopKPortsPropertyTest, StabilityScoreIsJaccard) {
