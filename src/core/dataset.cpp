@@ -1,8 +1,10 @@
 #include "core/dataset.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
@@ -235,8 +237,8 @@ void Dataset::build_indices() {
   });
 
   by_dst_.resize(data_.size());
-  by_src_.resize(data_.size());
-  for (std::size_t i = 0; i < data_.size(); ++i) by_dst_[i] = by_src_[i] = i;
+  std::vector<std::size_t> by_src(data_.size());
+  for (std::size_t i = 0; i < data_.size(); ++i) by_dst_[i] = by_src[i] = i;
   // Tie-break on the flow index so the comparators induce a total order:
   // the sorted indices are then unique, i.e. identical at any thread count.
   auto by_dst_done = pool.submit([&] {
@@ -251,7 +253,7 @@ void Dataset::build_indices() {
                           return a < b;
                         });
   });
-  util::parallel_sort(pool, by_src_.begin(), by_src_.end(),
+  util::parallel_sort(pool, by_src.begin(), by_src.end(),
                       [this](std::size_t a, std::size_t b) {
                         if (data_[a].src_ip != data_[b].src_ip) {
                           return data_[a].src_ip < data_[b].src_ip;
@@ -266,7 +268,7 @@ void Dataset::build_indices() {
       member_id_map();
 
   by_dst_done.get();
-  columns_ = flow::FlowColumns::build(data_, by_dst_, by_src_, member_ids,
+  columns_ = flow::FlowColumns::build(data_, by_dst_, by_src, member_ids,
                                       pool);
   blackholes_done.get();
   lpm_done.get();
@@ -290,16 +292,6 @@ std::vector<std::size_t> Dataset::flows_to(const net::Prefix& prefix,
   scan_sorted_index(
       by_dst_, prefix, range,
       [](const flow::FlowRecord& r) { return r.dst_ip; },
-      [&](std::size_t idx, const flow::FlowRecord&) { out.push_back(idx); });
-  return out;
-}
-
-std::vector<std::size_t> Dataset::flows_from(const net::Prefix& prefix,
-                                             util::TimeRange range) const {
-  std::vector<std::size_t> out;
-  scan_sorted_index(
-      by_src_, prefix, range,
-      [](const flow::FlowRecord& r) { return r.src_ip; },
       [&](std::size_t idx, const flow::FlowRecord&) { out.push_back(idx); });
   return out;
 }
@@ -872,8 +864,9 @@ util::Status read_table_sections(std::ifstream& is,
   }
   out.origins.reserve(n_origins);
   get_span<DiskOriginEntry>(is, n_origins, [&](const DiskOriginEntry& d) {
+    // Copy the packed field: binding a reference to it is misaligned.
     out.origins.emplace_back(net::Prefix(net::Ipv4(d.network), d.length),
-                             d.asn);
+                             bgp::Asn{d.asn});
   });
   if (!is) return util::data_loss("truncated file");
   return util::ok_status();
@@ -890,76 +883,332 @@ util::Status v2_needs_convert(const char* op) {
 
 }  // namespace
 
-util::Result<Dataset> Dataset::try_load(const std::string& path) {
+namespace {
+
+/// dataset.load.{read,index,decode,columns}_us: where a materializing load
+/// spends its wall time (see docs/observability.md).
+struct LoadPhaseMetrics {
+  obs::Counter& read_us;
+  obs::Counter& index_us;
+  obs::Counter& decode_us;
+  obs::Counter& columns_us;
+};
+
+const LoadPhaseMetrics& load_phase_metrics() {
+  auto& reg = obs::Registry::global();
+  static const LoadPhaseMetrics m{
+      reg.counter("dataset.load.read_us"), reg.counter("dataset.load.index_us"),
+      reg.counter("dataset.load.decode_us"),
+      reg.counter("dataset.load.columns_us")};
+  return m;
+}
+
+/// Add the watch's elapsed time to `counter` and restart it.
+void lap(obs::Counter& counter, obs::StopWatch& watch) {
+  counter.add(watch.elapsed_us());
+  watch.restart();
+}
+
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// One row's contribution to the order-independent fingerprint that ties
+/// the SCHK rows to the CHNK rows: summed over a chunk family, it depends
+/// on the multiset of (src_ip, time, src_port, dst_port) tuples only.
+std::uint64_t row_fingerprint(std::uint32_t src_ip, util::TimeMs time,
+                              std::uint16_t src_port, std::uint16_t dst_port) {
+  return mix64(mix64((std::uint64_t{src_ip} << 32) |
+                     (std::uint64_t{src_port} << 16) | dst_port) ^
+               static_cast<std::uint64_t>(time));
+}
+
+util::Status chunk_error(const char* family, std::size_t k, const char* what) {
+  return util::data_loss(std::string("section ") + family + "[" +
+                         std::to_string(k) + "]: " + what);
+}
+
+}  // namespace
+
+util::Result<Dataset> Dataset::open_shell(
+    const std::string& path, const char* op,
+    std::shared_ptr<const store::FlowStore>& store) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return util::not_found(std::string(op) + ": cannot open " + path);
+  is.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+
+  auto ctx = [&](util::Status st) {
+    return std::move(st).with_context(std::string(op) + ": " + path);
+  };
+
+  auto toc_result = util::container::read_toc(is, file_size);
+  if (!toc_result.ok()) return ctx(toc_result.status());
+  const util::container::Toc& toc = *toc_result;
+  if (toc.version == util::container::kVersion) {
+    return ctx(v2_needs_convert(op));
+  }
+
+  LoadedTables tables;
+  if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
+    return ctx(std::move(st));
+  }
+  is.close();
+
+  auto store_result = store::FlowStore::open(path);
+  if (!store_result.ok()) return ctx(store_result.status());
+  store = *store_result;
+
+  Dataset d;
+  d.control_ = std::move(tables.control);
+  d.mac_to_asn_ = std::move(tables.macs);
+  d.origin_prefixes_ = std::move(tables.origins);
+  d.period_ = tables.period;
+  return d;
+}
+
+util::Status Dataset::fill_from_store(const store::FlowStore& store,
+                                      util::ThreadPool& pool) {
+  const LoadPhaseMetrics& phase = load_phase_metrics();
+  obs::StopWatch watch;
+  const std::size_t n = store.flow_count();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    return util::data_loss(
+        "section SMET: flow count exceeds the v3 row-position range");
+  }
+  constexpr std::uint32_t kNoMember = flow::FlowColumns::kNoMember;
+  flow::FlowColumns& c = columns_;
+
+  // Size the flow state while the control-plane indices build. Zero-filling
+  // ~110 B/flow is page-fault bound, so each vector is sized by its own
+  // task, largest first, and the index build is one more task beside them.
+  std::unordered_map<net::Mac, std::uint32_t> member_ids;
+  std::vector<std::uint64_t> seen;
+  const auto sized = [n](auto& v) { return [&v, n] { v.resize(n); }; };
+  const std::vector<std::function<void()>> jobs = {
+      [&] { member_ids = build_control_indices(); },
+      sized(data_),
+      sized(c.time),
+      sized(c.s_time),
+      sized(c.bytes),
+      sized(by_dst_),
+      sized(c.src_ip),
+      sized(c.dst_ip),
+      sized(c.packets),
+      sized(c.src_member),
+      sized(c.s_src_ip),
+      sized(c.src_port),
+      sized(c.dst_port),
+      sized(c.s_src_port),
+      sized(c.s_dst_port),
+      sized(c.proto),
+      [&] {
+        c.dropped_words.assign((n + 63) / 64, 0);
+        seen.assign((n + 63) / 64, 0);
+      },
+  };
+  util::parallel_for(pool, jobs.size(), [&](std::size_t j) { jobs[j](); }, 1);
+  lap(phase.index_us, watch);
+
+  // What sanitize and FlowColumns::build resolve per record from its MACs,
+  // resolved once per dictionary entry: the dense member id (kNoMember for
+  // an unmapped MAC; member_ids has exactly mac_to_asn_'s keys) and
+  // whether the MAC is the blackhole's.
+  const std::vector<std::uint64_t>& dict = store.mac_dict();
+  const std::uint64_t blackhole = net::Mac::blackhole().value();
+  std::vector<std::uint32_t> member_of(dict.size(), kNoMember);
+  std::vector<std::uint8_t> is_blackhole(dict.size(), 0);
+  for (std::size_t id = 0; id < dict.size(); ++id) {
+    const auto it = member_ids.find(net::Mac(dict[id]));
+    if (it != member_ids.end()) member_of[id] = it->second;
+    is_blackhole[id] = dict[id] == blackhole ? 1 : 0;
+  }
+
+  // (dst_ip, time, row position) strictly ascending: the order the
+  // constructor's by_dst sort produces, with its index tie-break.
+  const auto dst_ordered = [&](std::size_t a, std::size_t b) {
+    if (c.dst_ip[a] != c.dst_ip[b]) return c.dst_ip[a] < c.dst_ip[b];
+    if (c.time[a] != c.time[b]) return c.time[a] < c.time[b];
+    return by_dst_[a] < by_dst_[b];
+  };
+  const auto src_ordered = [&](std::size_t a, std::size_t b) {
+    if (c.s_src_ip[a] != c.s_src_ip[b]) return c.s_src_ip[a] < c.s_src_ip[b];
+    return c.s_time[a] <= c.s_time[b];
+  };
+
+  struct ChunkTally {
+    util::Status status;
+    std::uint64_t unknown_macs{0};
+    std::uint64_t fingerprint{0};
+  };
+  const std::vector<store::ChunkMeta>& dst_metas = store.dst_metas();
+  const std::vector<store::ChunkMeta>& src_metas = store.src_metas();
+
+  // One task per dst chunk: decode into its row slice of the columns, then
+  // derive the MAC-based columns, invert orig_pos into by_dst_, and
+  // scatter the records into data_. Row counts need not be multiples of
+  // 64, so dropped-bitmap words and seen-bitset words at chunk edges are
+  // shared between tasks and set with atomic ORs.
+  const auto fill_dst = [&](std::size_t k) {
+    ChunkTally tally;
+    const std::size_t b = dst_metas[k].row_begin;
+    const std::size_t rows = dst_metas[k].row_count;
+    const auto slice = [&](auto& col) { return std::span(col).subspan(b, rows); };
+    std::vector<std::uint32_t> src_mac(rows);
+    std::vector<std::uint32_t> dst_mac(rows);
+    std::vector<std::uint32_t> pos(rows);
+    // src_member and dropped_words stay empty: both are derived below.
+    const store::DstChunkSpans out{.time = slice(c.time),
+                                   .src_ip = slice(c.src_ip),
+                                   .dst_ip = slice(c.dst_ip),
+                                   .proto = slice(c.proto),
+                                   .src_port = slice(c.src_port),
+                                   .dst_port = slice(c.dst_port),
+                                   .packets = slice(c.packets),
+                                   .bytes = slice(c.bytes),
+                                   .src_mac_id = src_mac,
+                                   .dst_mac_id = dst_mac,
+                                   .src_member = {},
+                                   .dropped_words = {},
+                                   .orig_pos = pos};
+    tally.status = store.try_decode(k, out);
+    if (!tally.status.ok()) return tally;
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t row = b + i;
+      const std::uint32_t p = pos[i];
+      const std::uint64_t bit = std::uint64_t{1} << (p & 63);
+      if (p >= n ||
+          (std::atomic_ref<std::uint64_t>(seen[p >> 6]).fetch_or(bit) & bit) !=
+              0) {
+        tally.status = chunk_error("CHNK", k,
+                                   "duplicate or out-of-range row position");
+        return tally;
+      }
+      by_dst_[row] = p;
+      if (i > 0 && !dst_ordered(row - 1, row)) {
+        tally.status = chunk_error(
+            "CHNK", k, "rows are not in (dst_ip, time, position) order");
+        return tally;
+      }
+      const std::uint32_t member = member_of[src_mac[i]];
+      const bool dropped = is_blackhole[dst_mac[i]] != 0;
+      c.src_member[row] = member;
+      if (member == kNoMember || (!dropped && member_of[dst_mac[i]] == kNoMember)) {
+        ++tally.unknown_macs;
+      }
+      if (dropped) word |= std::uint64_t{1} << (row & 63);
+      if ((row & 63) == 63 || i + 1 == rows) {
+        if (word != 0) {
+          std::atomic_ref<std::uint64_t>(c.dropped_words[row >> 6])
+              .fetch_or(word);
+        }
+        word = 0;
+      }
+      data_[p] = store.record_at(out, i);
+      tally.fingerprint += row_fingerprint(c.src_ip[row], c.time[row],
+                                           c.src_port[row], c.dst_port[row]);
+    }
+    return tally;
+  };
+  // One task per src chunk: decode into its slice of the s_* columns.
+  const auto fill_src = [&](std::size_t k) {
+    ChunkTally tally;
+    const std::size_t b = src_metas[k].row_begin;
+    const std::size_t rows = src_metas[k].row_count;
+    const auto slice = [&](auto& col) { return std::span(col).subspan(b, rows); };
+    tally.status = store.try_decode(
+        k, store::SrcChunkSpans{slice(c.s_src_ip), slice(c.s_time),
+                                slice(c.s_src_port), slice(c.s_dst_port)});
+    if (!tally.status.ok()) return tally;
+    for (std::size_t row = b; row < b + rows; ++row) {
+      if (row > b && !src_ordered(row - 1, row)) {
+        tally.status =
+            chunk_error("SCHK", k, "rows are not in (src_ip, time) order");
+        return tally;
+      }
+      tally.fingerprint += row_fingerprint(c.s_src_ip[row], c.s_time[row],
+                                           c.s_src_port[row], c.s_dst_port[row]);
+    }
+    return tally;
+  };
+  const std::vector<ChunkTally> tallies = util::parallel_map(
+      pool, dst_metas.size() + src_metas.size(),
+      [&](std::size_t t) {
+        return t < dst_metas.size() ? fill_dst(t)
+                                    : fill_src(t - dst_metas.size());
+      },
+      1);
+  lap(phase.decode_us, watch);
+
+  // Whole-corpus checks the per-chunk tasks cannot make alone.
+  std::uint64_t dst_fingerprint = 0;
+  std::uint64_t src_fingerprint = 0;
+  quality_.unknown_mac_flows = 0;
+  for (std::size_t t = 0; t < tallies.size(); ++t) {
+    if (!tallies[t].status.ok()) return tallies[t].status;
+    const bool dst = t < dst_metas.size();
+    (dst ? dst_fingerprint : src_fingerprint) += tallies[t].fingerprint;
+    quality_.unknown_mac_flows += tallies[t].unknown_macs;
+  }
+  for (std::size_t k = 0; k < dst_metas.size(); ++k) {
+    const std::size_t b = dst_metas[k].row_begin;
+    if (b > 0 && dst_metas[k].row_count > 0 && !dst_ordered(b - 1, b)) {
+      return chunk_error("CHNK", k,
+                         "rows are not in (dst_ip, time, position) order "
+                         "across the chunk boundary");
+    }
+  }
+  for (std::size_t k = 0; k < src_metas.size(); ++k) {
+    const std::size_t b = src_metas[k].row_begin;
+    if (b > 0 && src_metas[k].row_count > 0 && !src_ordered(b - 1, b)) {
+      return chunk_error("SCHK", k,
+                         "rows are not in (src_ip, time) order across the "
+                         "chunk boundary");
+    }
+  }
+  if (src_fingerprint != dst_fingerprint) {
+    return util::data_loss(
+        "section SCHK: rows are not the source-ordered permutation of the "
+        "CHNK rows");
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    if (data_[i].time < data_[i - 1].time) {
+      return util::data_loss(
+          "section CHNK: row positions do not put the flow log in time "
+          "order");
+    }
+  }
+  lap(phase.columns_us, watch);
+  return util::ok_status();
+}
+
+util::Result<Dataset> Dataset::try_load(const std::string& path,
+                                        util::ThreadPool* pool) {
   const obs::TraceSpan span("dataset.try_load", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return util::not_found("Dataset::try_load: cannot open " + path);
-    is.seekg(0, std::ios::end);
-    const auto file_size = static_cast<std::uint64_t>(is.tellg());
+    const obs::StopWatch read;
+    std::shared_ptr<const store::FlowStore> store;
+    util::Result<Dataset> shell = open_shell(path, "Dataset::try_load", store);
+    if (!shell.ok()) return shell.status();
+    Dataset d = std::move(shell).value();
+    load_phase_metrics().read_us.add(read.elapsed_us());
 
-    auto ctx = [&](util::Status st) {
+    // Sanitation ran before the file was written, and the fill checks the
+    // flow log's time order, so of the constructor's sanitation counts
+    // only the control-plane input order and the unknown-MAC flows (which
+    // the fill re-derives) can be non-zero.
+    d.quality_.reordered_updates = count_inversions(d.control_);
+    if (util::Status st = d.fill_from_store(*store, util::pool_or_global(pool));
+        !st.ok()) {
       return std::move(st).with_context("Dataset::try_load: " + path);
-    };
-
-    auto toc_result = util::container::read_toc(is, file_size);
-    if (!toc_result.ok()) return ctx(toc_result.status());
-    const util::container::Toc& toc = *toc_result;
-    if (toc.version == util::container::kVersion) {
-      return ctx(v2_needs_convert("Dataset::try_load"));
     }
-
-    LoadedTables tables;
-    if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
-      return ctx(std::move(st));
-    }
-    // The src-projection chunks are never materialized here (the dst
-    // scatter below already rebuilds every flow), so stream-verify their
-    // CRCs explicitly: a full load must reject corruption anywhere in the
-    // container, not just in the bytes it happens to decode.
-    for (const auto& s : toc.sections) {
-      if (s.id != store::kSecSrcChunk) continue;
-      if (util::Status st = util::container::verify_section(is, s); !st.ok()) {
-        return ctx(std::move(st));
-      }
-    }
-    is.close();
-
-    // Materialize the flows: decode every dst chunk (each CRC-verified at
-    // fetch) and scatter rows back to their original time-sorted position.
-    // The rebuilt log is byte-for-byte the one try_save serialized, so the
-    // Dataset constructor reproduces identical indices and columns. Each
-    // chunk is visited once, so it decodes into one reused scratch and
-    // bypasses the store's chunk cache.
-    auto store_result = store::FlowStore::open(path);
-    if (!store_result.ok()) return ctx(store_result.status());
-    const std::shared_ptr<const store::FlowStore>& st_ptr = *store_result;
-    const std::uint64_t n_flows = st_ptr->flow_count();
-    flow::FlowLog data(n_flows);
-    std::vector<std::uint64_t> seen((n_flows + 63) / 64, 0);
-    store::ChunkData chunk;
-    for (std::size_t k = 0; k < st_ptr->chunk_count(); ++k) {
-      if (util::Status st = st_ptr->try_decode(k, /*src=*/false, chunk);
-          !st.ok()) {
-        return ctx(std::move(st));
-      }
-      const std::size_t rows = chunk.rows();
-      for (std::size_t i = 0; i < rows; ++i) {
-        const std::uint32_t pos = chunk.orig_pos[i];
-        if (pos >= n_flows ||
-            ((seen[pos >> 6] >> (pos & 63)) & 1u) != 0) {
-          return ctx(util::data_loss(
-              "section CHNK: duplicate or out-of-range row position"));
-        }
-        seen[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-        data[pos] = st_ptr->record_at(chunk, i);
-      }
-    }
-
-    return Dataset(std::move(tables.control), std::move(data),
-                   std::move(tables.macs), std::move(tables.origins),
-                   tables.period);
+    return d;
   }();
   record_io(io_metrics("load"), result.ok(), wall);
   return result;
@@ -1025,45 +1274,17 @@ util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
   const obs::TraceSpan span("dataset.try_open_chunked", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      return util::not_found("Dataset::try_open_chunked: cannot open " + path);
-    }
-    is.seekg(0, std::ios::end);
-    const auto file_size = static_cast<std::uint64_t>(is.tellg());
-
-    auto ctx = [&](util::Status st) {
-      return std::move(st).with_context("Dataset::try_open_chunked: " + path);
-    };
-
-    auto toc_result = util::container::read_toc(is, file_size);
-    if (!toc_result.ok()) return ctx(toc_result.status());
-    const util::container::Toc& toc = *toc_result;
-    if (toc.version == util::container::kVersion) {
-      return ctx(v2_needs_convert("Dataset::try_open_chunked"));
-    }
-
-    LoadedTables tables;
-    if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
-      return ctx(std::move(st));
-    }
-    is.close();
-
-    auto store_result = store::FlowStore::open(path);
-    if (!store_result.ok()) return ctx(store_result.status());
-
+    std::shared_ptr<const store::FlowStore> store;
+    util::Result<Dataset> shell =
+        open_shell(path, "Dataset::try_open_chunked", store);
+    if (!shell.ok()) return shell.status();
     // Shell construction: control-plane state and indices as usual, flows
-    // left on disk behind the pruned chunk reader. data_/columns_/by_*_
+    // left on disk behind the pruned chunk reader. data_/columns_/by_dst_
     // stay empty — every flow access goes through store_.
-    Dataset d;
-    d.control_ = std::move(tables.control);
-    d.mac_to_asn_ = std::move(tables.macs);
-    d.origin_prefixes_ = std::move(tables.origins);
-    d.period_ = tables.period;
-    d.store_ = *store_result;
+    Dataset d = std::move(shell).value();
+    d.store_ = std::move(store);
     // Sanitation ran before the file was written; the only quality signal
     // that survives serialization is the persisted unknown-MAC count.
-    d.quality_ = Quality{};
     d.quality_.unknown_mac_flows =
         static_cast<std::size_t>(d.store_->unknown_mac_flows());
     (void)d.build_control_indices();

@@ -4,8 +4,9 @@
 // BGP log (control plane), the sampled flow log (data plane), the MAC ->
 // member-AS mapping of the switching fabric, and a BGP-derived source-IP ->
 // origin-AS resolver. It additionally builds the indices every analysis
-// module needs: the route-server blackhole activity index and flow indices
-// sorted by destination and by source address.
+// module needs: the route-server blackhole activity index, a flow index
+// sorted by destination, and the columnar flow view (flow/columns.hpp)
+// whose src-ordered columns serve source-address scans.
 #pragma once
 
 #include <algorithm>
@@ -138,10 +139,13 @@ class Dataset {
     return source_as_[id];
   }
 
-  /// The structure-of-arrays flow view, built by build_indices() alongside
-  /// the sorted indices (see flow/columns.hpp for the layout invariants).
-  /// Empty in chunked mode; kernels should go through view() instead, which
-  /// serves both modes with identical visit order.
+  /// The structure-of-arrays flow view (see flow/columns.hpp for the
+  /// layout invariants). The raw-log constructor builds it by sorting
+  /// (build_indices); try_load decodes it straight from the file's
+  /// dst- and src-ordered chunks, which already hold these columns in
+  /// these orders, so no sort runs. Empty in chunked mode; kernels should
+  /// go through view() instead, which serves both modes with identical
+  /// visit order. Source-address scans use the s_* columns (src_run).
   [[nodiscard]] const flow::FlowColumns& columns() const noexcept {
     return columns_;
   }
@@ -161,17 +165,14 @@ class Dataset {
   /// ordered by (dst_ip, time).
   [[nodiscard]] std::vector<std::size_t> flows_to(const net::Prefix& prefix,
                                                   util::TimeRange range) const;
-  /// Same for records *from* `prefix` (source-address match).
-  [[nodiscard]] std::vector<std::size_t> flows_from(const net::Prefix& prefix,
-                                                    util::TimeRange range) const;
   /// All records to an exact address over the whole period.
   [[nodiscard]] std::vector<std::size_t> flows_to(net::Ipv4 addr) const {
     return flows_to(net::Prefix::host(addr), period_);
   }
 
-  /// Allocation-free variants of flows_to / flows_from: invoke
+  /// Allocation-free variant of flows_to: invoke
   /// `fn(const flow::FlowRecord&)` for every matching record, in the same
-  /// (ip, time) order the vector-returning versions use, without
+  /// (dst_ip, time) order the vector-returning version uses, without
   /// materialising an index vector. This is the hot-kernel iteration API;
   /// prefer it anywhere the indices themselves are not needed.
   template <typename Fn>
@@ -193,27 +194,22 @@ class Dataset {
         [](const flow::FlowRecord& r) { return r.dst_ip; },
         [&](std::size_t, const flow::FlowRecord& rec) { fn(rec); });
   }
-  /// Source-side record scan. Not available in chunked mode (the
-  /// src-ordered chunks carry only the four s_* columns, not full
-  /// records); no pipeline kernel needs it there — the engine is forced
-  /// columnar — so a chunked call simply visits nothing.
-  template <typename Fn>
-  void for_each_flow_from(const net::Prefix& prefix, util::TimeRange range,
-                          Fn&& fn) const {
-    scan_sorted_index(
-        by_src_, prefix, range,
-        [](const flow::FlowRecord& r) { return r.src_ip; },
-        [&](std::size_t, const flow::FlowRecord& rec) { fn(rec); });
-  }
 
   // --- persistence (binary, versioned) ---
   /// Structured-error variants: the Status carries what failed and where
   /// (path, magic, truncation point). try_save writes the chunked .bwds v3
   /// format (column chunks + zone maps, streamed one chunk at a time);
-  /// try_load materializes a v3 file back into RAM and rejects v2 files
-  /// with an error naming tools/bw-convert.
+  /// try_load materializes a v3 file back into RAM — decoding every chunk
+  /// in parallel straight into the final columns, with no sort — and
+  /// rejects v2 files with an error naming tools/bw-convert. Its result
+  /// equals the raw-log constructor's over the same logs; every structural
+  /// invariant the constructor's sorts would establish is checked instead
+  /// and a violation fails with data_loss naming the section.
   [[nodiscard]] util::Status try_save(const std::string& path) const;
-  [[nodiscard]] static util::Result<Dataset> try_load(const std::string& path);
+  /// `pool` (null: the global pool) runs the chunk decode; the result is
+  /// identical at any thread count.
+  [[nodiscard]] static util::Result<Dataset> try_load(
+      const std::string& path, util::ThreadPool* pool = nullptr);
 
   /// Open a v3 file *without* materializing the flows: control-plane
   /// tables and indices are built as usual, while flow scans stream
@@ -254,8 +250,23 @@ class Dataset {
   /// Chunked-open shell; fields are filled by try_open_chunked.
   Dataset() = default;
 
+  /// Both v3 load modes start here: read the TOC and the control-plane
+  /// tables into a shell Dataset and open the file's FlowStore. `op`
+  /// names the caller in errors.
+  static util::Result<Dataset> open_shell(
+      const std::string& path, const char* op,
+      std::shared_ptr<const store::FlowStore>& store);
+
   void sanitize(const BuildOptions& options);
+  /// Raw-log build: sort the control log and the flow log by time, sort the
+  /// dst and src permutations, and materialize the columns through them.
+  /// The src permutation is local: only the s_* columns outlive it.
   void build_indices();
+  /// try_load's build after the tables: the control-plane indices, then
+  /// every CHNK/SCHK chunk of `store` decoded over `pool` into columns_,
+  /// by_dst_ and data_, validating as it goes.
+  util::Status fill_from_store(const store::FlowStore& store,
+                               util::ThreadPool& pool);
   /// Control-plane half of build_indices (sorting, blackhole replay, LPM,
   /// member tables) — everything a chunked dataset needs besides flows.
   /// Returns the MAC -> dense member id map the column build consumes.
@@ -307,9 +318,8 @@ class Dataset {
   bgp::BlackholeIndex rs_index_;
   net::FlatLpm<bgp::Asn> origin_lpm_;
   std::vector<std::size_t> by_dst_;  ///< flow indices sorted by (dst, time)
-  std::vector<std::size_t> by_src_;  ///< flow indices sorted by (src, time)
   std::vector<bgp::Asn> source_as_;  ///< ascending unique member source ASes
-  flow::FlowColumns columns_;        ///< SoA view in by_dst_ / by_src_ order
+  flow::FlowColumns columns_;  ///< SoA view in (dst, time) / (src, time) order
   /// Non-null in chunked mode: the on-disk v3 store flows are read from.
   std::shared_ptr<const store::FlowStore> store_;
 };

@@ -123,6 +123,7 @@ bool is_deterministic_metric(std::string_view name) {
   // Store chunk-cache counters depend on thread interleaving once the
   // working set exceeds the cache budget: which chunk is least recently
   // used, and so evicted and later decoded again, follows the schedule.
+  // store.chunk.bytes_decoded follows the decode count, so it goes too.
   if (name.starts_with("store.chunk.")) return false;
   if (name.ends_with("_us") || name.ends_with("_ns")) return false;
   return true;

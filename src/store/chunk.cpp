@@ -1,5 +1,6 @@
 #include "store/chunk.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -65,10 +66,9 @@ void encode_delta_sorted(const std::vector<T>& col,
 
 template <typename T>
 bool decode_delta_sorted(const std::uint8_t* p, const std::uint8_t* end,
-                         std::size_t rows, std::vector<T>& col) {
-  col.resize(rows);
+                         std::span<T> col) {
   std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
+  for (std::size_t i = 0; i < col.size(); ++i) {
     std::uint64_t d = 0;
     if (!get_varint(p, end, d)) return false;
     acc = i == 0 ? d : acc + d;
@@ -88,10 +88,9 @@ void encode_zigzag_delta(const std::vector<util::TimeMs>& col,
 }
 
 bool decode_zigzag_delta(const std::uint8_t* p, const std::uint8_t* end,
-                         std::size_t rows, std::vector<util::TimeMs>& col) {
-  col.resize(rows);
+                         std::span<util::TimeMs> col) {
   std::int64_t acc = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
+  for (std::size_t i = 0; i < col.size(); ++i) {
     std::uint64_t z = 0;
     if (!get_varint(p, end, z)) return false;
     acc = i == 0 ? unzigzag(z) : acc + unzigzag(z);
@@ -109,12 +108,11 @@ void encode_varints(const std::vector<T>& col,
 
 template <typename T>
 bool decode_varints(const std::uint8_t* p, const std::uint8_t* end,
-                    std::size_t rows, std::vector<T>& col) {
-  col.resize(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t v = 0;
-    if (!get_varint(p, end, v)) return false;
-    col[i] = static_cast<T>(v);
+                    std::span<T> col) {
+  for (T& v : col) {
+    std::uint64_t raw = 0;
+    if (!get_varint(p, end, raw)) return false;
+    v = static_cast<T>(raw);
   }
   return p == end;
 }
@@ -122,6 +120,22 @@ bool decode_varints(const std::uint8_t* p, const std::uint8_t* end,
 template <typename... Vecs>
 std::size_t heap_bytes(const Vecs&... vecs) noexcept {
   return (... + (vecs.capacity() * sizeof(typename Vecs::value_type)));
+}
+
+/// The row count a chunk payload's header declares.
+util::Result<std::size_t> chunk_row_count(const std::uint8_t* p,
+                                          std::size_t len) {
+  if (len < sizeof(std::uint32_t)) {
+    return util::data_loss("store: chunk shorter than its row-count header");
+  }
+  const std::size_t rows = read_raw<std::uint32_t>(p);
+  // Every row takes at least one byte in each column block, so a larger
+  // count is a damaged header; refusing it here keeps a caller that sizes
+  // buffers from the header from allocating for a bogus count.
+  if (rows > len) {
+    return util::data_loss("store: chunk row count exceeds its payload");
+  }
+  return rows;
 }
 
 }  // namespace
@@ -210,14 +224,55 @@ void encode_dst_chunk(const ChunkData& chunk,
   put_block(out, block);
 }
 
+DstChunkSpans dst_spans(ChunkData& chunk, std::size_t rows) {
+  flow::FlowColumns& c = chunk.cols;
+  c.time.resize(rows);
+  c.src_ip.resize(rows);
+  c.dst_ip.resize(rows);
+  c.proto.resize(rows);
+  c.src_port.resize(rows);
+  c.dst_port.resize(rows);
+  c.packets.resize(rows);
+  c.bytes.resize(rows);
+  c.src_member.resize(rows);
+  c.dropped_words.resize((rows + 63) / 64);
+  chunk.src_mac_id.resize(rows);
+  chunk.dst_mac_id.resize(rows);
+  chunk.orig_pos.resize(rows);
+  return {.time = c.time,
+          .src_ip = c.src_ip,
+          .dst_ip = c.dst_ip,
+          .proto = c.proto,
+          .src_port = c.src_port,
+          .dst_port = c.dst_port,
+          .packets = c.packets,
+          .bytes = c.bytes,
+          .src_mac_id = chunk.src_mac_id,
+          .dst_mac_id = chunk.dst_mac_id,
+          .src_member = c.src_member,
+          .dropped_words = c.dropped_words,
+          .orig_pos = chunk.orig_pos};
+}
+
+SrcChunkSpans src_spans(ChunkData& chunk, std::size_t rows) {
+  flow::FlowColumns& c = chunk.cols;
+  c.s_src_ip.resize(rows);
+  c.s_time.resize(rows);
+  c.s_src_port.resize(rows);
+  c.s_dst_port.resize(rows);
+  return {c.s_src_ip, c.s_time, c.s_src_port, c.s_dst_port};
+}
+
 util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
-                              ChunkData& out) {
+                              const DstChunkSpans& out) {
   const std::uint8_t* end = p + len;
-  if (len < sizeof(std::uint32_t)) {
-    return util::data_loss("store: chunk shorter than its row-count header");
+  const util::Result<std::size_t> header = chunk_row_count(p, len);
+  if (!header.ok()) return header.status();
+  const std::size_t rows = *header;
+  if (rows != out.rows()) {
+    return util::data_loss("store: chunk row count disagrees with the index");
   }
-  const std::size_t rows = read_raw<std::uint32_t>(p);
-  flow::FlowColumns& c = out.cols;
+  p += sizeof(std::uint32_t);
 
   const std::uint8_t* bp = nullptr;
   const std::uint8_t* bend = nullptr;
@@ -227,55 +282,56 @@ util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
   };
 
   if (auto s = block("dst_ip"); !s.ok()) return s;
-  if (!decode_delta_sorted(bp, bend, rows, c.dst_ip)) {
+  if (!decode_delta_sorted(bp, bend, out.dst_ip)) {
     return column_error("bad varint run", "dst_ip");
   }
   if (auto s = block("time"); !s.ok()) return s;
-  if (!decode_zigzag_delta(bp, bend, rows, c.time)) {
+  if (!decode_zigzag_delta(bp, bend, out.time)) {
     return column_error("bad varint run", "time");
   }
   if (auto s = block("src_ip"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, c.src_ip)) {
+  if (!decode_varints(bp, bend, out.src_ip)) {
     return column_error("bad varint run", "src_ip");
   }
   if (auto s = block("proto"); !s.ok()) return s;
   if (static_cast<std::size_t>(bend - bp) != rows) {
     return column_error("bad length", "proto");
   }
-  c.proto.assign(bp, bend);
+  std::copy(bp, bend, out.proto.begin());
   if (auto s = block("src_port"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, c.src_port)) {
+  if (!decode_varints(bp, bend, out.src_port)) {
     return column_error("bad varint run", "src_port");
   }
   if (auto s = block("dst_port"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, c.dst_port)) {
+  if (!decode_varints(bp, bend, out.dst_port)) {
     return column_error("bad varint run", "dst_port");
   }
   if (auto s = block("packets"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, c.packets)) {
+  if (!decode_varints(bp, bend, out.packets)) {
     return column_error("bad varint run", "packets");
   }
   if (auto s = block("bytes"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, c.bytes)) {
+  if (!decode_varints(bp, bend, out.bytes)) {
     return column_error("bad varint run", "bytes");
   }
   if (auto s = block("src_mac_id"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, out.src_mac_id)) {
+  if (!decode_varints(bp, bend, out.src_mac_id)) {
     return column_error("bad varint run", "src_mac_id");
   }
   if (auto s = block("dst_mac_id"); !s.ok()) return s;
-  if (!decode_varints(bp, bend, rows, out.dst_mac_id)) {
+  if (!decode_varints(bp, bend, out.dst_mac_id)) {
     return column_error("bad varint run", "dst_mac_id");
   }
   if (auto s = block("src_member"); !s.ok()) return s;
-  c.src_member.resize(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     std::uint64_t v = 0;
     if (!get_varint(bp, bend, v)) {
       return column_error("bad varint run", "src_member");
     }
-    c.src_member[i] = v == 0 ? flow::FlowColumns::kNoMember
-                             : static_cast<std::uint32_t>(v - 1);
+    if (!out.src_member.empty()) {
+      out.src_member[i] = v == 0 ? flow::FlowColumns::kNoMember
+                                 : static_cast<std::uint32_t>(v - 1);
+    }
   }
   if (bp != bend) return column_error("bad length", "src_member");
   if (auto s = block("dropped"); !s.ok()) return s;
@@ -283,21 +339,31 @@ util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
   if (static_cast<std::size_t>(bend - bp) != nbytes) {
     return column_error("bad length", "dropped");
   }
-  c.dropped_words.assign((rows + 63) / 64, 0);
-  for (std::size_t j = 0; j < nbytes; ++j) {
-    c.dropped_words[j >> 3] |= static_cast<std::uint64_t>(bp[j])
-                               << (8 * (j & 7));
+  if (!out.dropped_words.empty()) {
+    std::fill(out.dropped_words.begin(), out.dropped_words.end(), 0);
+    for (std::size_t j = 0; j < nbytes; ++j) {
+      out.dropped_words[j >> 3] |= static_cast<std::uint64_t>(bp[j])
+                                   << (8 * (j & 7));
+    }
   }
   if (auto s = block("orig_pos"); !s.ok()) return s;
   if (static_cast<std::size_t>(bend - bp) != rows * sizeof(std::uint32_t)) {
     return column_error("bad length", "orig_pos");
   }
-  out.orig_pos.resize(rows);
-  std::memcpy(out.orig_pos.data(), bp, rows * sizeof(std::uint32_t));
+  if (rows > 0) {  // an empty span's data() may be null
+    std::memcpy(out.orig_pos.data(), bp, rows * sizeof(std::uint32_t));
+  }
   if (p != end) {
     return util::data_loss("store: trailing bytes after the last column block");
   }
   return util::ok_status();
+}
+
+util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
+                              ChunkData& out) {
+  const util::Result<std::size_t> rows = chunk_row_count(p, len);
+  if (!rows.ok()) return rows.status();
+  return decode_dst_chunk(p, len, dst_spans(out, *rows));
 }
 
 void encode_src_chunk(const ChunkData& chunk,
@@ -317,35 +383,43 @@ void encode_src_chunk(const ChunkData& chunk,
 }
 
 util::Status decode_src_chunk(const std::uint8_t* p, std::size_t len,
-                              ChunkData& out) {
+                              const SrcChunkSpans& out) {
   const std::uint8_t* end = p + len;
-  if (len < sizeof(std::uint32_t)) {
-    return util::data_loss("store: chunk shorter than its row-count header");
+  const util::Result<std::size_t> header = chunk_row_count(p, len);
+  if (!header.ok()) return header.status();
+  if (*header != out.rows()) {
+    return util::data_loss("store: chunk row count disagrees with the index");
   }
-  const std::size_t rows = read_raw<std::uint32_t>(p);
-  flow::FlowColumns& c = out.cols;
+  p += sizeof(std::uint32_t);
   const std::uint8_t* bp = nullptr;
   const std::uint8_t* bend = nullptr;
   if (!next_block(p, end, bp, bend) ||
-      !decode_delta_sorted(bp, bend, rows, c.s_src_ip)) {
+      !decode_delta_sorted(bp, bend, out.s_src_ip)) {
     return column_error("bad varint run", "s_src_ip");
   }
   if (!next_block(p, end, bp, bend) ||
-      !decode_zigzag_delta(bp, bend, rows, c.s_time)) {
+      !decode_zigzag_delta(bp, bend, out.s_time)) {
     return column_error("bad varint run", "s_time");
   }
   if (!next_block(p, end, bp, bend) ||
-      !decode_varints(bp, bend, rows, c.s_src_port)) {
+      !decode_varints(bp, bend, out.s_src_port)) {
     return column_error("bad varint run", "s_src_port");
   }
   if (!next_block(p, end, bp, bend) ||
-      !decode_varints(bp, bend, rows, c.s_dst_port)) {
+      !decode_varints(bp, bend, out.s_dst_port)) {
     return column_error("bad varint run", "s_dst_port");
   }
   if (p != end) {
     return util::data_loss("store: trailing bytes after the last column block");
   }
   return util::ok_status();
+}
+
+util::Status decode_src_chunk(const std::uint8_t* p, std::size_t len,
+                              ChunkData& out) {
+  const util::Result<std::size_t> rows = chunk_row_count(p, len);
+  if (!rows.ok()) return rows.status();
+  return decode_src_chunk(p, len, src_spans(out, *rows));
 }
 
 ChunkMeta make_dst_meta(const ChunkData& chunk, std::uint64_t row_begin) {

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "flow/columns.hpp"
@@ -102,17 +103,65 @@ struct ChunkData {
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 };
 
+/// Where one dst chunk decodes to: caller-owned spans of exactly the
+/// chunk's row count, e.g. the chunk's row slice of a whole-corpus
+/// FlowColumns. The field names mirror FlowColumns, so code templated on
+/// the column source reads either. `src_member` and `dropped_words` may be
+/// empty: their blocks are then validated but not stored (a materializing
+/// load derives both from the MAC ids). A non-empty `dropped_words` holds
+/// (rows + 63) / 64 words with row 0 at bit 0 of word 0.
+struct DstChunkSpans {
+  std::span<util::TimeMs> time;
+  std::span<std::uint32_t> src_ip;
+  std::span<std::uint32_t> dst_ip;
+  std::span<std::uint8_t> proto;
+  std::span<std::uint16_t> src_port;
+  std::span<std::uint16_t> dst_port;
+  std::span<std::uint32_t> packets;
+  std::span<std::uint64_t> bytes;
+  std::span<std::uint32_t> src_mac_id;
+  std::span<std::uint32_t> dst_mac_id;
+  std::span<std::uint32_t> src_member;
+  std::span<std::uint64_t> dropped_words;
+  std::span<std::uint32_t> orig_pos;
+
+  [[nodiscard]] std::size_t rows() const noexcept { return time.size(); }
+};
+
+/// Where one src chunk decodes to (the four s_* columns).
+struct SrcChunkSpans {
+  std::span<std::uint32_t> s_src_ip;
+  std::span<util::TimeMs> s_time;
+  std::span<std::uint16_t> s_src_port;
+  std::span<std::uint16_t> s_dst_port;
+
+  [[nodiscard]] std::size_t rows() const noexcept { return s_time.size(); }
+};
+
+/// Size `chunk`'s dst (or src) vectors to `rows` and return spans over
+/// them — how the ChunkData entry points reuse the span decoders.
+[[nodiscard]] DstChunkSpans dst_spans(ChunkData& chunk, std::size_t rows);
+[[nodiscard]] SrcChunkSpans src_spans(ChunkData& chunk, std::size_t rows);
+
 /// Serialize one dst-ordered chunk (13 length-prefixed column blocks:
 /// delta-varint dst_ip, zigzag-delta time, varint src_ip/ports/packets/
 /// bytes/mac-ids/member, raw proto bytes, packed dropped bitmap, raw
 /// orig_pos). `out` is cleared first; reuse the buffer across chunks.
 void encode_dst_chunk(const ChunkData& chunk, std::vector<std::uint8_t>& out);
+/// Decode into `out`, whose row count must equal the header's.
+[[nodiscard]] util::Status decode_dst_chunk(const std::uint8_t* p,
+                                            std::size_t len,
+                                            const DstChunkSpans& out);
+/// Decode into `out`, sized by the header (capacity is reused).
 [[nodiscard]] util::Status decode_dst_chunk(const std::uint8_t* p,
                                             std::size_t len, ChunkData& out);
 
 /// Serialize one src-ordered chunk (4 blocks: delta-varint src_ip,
 /// zigzag-delta time, varint ports).
 void encode_src_chunk(const ChunkData& chunk, std::vector<std::uint8_t>& out);
+[[nodiscard]] util::Status decode_src_chunk(const std::uint8_t* p,
+                                            std::size_t len,
+                                            const SrcChunkSpans& out);
 [[nodiscard]] util::Status decode_src_chunk(const std::uint8_t* p,
                                             std::size_t len, ChunkData& out);
 

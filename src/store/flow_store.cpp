@@ -84,6 +84,8 @@ struct CacheMetrics {
   obs::Counter& cache_hit;
   obs::Counter& evicted;
   obs::Counter& decode_us;
+  obs::Counter& crc_us;
+  obs::Counter& bytes_decoded;
 };
 
 const CacheMetrics& cache_metrics() {
@@ -91,7 +93,9 @@ const CacheMetrics& cache_metrics() {
       obs::Registry::global().counter("store.chunk.decoded"),
       obs::Registry::global().counter("store.chunk.cache_hit"),
       obs::Registry::global().counter("store.chunk.evicted"),
-      obs::Registry::global().counter("store.chunk.decode_us")};
+      obs::Registry::global().counter("store.chunk.decode_us"),
+      obs::Registry::global().counter("store.chunk.crc_us"),
+      obs::Registry::global().counter("store.chunk.bytes_decoded")};
   return m;
 }
 
@@ -282,10 +286,11 @@ util::Status FlowStore::section_error(std::size_t k, bool src,
                                    std::to_string(k) + "]");
 }
 
-util::Status FlowStore::try_decode(std::size_t k, bool src,
-                                   ChunkData& out) const {
+util::Status FlowStore::decode_checked(
+    std::size_t k, bool src,
+    const std::function<util::Status(const std::uint8_t*, std::size_t)>&
+        decode) const {
   const std::vector<Section>& sections = src ? src_sections_ : dst_sections_;
-  const std::vector<ChunkMeta>& metas = src ? src_metas_ : dst_metas_;
   const auto ctx = [&](util::Status s) {
     return section_error(k, src, std::move(s));
   };
@@ -298,31 +303,59 @@ util::Status FlowStore::try_decode(std::size_t k, bool src,
       source_.fetch(section.offset, section.length, scratch);
   if (payload == nullptr) return ctx(util::data_loss("truncated payload"));
 
+  const obs::StopWatch crc_watch;
   util::Crc32c crc;
   crc.update(payload, section.length);
+  cache_metrics().crc_us.add(crc_watch.elapsed_us());
   if (crc.value() != section.crc) {
     return ctx(util::data_loss("checksum mismatch"));
   }
 
-  const util::Status decoded =
-      src ? decode_src_chunk(payload, section.length, out)
-          : decode_dst_chunk(payload, section.length, out);
-  if (!decoded.ok()) return ctx(decoded);
-  if (out.rows() != metas[k].row_count) {
-    return ctx(util::data_loss("decoded row count disagrees with the index"));
-  }
-  if (!src) {
-    for (std::size_t i = 0; i < out.src_mac_id.size(); ++i) {
-      if (out.src_mac_id[i] >= mac_dict_.size() ||
-          out.dst_mac_id[i] >= mac_dict_.size()) {
-        return ctx(util::data_loss("MAC id outside the dictionary"));
-      }
-    }
+  if (util::Status s = decode(payload, section.length); !s.ok()) {
+    return ctx(std::move(s));
   }
   chunks_decoded_.fetch_add(1, std::memory_order_relaxed);
   cache_metrics().decoded.add();
+  cache_metrics().bytes_decoded.add(section.length);
   cache_metrics().decode_us.add(watch.elapsed_us());
   return util::ok_status();
+}
+
+util::Status FlowStore::try_decode(std::size_t k,
+                                   const DstChunkSpans& out) const {
+  return decode_checked(
+      k, false,
+      [&](const std::uint8_t* payload, std::size_t len) -> util::Status {
+        if (util::Status s = decode_dst_chunk(payload, len, out); !s.ok()) {
+          return s;
+        }
+        for (std::size_t i = 0; i < out.rows(); ++i) {
+          if (out.src_mac_id[i] >= mac_dict_.size() ||
+              out.dst_mac_id[i] >= mac_dict_.size()) {
+            return util::data_loss("MAC id outside the dictionary");
+          }
+        }
+        return util::ok_status();
+      });
+}
+
+util::Status FlowStore::try_decode(std::size_t k,
+                                   const SrcChunkSpans& out) const {
+  return decode_checked(
+      k, true, [&](const std::uint8_t* payload, std::size_t len) {
+        return decode_src_chunk(payload, len, out);
+      });
+}
+
+util::Status FlowStore::try_decode(std::size_t k, bool src,
+                                   ChunkData& out) const {
+  const std::vector<ChunkMeta>& metas = src ? src_metas_ : dst_metas_;
+  if (k >= metas.size()) {
+    return section_error(k, src, util::internal_error("out of range"));
+  }
+  const std::size_t rows = metas[k].row_count;
+  return src ? try_decode(k, src_spans(out, rows))
+             : try_decode(k, dst_spans(out, rows));
 }
 
 bool FlowStore::lookup(CacheEntry& e,

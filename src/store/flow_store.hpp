@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -122,6 +123,9 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   [[nodiscard]] const std::vector<ChunkMeta>& dst_metas() const noexcept {
     return dst_metas_;
   }
+  [[nodiscard]] const std::vector<ChunkMeta>& src_metas() const noexcept {
+    return src_metas_;
+  }
   [[nodiscard]] const std::vector<std::uint64_t>& mac_dict() const noexcept {
     return mac_dict_;
   }
@@ -139,9 +143,15 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   [[nodiscard]] util::Status try_chunk(
       std::size_t k, bool src, std::shared_ptr<const ChunkData>& out) const;
 
-  /// Decode one chunk into `out` without touching the cache, reusing its
-  /// capacity: a materializing load visits each chunk once and keeps one
-  /// scratch ChunkData. The CRC, row-count and MAC-id checks all run.
+  /// Decode dst (src) chunk `k` without touching the cache, straight into
+  /// caller spans of exactly its row count — a materializing load points
+  /// them at the chunk's row slice of the final columns. The CRC,
+  /// row-count and MAC-id checks all run.
+  [[nodiscard]] util::Status try_decode(std::size_t k,
+                                        const DstChunkSpans& out) const;
+  [[nodiscard]] util::Status try_decode(std::size_t k,
+                                        const SrcChunkSpans& out) const;
+  /// The same decode into `out`'s own vectors, reusing their capacity.
   [[nodiscard]] util::Status try_decode(std::size_t k, bool src,
                                         ChunkData& out) const;
 
@@ -149,18 +159,12 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   /// through the dictionary).
   [[nodiscard]] flow::FlowRecord record_at(const ChunkData& chunk,
                                            std::size_t i) const {
-    flow::FlowRecord rec;
-    rec.time = chunk.cols.time[i];
-    rec.src_ip = net::Ipv4(chunk.cols.src_ip[i]);
-    rec.dst_ip = net::Ipv4(chunk.cols.dst_ip[i]);
-    rec.proto = static_cast<net::Proto>(chunk.cols.proto[i]);
-    rec.src_port = chunk.cols.src_port[i];
-    rec.dst_port = chunk.cols.dst_port[i];
-    rec.src_mac = net::Mac(mac_dict_[chunk.src_mac_id[i]]);
-    rec.dst_mac = net::Mac(mac_dict_[chunk.dst_mac_id[i]]);
-    rec.packets = chunk.cols.packets[i];
-    rec.bytes = chunk.cols.bytes[i];
-    return rec;
+    return make_record(chunk.cols, chunk.src_mac_id[i], chunk.dst_mac_id[i],
+                       i);
+  }
+  [[nodiscard]] flow::FlowRecord record_at(const DstChunkSpans& chunk,
+                                           std::size_t i) const {
+    return make_record(chunk, chunk.src_mac_id[i], chunk.dst_mac_id[i], i);
   }
 
   /// Pruned scan over rows destined to `prefix` within `range`, visiting
@@ -268,6 +272,32 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
 
   [[nodiscard]] util::Status section_error(std::size_t k, bool src,
                                            util::Status s) const;
+  /// Fetch chunk `k`, verify its CRC, run `decode` on the payload, and
+  /// account the decode; every error names the section.
+  [[nodiscard]] util::Status decode_checked(
+      std::size_t k, bool src,
+      const std::function<util::Status(const std::uint8_t*, std::size_t)>&
+          decode) const;
+  /// Row `i` of columns `c` (FlowColumns or DstChunkSpans) with its
+  /// dictionary MAC ids -> record.
+  template <typename Cols>
+  [[nodiscard]] flow::FlowRecord make_record(const Cols& c,
+                                             std::uint32_t src_mac,
+                                             std::uint32_t dst_mac,
+                                             std::size_t i) const {
+    flow::FlowRecord rec;
+    rec.time = c.time[i];
+    rec.src_ip = net::Ipv4(c.src_ip[i]);
+    rec.dst_ip = net::Ipv4(c.dst_ip[i]);
+    rec.proto = static_cast<net::Proto>(c.proto[i]);
+    rec.src_port = c.src_port[i];
+    rec.dst_port = c.dst_port[i];
+    rec.src_mac = net::Mac(mac_dict_[src_mac]);
+    rec.dst_mac = net::Mac(mac_dict_[dst_mac]);
+    rec.packets = c.packets[i];
+    rec.bytes = c.bytes[i];
+    return rec;
+  }
   /// Serve `e` from the cache if resident, refreshing its LRU stamp.
   [[nodiscard]] bool lookup(CacheEntry& e,
                             std::shared_ptr<const ChunkData>& out) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -141,12 +142,15 @@ TEST_F(DatasetTest, SummaryEnginesAgree) {
 }
 
 TEST_F(DatasetTest, FlowsFromSourcePrefix) {
-  const auto from = dataset_->flows_from(*net::Prefix::parse("64.0.0.0/16"),
-                                         dataset_->period());
-  EXPECT_EQ(from.size(), 150u);
-  const auto one = dataset_->flows_from(
-      net::Prefix::host(net::Ipv4(64, 0, 0, 2)), dataset_->period());
-  EXPECT_EQ(one.size(), 50u);
+  // Source-address scans run over the src-ordered s_* columns.
+  const flow::FlowColumns& cols = dataset_->columns();
+  const auto& src = cols.s_src_ip;
+  const auto first = std::lower_bound(src.begin(), src.end(),
+                                      net::Ipv4(64, 0, 0, 0).value());
+  const auto last = std::upper_bound(first, src.end(),
+                                     net::Ipv4(64, 0, 255, 255).value());
+  EXPECT_EQ(last - first, 150);
+  EXPECT_EQ(cols.src_run(net::Ipv4(64, 0, 0, 2)).size(), 50u);
 }
 
 TEST_F(DatasetTest, Attribution) {

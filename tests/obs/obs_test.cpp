@@ -93,7 +93,17 @@ TEST(MetricsTest, DeterminismNamingConvention) {
   // Chunk-cache hits and evictions follow the thread interleaving.
   EXPECT_FALSE(is_deterministic_metric("store.chunk.decoded"));
   EXPECT_FALSE(is_deterministic_metric("store.chunk.evicted"));
+  // Bytes put through the decoder follow the decode count; CRC time is a
+  // timing.
+  EXPECT_FALSE(is_deterministic_metric("store.chunk.bytes_decoded"));
+  EXPECT_FALSE(is_deterministic_metric("store.chunk.crc_us"));
   EXPECT_TRUE(is_deterministic_metric("store.chunks"));
+  // The materializing load's sub-phase timings.
+  for (const char* phase : {"read", "index", "decode", "columns"}) {
+    EXPECT_FALSE(is_deterministic_metric(std::string("dataset.load.") +
+                                         phase + "_us"))
+        << phase;
+  }
 }
 
 TEST(RegistryTest, FindOrCreateReturnsStableHandles) {

@@ -362,8 +362,8 @@ TEST_F(FlowStoreCacheTest, LoadPathLeavesNothingResident) {
   EXPECT_GT(s.chunk(0)->footprint_bytes(), 0u);
   EXPECT_EQ(s.cache_bytes(), s.chunk(0)->footprint_bytes());
 
-  // Dataset::try_load decodes each dst chunk exactly once and never serves
-  // one from a cache.
+  // Dataset::try_load decodes each dst and each src chunk exactly once and
+  // never serves one from a cache.
   obs::Registry& reg = obs::Registry::global();
   const std::uint64_t decoded0 = reg.counter("store.chunk.decoded").value();
   const std::uint64_t hits0 = reg.counter("store.chunk.cache_hit").value();
@@ -371,7 +371,7 @@ TEST_F(FlowStoreCacheTest, LoadPathLeavesNothingResident) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded->flows().size(), s.flow_count());
   EXPECT_EQ(reg.counter("store.chunk.decoded").value() - decoded0,
-            s.chunk_count());
+            s.chunk_count() + s.src_chunk_count());
   EXPECT_EQ(reg.counter("store.chunk.cache_hit").value(), hits0);
 }
 

@@ -7,12 +7,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/corpus.hpp"
@@ -81,10 +86,114 @@ class StoreFaultTest : public ::testing::Test {
     return path;
   }
 
+  /// Payload of dst (or src) chunk `k` of the clean file, decoded, changed
+  /// by `edit` and encoded again.
+  std::vector<std::uint8_t> edited_chunk(
+      bool src, std::size_t k, const std::function<void(ChunkData&)>& edit) {
+    auto store = FlowStore::open(clean_path_);
+    EXPECT_TRUE(store.ok()) << store.status().to_string();
+    ChunkData chunk;
+    EXPECT_TRUE((*store)->try_decode(k, src, chunk).ok());
+    edit(chunk);
+    std::vector<std::uint8_t> payload;
+    if (src) {
+      encode_src_chunk(chunk, payload);
+    } else {
+      encode_dst_chunk(chunk, payload);
+    }
+    return payload;
+  }
+
+  /// Copy of the clean file with some chunk payloads replaced, keyed by
+  /// (src family?, chunk index). The container is written afresh, so every
+  /// section CRC in the copy is valid: only the load's structural checks
+  /// can catch what the replacement breaks.
+  std::string rewritten_copy(
+      const std::map<std::pair<bool, std::size_t>, std::vector<std::uint8_t>>&
+          payloads) {
+    std::string bytes;
+    {
+      std::ifstream is(clean_path_, std::ios::binary);
+      std::ostringstream ss;
+      ss << is.rdbuf();
+      bytes = ss.str();
+    }
+    std::istringstream is(bytes);
+    const auto toc = util::container::read_toc(is, bytes.size());
+    EXPECT_TRUE(toc.ok());
+    const std::string path = (dir_ / "rewritten.bwds").string();
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    util::container::Writer w(os, util::container::kVersionV3);
+    std::size_t dst_k = 0;
+    std::size_t src_k = 0;
+    for (const util::container::Section& sec : toc->sections) {
+      w.begin_section(sec.id);
+      const auto it =
+          sec.id == kSecChunk      ? payloads.find({false, dst_k++})
+          : sec.id == kSecSrcChunk ? payloads.find({true, src_k++})
+                                   : payloads.end();
+      if (it != payloads.end()) {
+        w.write(it->second.data(), it->second.size());
+      } else {
+        w.write(bytes.data() + sec.offset, sec.length);
+      }
+      w.end_section();
+    }
+    EXPECT_TRUE(w.finish().ok());
+    return path;
+  }
+
+  /// try_load of `path` must fail with data_loss naming `section` and
+  /// saying `what`.
+  static void expect_load_fails(const std::string& path, const char* section,
+                                const char* what) {
+    const auto loaded = core::Dataset::try_load(path);
+    ASSERT_FALSE(loaded.ok());
+    const std::string msg = loaded.status().to_string();
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss) << msg;
+    EXPECT_NE(msg.find(section), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+
   fs::path dir_;
   std::unique_ptr<core::Dataset> dataset_;
   std::string clean_path_;
 };
+
+/// Swap rows `i` and `j` of a decoded dst chunk, every column together.
+void swap_dst_rows(ChunkData& chunk, std::size_t i, std::size_t j) {
+  flow::FlowColumns& c = chunk.cols;
+  const bool dropped_i = c.dropped(i);
+  const bool dropped_j = c.dropped(j);
+  std::swap(c.time[i], c.time[j]);
+  std::swap(c.src_ip[i], c.src_ip[j]);
+  std::swap(c.dst_ip[i], c.dst_ip[j]);
+  std::swap(c.proto[i], c.proto[j]);
+  std::swap(c.src_port[i], c.src_port[j]);
+  std::swap(c.dst_port[i], c.dst_port[j]);
+  std::swap(c.packets[i], c.packets[j]);
+  std::swap(c.bytes[i], c.bytes[j]);
+  std::swap(c.src_member[i], c.src_member[j]);
+  std::swap(chunk.src_mac_id[i], chunk.src_mac_id[j]);
+  std::swap(chunk.dst_mac_id[i], chunk.dst_mac_id[j]);
+  std::swap(chunk.orig_pos[i], chunk.orig_pos[j]);
+  const auto set = [&](std::size_t row, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (row & 63);
+    c.dropped_words[row >> 6] =
+        on ? c.dropped_words[row >> 6] | bit : c.dropped_words[row >> 6] & ~bit;
+  };
+  set(i, dropped_j);
+  set(j, dropped_i);
+}
+
+/// Swap rows `i` and `j` of a decoded src chunk.
+void swap_src_rows(ChunkData& chunk, std::size_t i, std::size_t j) {
+  flow::FlowColumns& c = chunk.cols;
+  std::swap(c.s_src_ip[i], c.s_src_ip[j]);
+  std::swap(c.s_time[i], c.s_time[j]);
+  std::swap(c.s_src_port[i], c.s_src_port[j]);
+  std::swap(c.s_dst_port[i], c.s_dst_port[j]);
+}
 
 TEST_F(StoreFaultTest, CorruptDstChunkFailsAtTouchNamingTheSection) {
   const std::string path = corrupt_copy(find_section(kSecChunk));
@@ -159,6 +268,107 @@ TEST_F(StoreFaultTest, V2FileIsRefusedNamingTheConverter) {
 
   // The v2 reader still accepts it (bw-convert's input path).
   EXPECT_TRUE(core::Dataset::try_load_v2(v2_path).ok());
+}
+
+// The checks below stand in for the sorts a materializing load no longer
+// runs. Each file passes every CRC; only the structural check can refuse it.
+
+TEST_F(StoreFaultTest, RewrittenCopyOfAnUnchangedChunkStillLoads) {
+  // Control for the rewrite helper: re-encoding without an edit is valid.
+  const std::string path = rewritten_copy(
+      {{{false, 1}, edited_chunk(false, 1, [](ChunkData&) {})},
+       {{true, 1}, edited_chunk(true, 1, [](ChunkData&) {})}});
+  const auto loaded = core::Dataset::try_load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->flows().size(), dataset_->flows().size());
+}
+
+TEST_F(StoreFaultTest, DuplicateRowPositionFailsLoad) {
+  ChunkData first;
+  {
+    auto store = FlowStore::open(clean_path_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->try_decode(0, /*src=*/false, first).ok());
+  }
+  // Row 0 of CHNK[1] claims the position row 0 of CHNK[0] already holds.
+  const std::string path = rewritten_copy(
+      {{{false, 1}, edited_chunk(false, 1, [&](ChunkData& c) {
+          c.orig_pos[0] = first.orig_pos[0];
+        })}});
+  expect_load_fails(path, "CHNK", "duplicate or out-of-range row position");
+}
+
+TEST_F(StoreFaultTest, OutOfRangeRowPositionFailsLoad) {
+  const std::string path = rewritten_copy(
+      {{{false, 2}, edited_chunk(false, 2, [&](ChunkData& c) {
+          c.orig_pos[3] = static_cast<std::uint32_t>(dataset_->flows().size());
+        })}});
+  expect_load_fails(path, "CHNK[2]", "duplicate or out-of-range row position");
+}
+
+TEST_F(StoreFaultTest, MacIdOutsideTheDictionaryFailsLoad) {
+  const std::string path = rewritten_copy(
+      {{{false, 1}, edited_chunk(false, 1, [](ChunkData& c) {
+          c.src_mac_id[4] = 1000;  // the clean file's dictionary is tiny
+        })}});
+  expect_load_fails(path, "CHNK[1]", "MAC id outside the dictionary");
+}
+
+TEST_F(StoreFaultTest, DstRowsOutOfOrderFailLoad) {
+  // Two interior rows swapped: the chunk edges still line up, so only the
+  // in-chunk order check sees it.
+  const std::string path = rewritten_copy(
+      {{{false, 1}, edited_chunk(false, 1, [](ChunkData& c) {
+          ASSERT_NE(c.cols.time[3], c.cols.time[4]);
+          swap_dst_rows(c, 3, 4);
+        })}});
+  expect_load_fails(path, "CHNK[1]",
+                    "rows are not in (dst_ip, time, position) order");
+}
+
+TEST_F(StoreFaultTest, DstChunksOutOfOrderFailLoad) {
+  // Two internally sorted chunks swapped: only the boundary check sees it.
+  const std::string path = rewritten_copy(
+      {{{false, 0}, edited_chunk(false, 1, [](ChunkData&) {})},
+       {{false, 1}, edited_chunk(false, 0, [](ChunkData&) {})}});
+  expect_load_fails(path, "CHNK[1]", "across the chunk boundary");
+}
+
+TEST_F(StoreFaultTest, RowPositionsOutOfTimeOrderFailLoad) {
+  // Swap the positions of two rows with different times: the dst order
+  // still holds, but the rebuilt flow log is no longer time-sorted.
+  const std::string path = rewritten_copy(
+      {{{false, 1}, edited_chunk(false, 1, [](ChunkData& c) {
+          ASSERT_NE(c.cols.time[3], c.cols.time[4]);
+          std::swap(c.orig_pos[3], c.orig_pos[4]);
+        })}});
+  expect_load_fails(path, "CHNK", "time order");
+}
+
+TEST_F(StoreFaultTest, SrcRowsOutOfOrderFailLoad) {
+  const std::string path = rewritten_copy(
+      {{{true, 1}, edited_chunk(true, 1, [](ChunkData& c) {
+          ASSERT_NE(c.cols.s_time[3], c.cols.s_time[4]);
+          swap_src_rows(c, 3, 4);
+        })}});
+  expect_load_fails(path, "SCHK[1]", "rows are not in (src_ip, time) order");
+}
+
+TEST_F(StoreFaultTest, SrcChunksOutOfOrderFailLoad) {
+  const std::string path = rewritten_copy(
+      {{{true, 0}, edited_chunk(true, 1, [](ChunkData&) {})},
+       {{true, 1}, edited_chunk(true, 0, [](ChunkData&) {})}});
+  expect_load_fails(path, "SCHK[1]", "across the chunk boundary");
+}
+
+TEST_F(StoreFaultTest, SrcRowsThatAreNotThePermutationFailLoad) {
+  // Sorted, the right row count, a valid CRC — but one row's port no
+  // longer matches any CHNK row.
+  const std::string path = rewritten_copy(
+      {{{true, 2}, edited_chunk(true, 2, [](ChunkData& c) {
+          c.cols.s_dst_port[5] ^= 0x0100;
+        })}});
+  expect_load_fails(path, "SCHK", "not the source-ordered permutation");
 }
 
 TEST_F(StoreFaultTest, ChunkedDatasetScansSurviveCorruptionViaStatus) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace bw::util {
 namespace {
@@ -34,6 +35,34 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
     crc.update(data.data(), split);
     crc.update(data.data() + split, data.size() - split);
     EXPECT_EQ(crc.value(), expected) << "split at " << split;
+  }
+}
+
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // The bit-at-a-time definition, against which the sliced tables are
+  // checked over unaligned starts and every tail length.
+  const auto reference = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> bytes(128);
+  std::uint32_t x = 12345;
+  for (auto& b : bytes) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 16);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
+      EXPECT_EQ(crc32c(bytes.data() + offset, n),
+                reference(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
   }
 }
 
