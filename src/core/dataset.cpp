@@ -6,7 +6,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
@@ -401,12 +400,12 @@ Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
 
 namespace {
 
-// Section ids of the v2 .bwds container. Each section carries its own
-// length and CRC32C frame, so corruption is reported per section instead of
-// surfacing as a garbage decode somewhere downstream.
+// Section ids of the control-plane tables in a .bwds file (the flow
+// sections are store/flow_store's). Each section carries its own length and
+// CRC32C frame, so corruption is reported per section instead of surfacing
+// as a garbage decode somewhere downstream.
 constexpr std::uint32_t kSecPeriod = util::container::section_id('P', 'E', 'R', 'I');
 constexpr std::uint32_t kSecControl = util::container::section_id('C', 'T', 'R', 'L');
-constexpr std::uint32_t kSecFlows = util::container::section_id('F', 'L', 'O', 'W');
 constexpr std::uint32_t kSecMacs = util::container::section_id('M', 'A', 'C', 'S');
 constexpr std::uint32_t kSecOrigins = util::container::section_id('O', 'R', 'I', 'G');
 
@@ -427,23 +426,9 @@ T get(std::ifstream& is) {
 void put_u64(util::container::Writer& w, std::uint64_t v) { put(w, v); }
 std::uint64_t get_u64(std::ifstream& is) { return get<std::uint64_t>(is); }
 
-// On-disk mirrors of the fixed-size table entries, packed to the exact byte
-// layout the per-field put/get calls historically produced. Bulk span IO
-// over these is format-identical to the field-at-a-time loops it replaced —
-// only the syscall/copy count changes.
+// On-disk mirrors of the fixed-size table entries, packed to their exact
+// byte layout so a whole table is one write and its reads are bulk.
 #pragma pack(push, 1)
-struct DiskFlowRecord {
-  util::TimeMs time;
-  std::uint32_t src_ip;
-  std::uint32_t dst_ip;
-  std::uint8_t proto;
-  net::Port src_port;
-  net::Port dst_port;
-  std::uint64_t src_mac;
-  std::uint64_t dst_mac;
-  std::uint32_t packets;
-  std::uint64_t bytes;
-};
 struct DiskMacEntry {
   std::uint64_t mac;
   bgp::Asn asn;
@@ -454,25 +439,17 @@ struct DiskOriginEntry {
   bgp::Asn asn;
 };
 #pragma pack(pop)
-static_assert(sizeof(DiskFlowRecord) == 49);
 static_assert(sizeof(DiskMacEntry) == 8 + sizeof(bgp::Asn));
 static_assert(sizeof(DiskOriginEntry) == 5 + sizeof(bgp::Asn));
 
-/// Convert-and-write in bounded chunks: bulk IO without doubling the
-/// resident corpus.
-template <typename T, typename It, typename Fn>
-void put_span(util::container::Writer& w, It first, It last, Fn to_disk) {
-  constexpr std::size_t kChunk = 1 << 16;
-  std::vector<T> buffer;
-  buffer.reserve(std::min<std::size_t>(
-      kChunk, static_cast<std::size_t>(std::distance(first, last))));
-  while (first != last) {
-    buffer.clear();
-    for (; first != last && buffer.size() < kChunk; ++first) {
-      buffer.push_back(to_disk(*first));
-    }
-    w.write(buffer.data(), buffer.size() * sizeof(T));
-  }
+/// A fixed-width table section: u64 count, then the packed entries.
+template <typename T>
+void put_table(util::container::Writer& w, std::uint32_t id,
+               const std::vector<T>& entries) {
+  w.begin_section(id);
+  put_u64(w, entries.size());
+  w.write(entries.data(), entries.size() * sizeof(T));
+  w.end_section();
 }
 
 template <typename T, typename Fn>
@@ -489,8 +466,8 @@ void get_span(std::ifstream& is, std::uint64_t count, Fn from_disk) {
   }
 }
 
-/// PERI/CTRL/MACS/ORIG — the control-plane tables, byte-identical in v2 and
-/// v3 (only the flow representation differs between the versions).
+/// PERI/CTRL/MACS/ORIG — the control-plane tables. MACS is written in MAC
+/// order, not hash-map order, so re-saving a loaded corpus reproduces it.
 void write_table_sections(
     util::container::Writer& w, util::TimeRange period,
     const bgp::UpdateLog& control,
@@ -519,24 +496,21 @@ void write_table_sections(
   }
   w.end_section();
 
-  w.begin_section(kSecMacs);
-  put_u64(w, mac_to_asn.size());
-  put_span<DiskMacEntry>(w, mac_to_asn.begin(), mac_to_asn.end(),
-                         [](const auto& entry) {
-                           return DiskMacEntry{entry.first.value(),
-                                               entry.second};
-                         });
-  w.end_section();
+  std::vector<DiskMacEntry> macs;
+  macs.reserve(mac_to_asn.size());
+  for (const auto& [mac, asn] : mac_to_asn) macs.push_back({mac.value(), asn});
+  std::sort(macs.begin(), macs.end(),
+            [](const DiskMacEntry& a, const DiskMacEntry& b) {
+              return a.mac < b.mac;
+            });
+  put_table(w, kSecMacs, macs);
 
-  w.begin_section(kSecOrigins);
-  put_u64(w, origin_prefixes.size());
-  put_span<DiskOriginEntry>(w, origin_prefixes.begin(), origin_prefixes.end(),
-                            [](const auto& entry) {
-                              return DiskOriginEntry{
-                                  entry.first.network().value(),
-                                  entry.first.length(), entry.second};
-                            });
-  w.end_section();
+  std::vector<DiskOriginEntry> origins;
+  origins.reserve(origin_prefixes.size());
+  for (const auto& [prefix, asn] : origin_prefixes) {
+    origins.push_back({prefix.network().value(), prefix.length(), asn});
+  }
+  put_table(w, kSecOrigins, origins);
 }
 
 }  // namespace
@@ -586,7 +560,7 @@ util::Status Dataset::try_save(const std::string& path) const {
     // encoded one at a time into a reused buffer, so peak writer memory is
     // one chunk regardless of corpus size.
     return util::atomic_write_file(path, [&](std::ostream& os) -> util::Status {
-      util::container::Writer w(os, util::container::kVersionV3);
+      util::container::Writer w(os);
       write_table_sections(w, period_, control_, mac_to_asn_,
                            origin_prefixes_);
 
@@ -680,84 +654,6 @@ util::Status Dataset::try_save(const std::string& path) const {
   }();
   record_io(io_metrics("save"), st.ok(), wall);
   return st;
-}
-
-util::Status Dataset::try_save_v2(const std::string& path) const {
-  if (store_ != nullptr) {
-    return util::failed_precondition(
-        "Dataset::try_save_v2: " + path +
-        ": chunked dataset holds no materialized flows to rewrite");
-  }
-  return util::atomic_write_file(path, [&](std::ostream& os) -> util::Status {
-    util::container::Writer w(os);
-    w.begin_section(kSecPeriod);
-    put(w, period_.begin);
-    put(w, period_.end);
-    w.end_section();
-
-    w.begin_section(kSecControl);
-    put_u64(w, control_.size());
-    for (const auto& u : control_) {
-      put(w, u.time);
-      put(w, static_cast<std::uint8_t>(u.type));
-      put(w, u.sender_asn);
-      put(w, u.origin_asn);
-      put(w, u.prefix.network().value());
-      put(w, u.prefix.length());
-      put(w, u.next_hop.value());
-      put_u64(w, u.communities.size());
-      for (const auto& c : u.communities) {
-        put(w, c.global);
-        put(w, c.local);
-      }
-    }
-    w.end_section();
-
-    w.begin_section(kSecFlows);
-    put_u64(w, data_.size());
-    put_span<DiskFlowRecord>(w, data_.begin(), data_.end(),
-                             [](const flow::FlowRecord& r) {
-                               return DiskFlowRecord{
-                                   r.time,
-                                   r.src_ip.value(),
-                                   r.dst_ip.value(),
-                                   static_cast<std::uint8_t>(r.proto),
-                                   r.src_port,
-                                   r.dst_port,
-                                   r.src_mac.value(),
-                                   r.dst_mac.value(),
-                                   r.packets,
-                                   r.bytes,
-                               };
-                             });
-    w.end_section();
-
-    w.begin_section(kSecMacs);
-    put_u64(w, mac_to_asn_.size());
-    put_span<DiskMacEntry>(w, mac_to_asn_.begin(), mac_to_asn_.end(),
-                           [](const auto& entry) {
-                             return DiskMacEntry{entry.first.value(),
-                                                 entry.second};
-                           });
-    w.end_section();
-
-    w.begin_section(kSecOrigins);
-    put_u64(w, origin_prefixes_.size());
-    put_span<DiskOriginEntry>(w, origin_prefixes_.begin(),
-                              origin_prefixes_.end(), [](const auto& entry) {
-                                return DiskOriginEntry{
-                                    entry.first.network().value(),
-                                    entry.first.length(), entry.second};
-                              });
-    w.end_section();
-
-    return w.finish().with_context("Dataset::try_save_v2: " + path);
-  });
-}
-
-void Dataset::save(const std::string& path) const {
-  const util::Status st = try_save(path);
-  if (!st.ok()) throw std::runtime_error(st.to_string());
 }
 
 namespace {
@@ -872,15 +768,6 @@ util::Status read_table_sections(std::ifstream& is,
   return util::ok_status();
 }
 
-/// The v2-file error every v3-only entry point reports: name the migration
-/// path instead of a bare version mismatch.
-util::Status v2_needs_convert(const char* op) {
-  return util::failed_precondition(
-      std::string(op) +
-      ": .bwds v2 file; migrate it with tools/bw-convert "
-      "(bw-convert <v2 file> --out <v3 file>)");
-}
-
 }  // namespace
 
 namespace {
@@ -948,13 +835,9 @@ util::Result<Dataset> Dataset::open_shell(
 
   auto toc_result = util::container::read_toc(is, file_size);
   if (!toc_result.ok()) return ctx(toc_result.status());
-  const util::container::Toc& toc = *toc_result;
-  if (toc.version == util::container::kVersion) {
-    return ctx(v2_needs_convert(op));
-  }
-
   LoadedTables tables;
-  if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
+  if (util::Status st = read_table_sections(is, *toc_result, tables);
+      !st.ok()) {
     return ctx(std::move(st));
   }
   is.close();
@@ -1214,62 +1097,6 @@ util::Result<Dataset> Dataset::try_load(const std::string& path,
   return result;
 }
 
-util::Result<Dataset> Dataset::try_load_v2(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return util::not_found("Dataset::try_load_v2: cannot open " + path);
-  is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-
-  auto ctx = [&](util::Status st) {
-    return std::move(st).with_context("Dataset::try_load_v2: " + path);
-  };
-
-  auto toc_result = util::container::read_toc(is, file_size);
-  if (!toc_result.ok()) return ctx(toc_result.status());
-  const util::container::Toc& toc = *toc_result;
-  if (toc.version != util::container::kVersion) {
-    return ctx(util::failed_precondition(
-        "not a v2 file (version " + std::to_string(toc.version) +
-        "); this entry point reads only the legacy single-FLOW layout"));
-  }
-
-  LoadedTables tables;
-  if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
-    return ctx(std::move(st));
-  }
-
-  // --- FLOW: the legacy AoS record table -----------------------------------
-  auto flow_sec = open_section(is, toc, kSecFlows);
-  if (!flow_sec.ok()) return ctx(flow_sec.status());
-  const std::uint64_t n_flows = get_u64(is);
-  if (util::Status st = check_exact_length(*flow_sec, n_flows,
-                                           sizeof(DiskFlowRecord));
-      !st.ok()) {
-    return ctx(std::move(st));
-  }
-  flow::FlowLog data;
-  data.reserve(n_flows);
-  get_span<DiskFlowRecord>(is, n_flows, [&](const DiskFlowRecord& d) {
-    flow::FlowRecord r;
-    r.time = d.time;
-    r.src_ip = net::Ipv4(d.src_ip);
-    r.dst_ip = net::Ipv4(d.dst_ip);
-    r.proto = static_cast<net::Proto>(d.proto);
-    r.src_port = d.src_port;
-    r.dst_port = d.dst_port;
-    r.src_mac = net::Mac(d.src_mac);
-    r.dst_mac = net::Mac(d.dst_mac);
-    r.packets = d.packets;
-    r.bytes = d.bytes;
-    data.push_back(r);
-  });
-  if (!is) return ctx(util::data_loss("truncated file"));
-
-  return Dataset(std::move(tables.control), std::move(data),
-                 std::move(tables.macs), std::move(tables.origins),
-                 tables.period);
-}
-
 util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
   const obs::TraceSpan span("dataset.try_open_chunked", "io");
   const obs::StopWatch wall;
@@ -1292,12 +1119,6 @@ util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
   }();
   record_io(io_metrics("load"), result.ok(), wall);
   return result;
-}
-
-Dataset Dataset::load(const std::string& path) {
-  auto result = try_load(path);
-  if (!result.ok()) throw std::runtime_error(result.status().to_string());
-  return std::move(result).value();
 }
 
 }  // namespace bw::core

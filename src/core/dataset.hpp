@@ -195,16 +195,18 @@ class Dataset {
         [&](std::size_t, const flow::FlowRecord& rec) { fn(rec); });
   }
 
-  // --- persistence (binary, versioned) ---
-  /// Structured-error variants: the Status carries what failed and where
-  /// (path, magic, truncation point). try_save writes the chunked .bwds v3
-  /// format (column chunks + zone maps, streamed one chunk at a time);
-  /// try_load materializes a v3 file back into RAM — decoding every chunk
-  /// in parallel straight into the final columns, with no sort — and
-  /// rejects v2 files with an error naming tools/bw-convert. Its result
-  /// equals the raw-log constructor's over the same logs; every structural
-  /// invariant the constructor's sorts would establish is checked instead
-  /// and a violation fails with data_loss naming the section.
+  // --- persistence (binary .bwds v3) ---
+  /// The Status carries what failed and where (path, magic, truncation
+  /// point). try_save writes the chunked .bwds v3 format (column chunks +
+  /// zone maps, streamed one chunk at a time); its bytes depend only on the
+  /// corpus and the chunk size, so try_save(try_load(f)) reproduces f at
+  /// the chunk size f was written with. try_load materializes
+  /// a v3 file back into RAM — decoding every chunk in parallel straight
+  /// into the final columns, with no sort — and refuses v1/v2 and unknown
+  /// versions with data_loss. Its result equals the raw-log constructor's
+  /// over the same logs; every structural invariant the constructor's sorts
+  /// would establish is checked instead and a violation fails with
+  /// data_loss naming the section.
   [[nodiscard]] util::Status try_save(const std::string& path) const;
   /// `pool` (null: the global pool) runs the chunk decode; the result is
   /// identical at any thread count.
@@ -217,17 +219,6 @@ class Dataset {
   /// produced in this mode are byte-identical to the in-RAM path.
   [[nodiscard]] static util::Result<Dataset> try_open_chunked(
       const std::string& path);
-
-  /// Legacy v2 (single AoS FLOW section) reader/writer. The reader backs
-  /// tools/bw-convert's migration path; the writer exists so tests and the
-  /// converter round-trip can still fabricate v2 inputs.
-  [[nodiscard]] static util::Result<Dataset> try_load_v2(
-      const std::string& path);
-  [[nodiscard]] util::Status try_save_v2(const std::string& path) const;
-
-  /// Legacy wrappers; throw std::runtime_error on failure.
-  void save(const std::string& path) const;
-  static Dataset load(const std::string& path);
 
   // --- summary ---
   struct Summary {

@@ -409,34 +409,6 @@ util::Result<util::TimeRange> read_period_csv(std::istream& is) {
   return period;
 }
 
-// --- legacy strict wrappers ---
-
-std::optional<bgp::UpdateLog> read_control_csv(std::istream& is) {
-  auto r = read_control_csv(is, LoadOptions{});
-  if (!r.ok()) return std::nullopt;
-  return std::move(r).value();
-}
-
-std::optional<flow::FlowLog> read_flows_csv(std::istream& is) {
-  auto r = read_flows_csv(is, LoadOptions{});
-  if (!r.ok()) return std::nullopt;
-  return std::move(r).value();
-}
-
-std::optional<std::unordered_map<net::Mac, bgp::Asn>> read_macs_csv(
-    std::istream& is) {
-  auto r = read_macs_csv(is, LoadOptions{});
-  if (!r.ok()) return std::nullopt;
-  return std::move(r).value();
-}
-
-std::optional<std::vector<std::pair<net::Prefix, bgp::Asn>>> read_origins_csv(
-    std::istream& is) {
-  auto r = read_origins_csv(is, LoadOptions{});
-  if (!r.ok()) return std::nullopt;
-  return std::move(r).value();
-}
-
 util::Result<Dataset> load_dataset_csv(const std::string& directory,
                                        const LoadOptions& options,
                                        IngestReport* report_out) {
@@ -491,15 +463,6 @@ util::Result<Dataset> load_dataset_csv(const std::string& directory,
   return Dataset(std::move(control).value(), std::move(flows).value(),
                  std::move(macs).value(), std::move(origins).value(),
                  *period, build);
-}
-
-Dataset import_dataset_csv(const std::string& directory) {
-  auto result = load_dataset_csv(directory, LoadOptions{});
-  if (!result.ok()) {
-    throw std::runtime_error("import_dataset_csv: " +
-                             result.status().to_string());
-  }
-  return std::move(result).value();
 }
 
 }  // namespace bw::core

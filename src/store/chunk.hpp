@@ -4,7 +4,7 @@
 // A v3 file stores flows twice, mirroring the two FlowColumns orders:
 //   CHNK  dst-ordered chunks (row k of the whole sequence is by_dst[k])
 //   SCHK  src-ordered chunks (row k is by_src[k])
-// Each chunk is one container section, so the v2 per-section CRC32C gives
+// Each chunk is one container section, so the per-section CRC32C gives
 // chunk-precise corruption errors for free. Alongside the payloads, the
 // CIDX/SIDX sections carry one fixed-width ChunkMeta per chunk: row range,
 // min/max time, min/max of the sorted address column, a protocol presence

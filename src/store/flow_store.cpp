@@ -191,12 +191,6 @@ util::Result<std::shared_ptr<const FlowStore>> FlowStore::open(
   auto toc_result = util::container::read_toc(is, file_size);
   if (!toc_result.ok()) return ctx(toc_result.status());
   const Toc& toc = *toc_result;
-  if (toc.version != util::container::kVersionV3) {
-    return ctx(util::data_loss(
-        "v" + std::to_string(toc.version) +
-        " container holds no column chunks; migrate it with "
-        "`bw-convert <file> --out <file.v3.bwds>`"));
-  }
 
   std::shared_ptr<FlowStore> fs(new FlowStore());
   fs->path_ = path;

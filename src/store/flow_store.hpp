@@ -49,8 +49,8 @@
 
 namespace bw::store {
 
-// --- v3 section ids (the PERI/CTRL/MACS/ORIG sections keep their v2
-// encodings; FLOW is replaced by the sections below) ---
+// --- flow section ids (the PERI/CTRL/MACS/ORIG control-plane tables are
+// core/dataset's) ---
 inline constexpr std::uint32_t kSecMacDict =
     util::container::section_id('M', 'D', 'I', 'C');
 inline constexpr std::uint32_t kSecStoreMeta =

@@ -4,6 +4,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 namespace bw::util::container {
@@ -24,10 +25,10 @@ T read_raw(const char*& p) {
   return v;
 }
 
-std::string header_bytes(std::uint32_t version) {
+std::string header_bytes() {
   std::string h;
-  append_raw(h, version == kVersionV3 ? kMagicV3 : kMagic);
-  append_raw(h, version);
+  append_raw(h, kMagic);
+  append_raw(h, kVersion);
   append_raw(h, std::uint32_t{0});  // flags
   return h;
 }
@@ -60,8 +61,8 @@ const Section* Toc::find(std::uint32_t id) const {
   return nullptr;
 }
 
-Writer::Writer(std::ostream& os, std::uint32_t version) : os_(os) {
-  const std::string h = header_bytes(version);
+Writer::Writer(std::ostream& os) : os_(os) {
+  const std::string h = header_bytes();
   os_.write(h.data(), static_cast<std::streamsize>(h.size()));
   meta_crc_.update(h.data(), h.size());
   written_ = h.size();
@@ -118,32 +119,28 @@ Result<Toc> read_toc(std::istream& is, std::uint64_t file_size) {
                      std::to_string(file_size) + " bytes)");
   }
 
-  // Header first: distinguishes "not a container at all" (and legacy
-  // pre-checksum files) from a truncated or damaged container.
+  // Header first: distinguishes "not a container at all" and the retired
+  // versions from a truncated or damaged container.
   char header[kHeaderBytes];
   is.seekg(0, std::ios::beg);
   is.read(header, static_cast<std::streamsize>(kHeaderBytes));
   if (!is) return data_loss("container: cannot read header");
   const char* hp = header;
   const std::uint64_t magic = read_raw<std::uint64_t>(hp);
-  if (magic != kMagic && magic != kMagicV3) {
-    if (magic == 0x6277647330303031ULL) {  // "bwds0001", the v1 framing
-      return data_loss(
-          "container: legacy v1 file (no checksums); regenerate it, or "
-          "convert a CSV export with bw-generate --from-csv");
-    }
-    return data_loss("container: bad magic");
+  const std::uint32_t version = read_raw<std::uint32_t>(hp);
+  const std::string_view magic_text(header, 8);
+  if (magic_text == "bwds0001" || magic_text == "bwds0002") {
+    // v1 had no checksums; v2 kept the flows in one AoS FLOW section.
+    return data_loss("container: legacy v" + std::string(1, magic_text[7]) +
+                     " file (" + std::string(magic_text) +
+                     "); regenerate it with bw-generate, or rebuild it from "
+                     "a CSV export with bw-generate --from-csv");
   }
-  Toc toc;
-  toc.version = read_raw<std::uint32_t>(hp);
-  if (toc.version != kVersion && toc.version != kVersionV3) {
+  if (magic != kMagic) return data_loss("container: bad magic");
+  if (version != kVersion) {
     return data_loss("container: unsupported version " +
-                     std::to_string(toc.version) + " (expected " +
-                     std::to_string(kVersion) + " or " +
-                     std::to_string(kVersionV3) + ")");
-  }
-  if (magic != (toc.version == kVersionV3 ? kMagicV3 : kMagic)) {
-    return data_loss("container: magic/version mismatch");
+                     std::to_string(version) + " (expected " +
+                     std::to_string(kVersion) + ")");
   }
 
   char footer[kFooterBytes];
@@ -165,6 +162,7 @@ Result<Toc> read_toc(std::istream& is, std::uint64_t file_size) {
                      " bytes but the footer committed " +
                      std::to_string(recorded_size));
   }
+  Toc toc;
   toc.file_size = file_size;
   const std::uint64_t toc_bytes =
       static_cast<std::uint64_t>(section_count) * kTocEntryBytes;

@@ -1,8 +1,8 @@
-// Checksummed sectioned file container (version 2 of the .bwds framing).
+// Checksummed sectioned file container: the framing of .bwds v3.
 //
 // Layout (all integers little-endian, host-endian assumed homogeneous):
 //
-//   header   u64 magic "bwds0002"  u32 version(2)  u32 flags(0)
+//   header   u64 magic "bwds0003"  u32 version(3)  u32 flags(0)
 //   payloads section payload blobs, back to back
 //   TOC      per section: u32 id  u32 reserved  u64 offset  u64 length
 //            u32 crc32c(payload)                               (28 bytes)
@@ -18,6 +18,10 @@
 // in-place write breaks a payload CRC, and a swapped or re-ordered section
 // breaks offsets or CRCs — all surfaced as a section-precise util::Status
 // instead of a garbage decode.
+//
+// There is one version. Older headers (bwds0001, bwds0002) are refused by
+// read_toc with data_loss naming the version; what the sections mean is the
+// caller's business (core/dataset, store/flow_store).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +34,8 @@
 
 namespace bw::util::container {
 
-inline constexpr std::uint64_t kMagic = 0x3230303073647762ULL;  // "bwds0002"
-inline constexpr std::uint32_t kVersion = 2;
-// Version 3 keeps the v2 framing byte-for-byte (header, TOC-at-the-end,
-// footer, per-section CRCs) and only changes the *section set*: flows move
-// from one AoS FLOW blob to dst-sorted column chunks (CHNK/CIDX/...). The
-// frame reader accepts both; what the sections mean is the caller's business.
-inline constexpr std::uint64_t kMagicV3 = 0x3330303073647762ULL;  // "bwds0003"
-inline constexpr std::uint32_t kVersionV3 = 3;
+inline constexpr std::uint64_t kMagic = 0x3330303073647762ULL;  // "bwds0003"
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::uint32_t kFooterMagic = 0x646E7762u;  // "bwnd"
 inline constexpr std::size_t kHeaderBytes = 16;
 inline constexpr std::size_t kTocEntryBytes = 28;
@@ -62,7 +60,6 @@ struct Section {
 };
 
 struct Toc {
-  std::uint32_t version{0};
   std::uint64_t file_size{0};
   std::vector<Section> sections;
 
@@ -74,9 +71,8 @@ struct Toc {
 /// go through write() so lengths and CRCs accumulate without seeking.
 class Writer {
  public:
-  /// Emits the file header immediately. `version` selects the magic
-  /// (kVersion or kVersionV3); the framing is identical either way.
-  explicit Writer(std::ostream& os, std::uint32_t version = kVersion);
+  /// Emits the file header immediately.
+  explicit Writer(std::ostream& os);
 
   void begin_section(std::uint32_t id);
   void write(const void* data, std::size_t n);

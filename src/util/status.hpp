@@ -13,8 +13,10 @@
 //   - Functions that cannot fail keep plain return types.
 //   - Fallible leaf parsers return Result<T>; Status-only paths return
 //     Status. Callers add context with with_context() before forwarding.
-//   - Exceptions remain for programming errors and for legacy wrappers
-//     (e.g. Dataset::load) that existing callers expect to throw.
+//   - Exceptions are for programming errors. Loading and saving corpora
+//     has no throwing wrappers: Dataset::try_save / try_load and
+//     load_dataset_csv return Status / Result (export_dataset_csv still
+//     throws when it cannot open an output file).
 #pragma once
 
 #include <optional>

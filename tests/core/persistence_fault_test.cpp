@@ -127,7 +127,7 @@ TEST_F(PersistenceFaultTest, TruncatedFileReportsTruncation) {
 }
 
 // Regression: a corrupt cache used to crash run_scenario with an uncaught
-// exception from Dataset::load. It must now be treated as a cache miss:
+// exception from the loader. It must now be treated as a cache miss:
 // quarantined, recorded, regenerated.
 TEST_F(PersistenceFaultTest, CorruptScenarioCacheSelfHeals) {
   const std::string cache_dir = (dir_ / "cache").string();

@@ -32,7 +32,8 @@ gen::ScenarioConfig test_config(std::uint64_t seed) {
 std::uint64_t corpus_hash(const core::Dataset& dataset, const std::string& tag) {
   const std::string path =
       testing::TempDir() + "/bw_shard_determinism_" + tag + ".bwds";
-  dataset.save(path);
+  const util::Status saved = dataset.try_save(path);
+  EXPECT_TRUE(saved.ok()) << saved.to_string();
   std::ifstream is(path, std::ios::binary);
   EXPECT_TRUE(is.good());
   std::uint64_t h = 0xcbf29ce484222325ULL;

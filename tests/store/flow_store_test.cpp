@@ -240,22 +240,15 @@ TEST_F(FlowStoreTest, PreadPathMatchesMmap) {
   EXPECT_EQ(a, b);
 }
 
-// The bw-convert migration path: v3 -> v2 -> v3 preserves every flow and
-// every table, and re-saving an unchanged dataset is byte-deterministic
-// (so converted corpora are stable cache keys).
-TEST_F(FlowStoreTest, V2MigrationRoundTripPreservesTheCorpus) {
-  const std::string v2_path = (*dir_ / "legacy.bwds").string();
-  ASSERT_TRUE(dataset_->try_save_v2(v2_path).ok());
-  auto legacy = core::Dataset::try_load_v2(v2_path);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().to_string();
-
-  const std::string migrated_path = (*dir_ / "migrated.bwds").string();
-  ASSERT_TRUE(legacy->try_save(migrated_path).ok());
-  auto migrated = core::Dataset::try_load(migrated_path);
-  ASSERT_TRUE(migrated.ok()) << migrated.status().to_string();
+// A load -> save round trip (bw-convert --out) preserves every flow, and
+// re-saving an unchanged dataset is byte-deterministic, so rewritten
+// corpora are stable cache keys.
+TEST_F(FlowStoreTest, ResavingALoadedStoreReproducesItsBytes) {
+  auto loaded = core::Dataset::try_load(*path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
 
   const flow::FlowLog& a = dataset_->flows();
-  const flow::FlowLog& b = migrated->flows();
+  const flow::FlowLog& b = loaded->flows();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].time, b[i].time);
@@ -264,16 +257,15 @@ TEST_F(FlowStoreTest, V2MigrationRoundTripPreservesTheCorpus) {
     EXPECT_EQ(a[i].bytes, b[i].bytes);
   }
   const auto sa = dataset_->summary();
-  const auto sb = migrated->summary();
+  const auto sb = loaded->summary();
   EXPECT_EQ(sa.control_updates, sb.control_updates);
   EXPECT_EQ(sa.flow_records, sb.flow_records);
   EXPECT_EQ(sa.dropped_packets, sb.dropped_packets);
 
-  // Determinism: re-saving the reloaded dataset reproduces the bytes of
-  // the fixture file (both written with the same chunk geometry).
+  // Both files are written with the same chunk geometry.
   const std::string again_path = (*dir_ / "again.bwds").string();
   ::setenv("BW_STORE_CHUNK_ROWS", "16", 1);
-  ASSERT_TRUE(migrated->try_save(again_path).ok());
+  ASSERT_TRUE(loaded->try_save(again_path).ok());
   ::unsetenv("BW_STORE_CHUNK_ROWS");
   std::ifstream f1(*path_, std::ios::binary);
   std::ifstream f2(again_path, std::ios::binary);

@@ -1,8 +1,8 @@
 // Store-layer fault behaviour that the generic binary-fault matrix cannot
 // pin down: corruption inside a specific chunk section must be reported
 // *section-precisely* (naming the CHNK/SCHK family), lazily (at first
-// touch, not at open), and a legacy v2 file must be refused with an error
-// that tells the operator exactly which tool migrates it.
+// touch, not at open), and a legacy or unknown-version header must be
+// refused by every entry point with an error naming the version.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -86,6 +86,25 @@ class StoreFaultTest : public ::testing::Test {
     return path;
   }
 
+  /// Copy of the clean file with its 16-byte header replaced: every byte
+  /// after the header is still a valid v3 body, so only the header check
+  /// can refuse it.
+  std::string header_copy(const char* magic, std::uint32_t version) {
+    const std::string path = (dir_ / "header.bwds").string();
+    std::string bytes;
+    {
+      std::ifstream is(clean_path_, std::ios::binary);
+      std::ostringstream ss;
+      ss << is.rdbuf();
+      bytes = ss.str();
+    }
+    bytes.replace(0, 8, magic, 8);
+    bytes.replace(8, 4, reinterpret_cast<const char*>(&version), 4);
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+    return path;
+  }
+
   /// Payload of dst (or src) chunk `k` of the clean file, decoded, changed
   /// by `edit` and encoded again.
   std::vector<std::uint8_t> edited_chunk(
@@ -123,7 +142,7 @@ class StoreFaultTest : public ::testing::Test {
     EXPECT_TRUE(toc.ok());
     const std::string path = (dir_ / "rewritten.bwds").string();
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    util::container::Writer w(os, util::container::kVersionV3);
+    util::container::Writer w(os);
     std::size_t dst_k = 0;
     std::size_t src_k = 0;
     for (const util::container::Section& sec : toc->sections) {
@@ -252,22 +271,60 @@ TEST_F(StoreFaultTest, CorruptChunkIndexFailsAtOpen) {
       << store.status().to_string();
 }
 
+struct HeaderCase {
+  const char* magic;  ///< the 8 magic bytes
+  std::uint32_t version;  ///< the u32 after them
+  const char* named;  ///< what the error must name
+};
+
+class StoreHeaderTest : public StoreFaultTest,
+                        public ::testing::WithParamInterface<HeaderCase> {};
+
+TEST_P(StoreHeaderTest, RefusedByEveryEntryPoint) {
+  const HeaderCase& c = GetParam();
+  const std::string path = header_copy(c.magic, c.version);
+
+  const auto expect_refused = [&](const util::Status& st) {
+    EXPECT_EQ(st.code(), util::StatusCode::kDataLoss) << st.to_string();
+    EXPECT_NE(st.to_string().find(c.named), std::string::npos)
+        << st.to_string();
+  };
+  const auto loaded = core::Dataset::try_load(path);
+  ASSERT_FALSE(loaded.ok());
+  expect_refused(loaded.status());
+  const auto chunked = core::Dataset::try_open_chunked(path);
+  ASSERT_FALSE(chunked.ok());
+  expect_refused(chunked.status());
+  const auto store = FlowStore::open(path);
+  ASSERT_FALSE(store.ok());
+  expect_refused(store.status());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Headers, StoreHeaderTest,
+    ::testing::Values(HeaderCase{"bwds0001", 1, "legacy v1 file (bwds0001)"},
+                      HeaderCase{"bwds0002", 2, "legacy v2 file (bwds0002)"},
+                      HeaderCase{"bwds0003", 7, "unsupported version 7"}),
+    [](const ::testing::TestParamInfo<HeaderCase>& param_info) {
+      return std::string(param_info.param.magic) + "_v" +
+             std::to_string(param_info.param.version);
+    });
+
 TEST_F(StoreFaultTest, V2FileIsRefusedNamingTheConverter) {
-  const std::string v2_path = (dir_ / "legacy.bwds").string();
-  ASSERT_TRUE(dataset_->try_save_v2(v2_path).ok());
+  // A v2 file cannot be converted in place any more: the refusal must name
+  // the tool that rebuilds the corpus instead.
+  const std::string v2_path = header_copy("bwds0002", 2);
 
   const auto loaded = core::Dataset::try_load(v2_path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().to_string().find("bw-convert"), std::string::npos)
+  EXPECT_NE(loaded.status().to_string().find("bw-generate"), std::string::npos)
       << loaded.status().to_string();
 
   const auto chunked = core::Dataset::try_open_chunked(v2_path);
   ASSERT_FALSE(chunked.ok());
-  EXPECT_NE(chunked.status().to_string().find("bw-convert"), std::string::npos)
+  EXPECT_NE(chunked.status().to_string().find("bw-generate"),
+            std::string::npos)
       << chunked.status().to_string();
-
-  // The v2 reader still accepts it (bw-convert's input path).
-  EXPECT_TRUE(core::Dataset::try_load_v2(v2_path).ok());
 }
 
 // The checks below stand in for the sorts a materializing load no longer

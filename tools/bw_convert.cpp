@@ -1,54 +1,32 @@
-// bw-convert: migrate .bwds corpora between container versions.
+// bw-convert: rewrite or export a .bwds corpus.
 //
-//   bw-convert IN.bwds --out OUT.bwds      migrate (v2 or v3) -> v3
-//   bw-convert IN.bwds --out-v2 OUT.bwds   downgrade -> legacy v2 (testing)
-//   bw-convert IN.bwds --csv DIR           export the corpus as CSV files
+//   bw-convert IN.bwds --out OUT.bwds   rewrite as .bwds v3 (byte-identical
+//                                       to IN at the same chunk size)
+//   bw-convert IN.bwds --csv DIR        export the corpus as CSV files
 //
-// The input version is sniffed from the container header: legacy v2 files
-// (single AoS FLOW section) go through the retained v2 reader, v3 files
-// through the chunk-materializing loader. Writes are atomic
-// (temp -> fsync -> rename), so an interrupted conversion never leaves a
-// torn output file.
+// The input goes through the materializing loader, so every section is
+// verified on the way; v1/v2 and unknown-version files are refused with a
+// data error. Writes are atomic (temp -> fsync -> rename), so an
+// interrupted conversion never leaves a torn output file.
 //
 // Exit codes: 0 ok, 2 usage, 3 data error, 4 internal (see tools/cli.hpp).
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "cli.hpp"
 #include "core/dataset.hpp"
 #include "core/io_text.hpp"
 #include "obs/manifest.hpp"
-#include "util/container.hpp"
 
 namespace {
 
 void usage() {
-  std::cerr << "usage: bw-convert IN.bwds (--out OUT.bwds | --out-v2 OUT.bwds "
-               "| --csv DIR)\n"
+  std::cerr << "usage: bw-convert IN.bwds (--out OUT.bwds | --csv DIR)\n"
                "  --out OUT.bwds    write the chunked v3 format (the format\n"
                "                    bw-analyze reads, in-RAM or --out-of-core)\n"
-               "  --out-v2 OUT.bwds write the legacy v2 format (round-trip\n"
-               "                    testing)\n"
                "  --csv DIR         export control/flows/macs/origins/period\n"
                "                    CSV files under DIR\n"
             << bw::tools::kObsUsage;
-}
-
-/// Container version of `path`, from the TOC (so the frame is validated
-/// before any decode work starts).
-bw::util::Result<std::uint32_t> sniff_version(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return bw::util::not_found("bw-convert: cannot open " + path);
-  is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-  auto toc = bw::util::container::read_toc(is, file_size);
-  if (!toc.ok()) {
-    bw::util::Status st = toc.status();
-    return std::move(st).with_context("bw-convert: " + path);
-  }
-  return toc->version;
 }
 
 }  // namespace
@@ -56,8 +34,7 @@ bw::util::Result<std::uint32_t> sniff_version(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace bw;
   std::string in_path;
-  std::string out_v3;
-  std::string out_v2;
+  std::string out_bwds;
   std::string out_csv;
   tools::ObsOptions obs_options;
 
@@ -66,9 +43,7 @@ int main(int argc, char** argv) {
     if (obs_options.parse(argc, argv, i)) {
       continue;
     } else if (arg == "--out" && i + 1 < argc) {
-      out_v3 = argv[++i];
-    } else if (arg == "--out-v2" && i + 1 < argc) {
-      out_v2 = argv[++i];
+      out_bwds = argv[++i];
     } else if (arg == "--csv" && i + 1 < argc) {
       out_csv = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
@@ -81,24 +56,15 @@ int main(int argc, char** argv) {
       return tools::kExitUsage;
     }
   }
-  const int outputs = (out_v3.empty() ? 0 : 1) + (out_v2.empty() ? 0 : 1) +
-                      (out_csv.empty() ? 0 : 1);
-  if (in_path.empty() || outputs != 1) {
+  if (in_path.empty() || out_bwds.empty() == out_csv.empty()) {
     usage();
     return tools::kExitUsage;
   }
   obs_options.arm();
 
   try {
-    const auto version = sniff_version(in_path);
-    if (!version.ok()) {
-      std::cerr << version.status().to_string() << "\n";
-      return tools::kExitData;
-    }
-    std::cout << "Loading " << in_path << " (v" << *version << ")...\n";
-    auto loaded = *version == util::container::kVersionV3
-                      ? core::Dataset::try_load(in_path)
-                      : core::Dataset::try_load_v2(in_path);
+    std::cout << "Loading " << in_path << "...\n";
+    auto loaded = core::Dataset::try_load(in_path);
     if (!loaded.ok()) {
       std::cerr << "bw-convert: " << loaded.status().to_string() << "\n";
       return tools::kExitData;
@@ -109,15 +75,11 @@ int main(int argc, char** argv) {
       core::export_dataset_csv(dataset, out_csv);
       std::cout << "Wrote CSV corpus to " << out_csv << "/\n";
     } else {
-      const std::string& out = out_v3.empty() ? out_v2 : out_v3;
-      const util::Status st =
-          out_v3.empty() ? dataset.try_save_v2(out) : dataset.try_save(out);
-      if (!st.ok()) {
+      if (const util::Status st = dataset.try_save(out_bwds); !st.ok()) {
         std::cerr << "bw-convert: " << st.to_string() << "\n";
         return tools::kExitData;
       }
-      std::cout << "Wrote " << (out_v3.empty() ? "v2" : "v3") << " corpus to "
-                << out << "\n";
+      std::cout << "Wrote v3 corpus to " << out_bwds << "\n";
     }
 
     obs::Manifest manifest;
