@@ -33,6 +33,16 @@ struct ProtoPort {
   friend constexpr auto operator<=>(const ProtoPort&, const ProtoPort&) = default;
 };
 
+/// (proto, port) packed into 24 bits whose integer order is the ProtoPort
+/// order: the key of the flat per-port tables.
+[[nodiscard]] constexpr std::uint32_t port_key(ProtoPort pp) noexcept {
+  return static_cast<std::uint32_t>(pp.proto) << 16 | pp.port;
+}
+
+[[nodiscard]] constexpr ProtoPort from_port_key(std::uint32_t key) noexcept {
+  return {static_cast<Proto>(key >> 16), static_cast<Port>(key & 0xffffu)};
+}
+
 [[nodiscard]] std::string to_string(const ProtoPort& pp);
 
 /// One UDP amplification protocol from the paper's Table 3 footnote.

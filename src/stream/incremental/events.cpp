@@ -9,9 +9,9 @@ OnlineEventLog::OnlineEventLog(util::DurationMs merge_delta)
 
 void OnlineEventLog::on_update(const bgp::Update& u) {
   if (u.type == bgp::UpdateType::kWithdraw) {
-    const auto it = tracks_.find(u.prefix);
-    if (it == tracks_.end() || !it->second.open) return;  // no open announce
-    Track& track = it->second;
+    const std::uint32_t id = index_.find(key_of(u.prefix));
+    if (id == kNoTrack || !tracks_[id].open) return;  // no open announce
+    Track& track = tracks_[id];
     OnlineEvent& ev = events_[track.events.back()];
     const util::TimeMs end = std::max(u.time, track.open_since);
     ev.end = std::max(ev.end, end);
@@ -21,16 +21,19 @@ void OnlineEventLog::on_update(const bgp::Update& u) {
     return;
   }
 
-  auto [it, created] = tracks_.try_emplace(u.prefix);
-  Track& track = it->second;
+  const auto [id, created] = index_.try_emplace(
+      key_of(u.prefix), static_cast<std::uint32_t>(tracks_.size()));
   if (created) {
-    track.sender = u.sender_asn;
-    track.origin = u.origin_asn;
+    Track& fresh = tracks_.emplace_back();
+    fresh.prefix = u.prefix;
+    fresh.sender = u.sender_asn;
+    fresh.origin = u.origin_asn;
     if (std::find(lengths_.begin(), lengths_.end(), u.prefix.length()) ==
         lengths_.end()) {
       lengths_.push_back(u.prefix.length());
     }
   }
+  Track& track = tracks_[id];
   if (track.open) return;  // re-announce while active: batch no-op
 
   track.open = true;
@@ -62,7 +65,7 @@ void OnlineEventLog::on_update(const bgp::Update& u) {
 }
 
 void OnlineEventLog::finish(util::TimeMs period_end) {
-  for (auto& [prefix, track] : tracks_) {
+  for (Track& track : tracks_) {
     if (!track.open) continue;
     OnlineEvent& ev = events_[track.events.back()];
     // Zombie close: the batch appends {open_since, period_end} verbatim.
@@ -71,12 +74,6 @@ void OnlineEventLog::finish(util::TimeMs period_end) {
     track.open = false;
     --open_;
   }
-}
-
-OnlineEvent* OnlineEventLog::open_event(const net::Prefix& prefix) {
-  const auto it = tracks_.find(prefix);
-  if (it == tracks_.end() || !it->second.open) return nullptr;
-  return &events_[it->second.events.back()];
 }
 
 std::int64_t OnlineEventLog::last_reaching(const Track& track, util::TimeMs t,
@@ -92,19 +89,12 @@ std::int64_t OnlineEventLog::last_reaching(const Track& track, util::TimeMs t,
   return -1;
 }
 
-bool OnlineEventLog::excluded(net::Ipv4 ip, util::TimeMs t,
-                              util::DurationMs window) const {
-  const auto it = tracks_.find(net::Prefix::host(ip));
-  if (it == tracks_.end()) return false;
-  return last_reaching(it->second, t, window) >= 0;
-}
-
 std::vector<std::pair<net::Ipv4, bgp::Asn>> OnlineEventLog::host_universe()
     const {
   std::vector<std::pair<net::Ipv4, bgp::Asn>> out;
-  for (const auto& [prefix, track] : tracks_) {
-    if (prefix.length() != 32 || track.events.empty()) continue;
-    out.emplace_back(prefix.network(), track.origin);
+  for (const Track& track : tracks_) {
+    if (track.prefix.length() != 32 || track.events.empty()) continue;
+    out.emplace_back(track.prefix.network(), track.origin);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -35,17 +35,22 @@
 //   excluded(ip, t, w) whether t falls into any /32 event's exclusion
 //                      window [begin - w, end) of host ip, the port-stats
 //                      outside-RTBH filter.
+//
+// Both start from the host's /32 track, so a committed flow's destination
+// looks it up once (host_track) and hands the id to both. Tracks live in
+// one vector, found through a flat (length, network) index: a lookup is a
+// multiply, a shift and usually one cache line.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/message.hpp"
 #include "core/drop_rate.hpp"
 #include "core/event_merge.hpp"
 #include "net/prefix.hpp"
+#include "util/flat_index.hpp"
 #include "util/time.hpp"
 
 namespace bw::stream::incremental {
@@ -79,7 +84,11 @@ class OnlineEventLog {
 
   /// The event currently accepting traffic for `prefix` (its track has an
   /// open interval), or nullptr. O(1); this is the flow-delivery hot path.
-  [[nodiscard]] OnlineEvent* open_event(const net::Prefix& prefix);
+  [[nodiscard]] OnlineEvent* open_event(const net::Prefix& prefix) {
+    const std::uint32_t id = index_.find(key_of(prefix));
+    if (id == kNoTrack || !tracks_[id].open) return nullptr;
+    return &events_[tracks_[id].events.back()];
+  }
 
   /// Call `fn(event)` for every currently-open event whose prefix contains
   /// `ip` — one lookup per prefix length seen so far (flow-delivery hot
@@ -91,23 +100,36 @@ class OnlineEventLog {
     }
   }
 
+  /// The /32 track of `ip`, or kNoTrack when no /32 was ever announced
+  /// for it: the one lookup excluded() and for_each_covering() share.
+  [[nodiscard]] std::uint32_t host_track(net::Ipv4 ip) const noexcept {
+    return index_.find(key_of(net::Prefix::host(ip)));
+  }
+  static constexpr std::uint32_t kNoTrack = util::FlatIndex::kNone;
+
   /// Call `fn(event_index)` for every event whose span (gaps included)
   /// covers `t` for a prefix containing `ip` — at most one per prefix
   /// length, since one prefix's event spans are separated by more than Δ.
+  /// `host` is host_track(ip).
   template <typename Fn>
-  void for_each_covering(net::Ipv4 ip, util::TimeMs t, Fn&& fn) const {
+  void for_each_covering(net::Ipv4 ip, std::uint32_t host, util::TimeMs t,
+                         Fn&& fn) const {
     for (const std::uint8_t len : lengths_) {
-      const auto it = tracks_.find(net::Prefix(ip, len));
-      if (it == tracks_.end()) continue;
-      const std::int64_t e = last_reaching(it->second, t, 0);
+      const std::uint32_t id =
+          len == 32 ? host : index_.find(key_of(net::Prefix(ip, len)));
+      if (id == kNoTrack) continue;
+      const std::int64_t e = last_reaching(tracks_[id], t, 0);
       if (e >= 0) fn(static_cast<std::size_t>(e));
     }
   }
 
   /// Port-stats exclusion test: does `t` fall into any /32 event's
-  /// [span.begin - window, span.end) on host `ip`?
-  [[nodiscard]] bool excluded(net::Ipv4 ip, util::TimeMs t,
-                              util::DurationMs window) const;
+  /// [span.begin - window, span.end) on the host whose track is `host`
+  /// (host_track(ip))?
+  [[nodiscard]] bool excluded(std::uint32_t host, util::TimeMs t,
+                              util::DurationMs window) const {
+    return host != kNoTrack && last_reaching(tracks_[host], t, window) >= 0;
+  }
 
   [[nodiscard]] const std::deque<OnlineEvent>& events() const noexcept {
     return events_;
@@ -123,12 +145,17 @@ class OnlineEventLog {
 
  private:
   struct Track {
+    net::Prefix prefix;
     bgp::Asn sender{0};
     bgp::Asn origin{0};
     bool open{false};
     util::TimeMs open_since{0};
     std::vector<std::size_t> events;  ///< indices into events_, begin order
   };
+
+  [[nodiscard]] static std::uint64_t key_of(const net::Prefix& p) noexcept {
+    return std::uint64_t{p.length()} << 32 | p.network().value();
+  }
 
   /// Index of the last (latest-begin) event of `track` whose window
   /// [begin - w, end) reaches `t`, walking back from the newest event
@@ -138,7 +165,8 @@ class OnlineEventLog {
 
   util::DurationMs delta_;
   std::deque<OnlineEvent> events_;
-  std::unordered_map<net::Prefix, Track> tracks_;
+  std::vector<Track> tracks_;  ///< in first-announce order
+  util::FlatIndex index_;      ///< key_of(prefix) -> tracks_ slot
   std::vector<std::uint8_t> lengths_;  ///< distinct prefix lengths seen
   std::size_t open_{0};
 };

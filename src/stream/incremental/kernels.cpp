@@ -49,52 +49,84 @@ void IncrementalKernels::on_event(const StreamEvent& ev) {
       event.drop_stale = true;
     });
     topk_.add({rec.proto, rec.dst_port}, rec.packets);
-    pending_.push_back(rec);
+    pending_.push({rec.time, rec.packets, rec.src_ip, rec.dst_ip,
+                   rec.src_port, rec.dst_port, rec.proto, rec.dropped()});
   }
-  drain_pending();
+  if (++undrained_ == kDrainBatch) drain_pending();
 }
 
-void IncrementalKernels::drain_pending() {
-  while (!pending_.empty() && pending_.front().time + lag_ < clock_) {
+void IncrementalKernels::PendingRing::grow() {
+  std::vector<PendingFlow> bigger(slots_.empty() ? 1024 : slots_.size() * 2);
+  for (std::size_t i = 0; i < size_; ++i) {
+    bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  slots_ = std::move(bigger);
+  head_ = 0;
+}
+
+void IncrementalKernels::drain_pending(bool all) {
+  static obs::Counter& commit_us = kernel_counter("commit_us");
+  undrained_ = 0;
+  const obs::StopWatch watch;
+  while (!pending_.empty() && (all || pending_.front().time + lag_ < clock_)) {
     commit(pending_.front());
-    pending_.pop_front();
+    pending_.pop();
   }
+  commit_us.add(watch.elapsed_us());
 }
 
-void IncrementalKernels::commit(const flow::FlowRecord& rec) {
+IncrementalKernels::HostState& IncrementalKernels::host(net::Ipv4 ip) {
+  const auto [id, created] = host_ids_.try_emplace(
+      ip.value(), static_cast<std::uint32_t>(hosts_.size()));
+  if (created) hosts_.emplace_back();
+  return hosts_[id];
+}
+
+void IncrementalKernels::commit(const PendingFlow& f) {
   static obs::Counter& committed = kernel_counter("flows_committed");
   committed.add();
   ++flows_committed_;
 
   const std::int64_t day =
-      util::slot_index(rec.time - cfg_.period.begin, util::kDay);
-  if (!log_.excluded(rec.dst_ip, rec.time, cfg_.ports.reaction_window)) {
-    HostAccumulator& h = port_acc_[rec.dst_ip];
-    h.acc.add_inbound(day, rec.src_port, rec.proto, rec.dst_port,
-                      rec.packets);
+      util::slot_index(f.time - cfg_.period.begin, util::kDay);
+  const util::DurationMs window = cfg_.ports.reaction_window;
+  const std::uint32_t dst_track = log_.host_track(f.dst_ip);
+  if (!log_.excluded(dst_track, f.time, window)) {
+    HostState& h = host(f.dst_ip);
+    h.acc.add_inbound(day, f.src_port, f.proto, f.dst_port, f.packets);
     h.row_stale = true;
   }
-  if (!log_.excluded(rec.src_ip, rec.time, cfg_.ports.reaction_window)) {
-    HostAccumulator& h = port_acc_[rec.src_ip];
-    h.acc.add_outbound(day, rec.src_port, rec.dst_port);
+  if (!log_.excluded(log_.host_track(f.src_ip), f.time, window)) {
+    HostState& h = host(f.src_ip);
+    h.acc.add_outbound(day, f.src_port, f.dst_port);
     h.row_stale = true;
   }
 
-  log_.for_each_covering(rec.dst_ip, rec.time, [&](std::size_t event) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(event) << 32) |
-                              rec.dst_ip.value();
-    CollateralCounts& c = collateral_[key][{rec.proto, rec.dst_port}];
-    c.packets += rec.packets;
-    if (rec.dropped()) c.dropped += rec.packets;
+  log_.for_each_covering(f.dst_ip, dst_track, f.time, [&](std::size_t event) {
+    const auto [group, new_group] = collateral_group_ids_.try_emplace(
+        static_cast<std::uint64_t>(event) << 32 | f.dst_ip.value(),
+        static_cast<std::uint32_t>(collateral_groups_.size()));
+    if (new_group) {
+      collateral_groups_.push_back(
+          {static_cast<std::uint32_t>(event), f.dst_ip});
+    }
+    const std::uint32_t port = net::port_key({f.proto, f.dst_port});
+    const auto [cell, new_cell] = collateral_ids_.try_emplace(
+        static_cast<std::uint64_t>(group) << 32 | port,
+        static_cast<std::uint32_t>(collateral_.size()));
+    if (new_cell) collateral_.push_back({group, port, 0, 0});
+    CollateralCell& c = collateral_[cell];
+    c.packets += f.packets;
+    if (f.dropped) c.dropped += f.packets;
   });
 }
 
 void IncrementalKernels::finish(util::TimeMs period_end) {
+  // Flows the clock already made final commit against the log as it was;
+  // only the rest see the zombie close.
+  drain_pending();
   log_.finish(period_end);
-  while (!pending_.empty()) {
-    commit(pending_.front());
-    pending_.pop_front();
-  }
+  drain_pending(/*all=*/true);
 }
 
 void IncrementalKernels::refresh_drop_deltas() {
@@ -134,6 +166,10 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
   static obs::Counter& snapshots = kernel_counter("snapshots");
   snapshots.add();
 
+  // Due flows may still wait for their batch; the line reports them
+  // committed, as it would had each committed at its own event.
+  drain_pending();
+
   IncrementalSnapshot snap;
   snap.clock = clock_;
   snap.final_report = final_report;
@@ -156,19 +192,18 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
   snap.ports.blackholed_hosts_total = universe.size();
   snap.ports.hosts.reserve(universe.size());
   for (const auto& [ip, origin] : universe) {
-    const auto it = port_acc_.find(ip);
-    if (it == port_acc_.end()) continue;  // no record outside RTBH windows
-    HostAccumulator& h = it->second;
-    core::HostPortStats& row = host_rows_[ip];
+    const std::uint32_t id = host_ids_.find(ip.value());
+    if (id == util::FlatIndex::kNone) continue;  // no record outside RTBH
+    HostState& h = hosts_[id];
     if (h.row_stale) {
       // The origin is frozen at the prefix's first announce, so only the
       // accumulator can invalidate a cached row.
-      row = core::finalize_port_host(
+      h.row = core::finalize_port_host(
           ip, origin != 0 ? std::optional<bgp::Asn>(origin) : std::nullopt,
           h.acc, cfg_.ports);
       h.row_stale = false;
     }
-    snap.ports.hosts.push_back(row);
+    snap.ports.hosts.push_back(h.row);
   }
   for (const core::HostPortStats& h : snap.ports.hosts) {
     if (h.classification == core::HostClass::kUnclassified) continue;
@@ -177,35 +212,44 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
     else ++snap.ports.servers;
   }
 
-  // --- collateral: join the per-(event, host) tallies against the servers
-  // just detected, then the shared assembler ---
-  std::unordered_map<net::Ipv4, const core::HostPortStats*> servers;
-  for (const core::HostPortStats& h : snap.ports.hosts) {
-    if (h.classification == core::HostClass::kServer) servers.emplace(h.ip, &h);
-  }
+  // --- collateral: join the (event, host, port) cells against the servers
+  // just detected, then the shared assembler. Hosts are in address order,
+  // so a group finds its server by binary search. ---
+  const std::vector<core::HostPortStats>& hosts = snap.ports.hosts;
+  constexpr std::uint32_t kNoRow = 0xffffffffu;
   std::vector<core::CollateralEvent> rows;
-  rows.reserve(collateral_.size());
-  for (const auto& [key, ports] : collateral_) {
-    const net::Ipv4 ip(static_cast<std::uint32_t>(key & 0xffffffffu));
-    const auto sit = servers.find(ip);
-    if (sit == servers.end()) continue;
-    const core::HostPortStats* server = sit->second;
-    core::CollateralEvent ce;
-    ce.server = ip;
-    ce.event_index = position_[key >> 32];
-    for (const auto& [pp, counts] : ports) {
-      // finalize_port_host emits top_ports in key order.
-      if (!std::binary_search(server->top_ports.begin(),
-                              server->top_ports.end(), pp)) {
-        continue;
-      }
-      ce.packets_to_top_ports += counts.packets;
-      ce.packets_actually_dropped += counts.dropped;
+  std::vector<std::uint32_t> row_of(collateral_groups_.size(), kNoRow);
+  std::vector<const core::HostPortStats*> server_of(collateral_groups_.size());
+  for (std::size_t g = 0; g < collateral_groups_.size(); ++g) {
+    const CollateralGroup& group = collateral_groups_[g];
+    const auto it = std::lower_bound(
+        hosts.begin(), hosts.end(), group.host,
+        [](const core::HostPortStats& h, net::Ipv4 ip) { return h.ip < ip; });
+    if (it == hosts.end() || it->ip != group.host ||
+        it->classification != core::HostClass::kServer) {
+      continue;
     }
+    row_of[g] = static_cast<std::uint32_t>(rows.size());
+    server_of[g] = &*it;
+    core::CollateralEvent ce;
+    ce.server = group.host;
+    ce.event_index = position_[group.event];
     rows.push_back(ce);
   }
+  for (const CollateralCell& c : collateral_) {
+    if (row_of[c.group] == kNoRow) continue;
+    // finalize_port_host emits top_ports in key order.
+    const std::vector<net::ProtoPort>& top = server_of[c.group]->top_ports;
+    if (!std::binary_search(top.begin(), top.end(),
+                            net::from_port_key(c.port))) {
+      continue;
+    }
+    core::CollateralEvent& ce = rows[row_of[c.group]];
+    ce.packets_to_top_ports += c.packets;
+    ce.packets_actually_dropped += c.dropped;
+  }
   snap.collateral = core::assemble_collateral_report(
-      std::move(rows), servers.size(), cfg_.sampling_rate);
+      std::move(rows), snap.ports.servers, cfg_.sampling_rate);
 
   snap.top_ports = topk_.top(topk);
   snap.topk_total = topk_.total_weight();

@@ -28,6 +28,13 @@
 //                   with final answers — once the delivered clock passes
 //                   their time by `lag`.
 //
+// Because a committed answer is final, commit time does not matter past
+// the horizon: due records wait in the queue until the next drain — every
+// kDrainBatch delivered events, and always before a snapshot or in
+// finish() — so the commit timer (stream.kernel.commit_us) costs one
+// clock pair per batch, and every snapshot still sees exactly the records
+// due by its clock committed.
+//
 // Intermediate snapshots are the same reports over the work done so far
 // (all delivered BGP updates, all committed flows); cumulative totals are
 // monotone from one snapshot to the next. finish() commits everything and
@@ -50,14 +57,17 @@
 // A cold kernel fed the same events has every cache empty, so its snapshot
 // is the from-scratch answer; the convergence tests diff the two at every
 // cadence boundary.
+//
+// State layout. Everything a flow touches is flat and contiguous: the
+// pending queue is a ring of 32-byte committed fields; hosts, collateral
+// (event, host) groups, (event, host, proto:port) cells and top-K counters
+// are dense vectors found through util::FlatIndex; prefix tracks likewise
+// (events.hpp). The cost model per flow is in docs/streaming.md.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/collateral.hpp"
@@ -67,6 +77,7 @@
 #include "stream/event.hpp"
 #include "stream/incremental/events.hpp"
 #include "stream/incremental/topk.hpp"
+#include "util/flat_index.hpp"
 
 namespace bw::stream::incremental {
 
@@ -135,15 +146,80 @@ class IncrementalKernels {
   [[nodiscard]] const OnlineEventLog& log() const noexcept { return log_; }
 
  private:
-  void commit(const flow::FlowRecord& rec);
-  void drain_pending();
+  /// What commit() reads of a flow record, packed: a pending flow is 32
+  /// bytes instead of a 56-byte FlowRecord.
+  struct PendingFlow {
+    util::TimeMs time{0};
+    std::uint64_t packets{0};
+    net::Ipv4 src_ip;
+    net::Ipv4 dst_ip;
+    net::Port src_port{0};
+    net::Port dst_port{0};
+    net::Proto proto{net::Proto::kOther};
+    bool dropped{false};
+  };
+
+  /// FIFO of pending flows in one power-of-two ring that doubles when full.
+  class PendingRing {
+   public:
+    void push(const PendingFlow& f) {
+      if (size_ == slots_.size()) grow();
+      slots_[(head_ + size_) & (slots_.size() - 1)] = f;
+      ++size_;
+    }
+    [[nodiscard]] const PendingFlow& front() const { return slots_[head_]; }
+    void pop() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    void grow();
+
+    std::vector<PendingFlow> slots_;
+    std::size_t head_{0};
+    std::size_t size_{0};
+  };
+
+  /// One host's outside-RTBH accumulation and its cached report row.
+  struct HostState {
+    core::PortAccumulator acc;
+    core::HostPortStats row;  ///< valid while !row_stale
+    bool row_stale{true};     ///< acc changed since row was finalized
+  };
+
+  /// One (event, destination host, proto:port) collateral cell: the
+  /// span-covered traffic joined against the detected servers' top ports
+  /// at snapshot time (top ports are only known then).
+  struct CollateralCell {
+    std::uint32_t group{0};  ///< index into collateral_groups_
+    std::uint32_t port{0};   ///< net::port_key
+    std::uint64_t packets{0};
+    std::uint64_t dropped{0};
+  };
+  struct CollateralGroup {
+    std::uint32_t event{0};
+    net::Ipv4 host;
+  };
+
+  /// Commit every pending flow the clock has made final (`all`: every
+  /// pending flow), timing the batch into stream.kernel.commit_us.
+  void drain_pending(bool all = false);
+  void commit(const PendingFlow& f);
+  [[nodiscard]] HostState& host(net::Ipv4 ip);
   /// Slot new events into the report order and re-flatten stale deltas.
   void refresh_drop_deltas();
 
   IncrementalConfig cfg_;
   util::DurationMs lag_;
   OnlineEventLog log_;
-  std::deque<flow::FlowRecord> pending_;
+  PendingRing pending_;
+  /// Delivered events per drain: due flows wait for the batch (or for a
+  /// snapshot), so the commit timer costs one clock pair per batch.
+  static constexpr std::size_t kDrainBatch = 1024;
+  std::size_t undrained_{0};  ///< events delivered since the last drain
   util::TimeMs clock_{0};
 
   std::uint64_t events_seen_{0};
@@ -151,17 +227,12 @@ class IncrementalKernels {
   std::uint64_t flows_seen_{0};
   std::uint64_t flows_committed_{0};
 
-  struct HostAccumulator {
-    core::PortAccumulator acc;
-    bool row_stale{true};  ///< acc changed since host_rows_ finalized it
-  };
-  /// Per-host outside-RTBH accumulation, keyed by every IP seen: whether a
-  /// host ends up in the report universe (a /32 gets blackholed) can be
-  /// decided later than its records commit, so all of them accumulate and
-  /// the universe filters at snapshot time.
-  std::unordered_map<net::Ipv4, HostAccumulator> port_acc_;
-  /// Finalized rows of the universe hosts, valid while !row_stale.
-  std::unordered_map<net::Ipv4, core::HostPortStats> host_rows_;
+  /// Per-host outside-RTBH accumulation, for every IP seen: whether a host
+  /// ends up in the report universe (a /32 gets blackholed) can be decided
+  /// later than its records commit, so all of them accumulate and the
+  /// universe filters at snapshot time. Dense, found through host_ids_.
+  std::vector<HostState> hosts_;
+  util::FlatIndex host_ids_;  ///< ip -> hosts_ slot
 
   /// Event indices in report order, their inverse, and each event's
   /// flattened drop delta in report order (valid while !drop_stale).
@@ -169,15 +240,10 @@ class IncrementalKernels {
   std::vector<std::size_t> position_;
   std::vector<core::DropEventDelta> deltas_;
 
-  struct CollateralCounts {
-    std::uint64_t packets{0};
-    std::uint64_t dropped{0};
-  };
-  /// (event index << 32 | dst ip) -> per (proto, dst port) packet tally of
-  /// span-covered traffic; joined against the detected servers' top ports
-  /// at snapshot time (top ports are only known then).
-  std::unordered_map<std::uint64_t, std::map<net::ProtoPort, CollateralCounts>>
-      collateral_;
+  std::vector<CollateralGroup> collateral_groups_;
+  util::FlatIndex collateral_group_ids_;  ///< event << 32 | ip -> group
+  std::vector<CollateralCell> collateral_;
+  util::FlatIndex collateral_ids_;  ///< group << 32 | port key -> cell
 
   TopKPorts topk_;
 };

@@ -1,7 +1,8 @@
 #include "stream/incremental/rolling.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <charconv>
+#include <concepts>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
@@ -10,14 +11,49 @@ namespace bw::stream::incremental {
 
 namespace {
 
-/// Shortest round-trip double rendering: the figures must be byte-stable
-/// between the rolling and batch renderers, which both funnel through
-/// here with bit-identical inputs (shared accumulators guarantee that).
-void append_double(std::ostringstream& os, double v) {
-  os << std::setprecision(17) << v;
-}
+/// Appends JSON text to a caller-owned string with std::to_chars: no
+/// stream, no locale, no per-field allocation. Numbers render byte for
+/// byte as `ostream << setprecision(17)` renders them, the format the
+/// rolling files and their pinned digests are defined in.
+class JsonOut {
+ public:
+  explicit JsonOut(std::string& out) : out_(out) {}
 
-void append_drop(std::ostringstream& os, const core::DropRateReport& r) {
+  JsonOut& operator<<(std::string_view text) {
+    out_.append(text);
+    return *this;
+  }
+
+  /// Decimal integers. Character types are excluded: ostream would print
+  /// them as characters, so callers cast to unsigned first.
+  template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char> &&
+             !std::same_as<T, signed char> && !std::same_as<T, unsigned char>)
+  JsonOut& operator<<(T v) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+
+  /// `%.17g`, i.e. `ostream << setprecision(17)`: 17 significant digits,
+  /// which round-trips every double but is not the shortest form (0.1
+  /// prints as 0.10000000000000001). The figures must be byte-stable
+  /// between the rolling and batch renderers, which both funnel through
+  /// here with bit-identical inputs (shared accumulators guarantee that).
+  JsonOut& operator<<(double v) {
+    char buf[32];
+    const auto r =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+
+ private:
+  std::string& out_;
+};
+
+void append_drop(JsonOut& os, const core::DropRateReport& r) {
   os << "{\"packets_all\":" << r.packets_all_lengths
      << ",\"bytes_all\":" << r.bytes_all_lengths << ",\"by_length\":[";
   for (std::size_t i = 0; i < r.by_length.size(); ++i) {
@@ -30,13 +66,11 @@ void append_drop(std::ostringstream& os, const core::DropRateReport& r) {
   }
   os << "],\"rates_len32\":[";
   for (std::size_t i = 0; i < r.event_rates_len32.size(); ++i) {
-    os << (i ? "," : "");
-    append_double(os, r.event_rates_len32[i]);
+    os << (i ? "," : "") << r.event_rates_len32[i];
   }
   os << "],\"rates_len24\":[";
   for (std::size_t i = 0; i < r.event_rates_len24.size(); ++i) {
-    os << (i ? "," : "");
-    append_double(os, r.event_rates_len24[i]);
+    os << (i ? "," : "") << r.event_rates_len24[i];
   }
   os << "],\"sources_len32\":[";
   for (std::size_t i = 0; i < r.sources_to_len32.size(); ++i) {
@@ -48,7 +82,7 @@ void append_drop(std::ostringstream& os, const core::DropRateReport& r) {
   os << "]}";
 }
 
-void append_ports(std::ostringstream& os, const core::PortStatsReport& r) {
+void append_ports(JsonOut& os, const core::PortStatsReport& r) {
   os << "{\"blackholed_hosts\":" << r.blackholed_hosts_total
      << ",\"eligible\":" << r.eligible_hosts << ",\"clients\":" << r.clients
      << ",\"servers\":" << r.servers << ",\"hosts\":[";
@@ -68,14 +102,13 @@ void append_ports(std::ostringstream& os, const core::PortStatsReport& r) {
       os << (j ? "," : "") << "[" << static_cast<unsigned>(h.top_ports[j].proto)
          << "," << h.top_ports[j].port << "]";
     }
-    os << "],\"variation\":";
-    append_double(os, h.port_variation);
-    os << ",\"class\":\"" << core::to_string(h.classification) << "\"}";
+    os << "],\"variation\":" << h.port_variation << ",\"class\":\""
+       << core::to_string(h.classification) << "\"}";
   }
   os << "]}";
 }
 
-void append_collateral(std::ostringstream& os, const core::CollateralReport& r) {
+void append_collateral(JsonOut& os, const core::CollateralReport& r) {
   os << "{\"servers_considered\":" << r.servers_considered
      << ",\"top_port_packets\":" << r.total_top_port_packets
      << ",\"dropped_packets\":" << r.total_dropped_packets << ",\"rows\":[";
@@ -90,12 +123,9 @@ void append_collateral(std::ostringstream& os, const core::CollateralReport& r) 
   os << "]}";
 }
 
-}  // namespace
-
-std::string RollingReporter::figures_json(
-    const core::DropRateReport& drop, const core::PortStatsReport& ports,
-    const core::CollateralReport& collateral) {
-  std::ostringstream os;
+void append_figures(JsonOut& os, const core::DropRateReport& drop,
+                    const core::PortStatsReport& ports,
+                    const core::CollateralReport& collateral) {
   os << "{\"drop\":";
   append_drop(os, drop);
   os << ",\"ports\":";
@@ -103,7 +133,17 @@ std::string RollingReporter::figures_json(
   os << ",\"collateral\":";
   append_collateral(os, collateral);
   os << "}";
-  return os.str();
+}
+
+}  // namespace
+
+std::string RollingReporter::figures_json(
+    const core::DropRateReport& drop, const core::PortStatsReport& ports,
+    const core::CollateralReport& collateral) {
+  std::string text;
+  JsonOut os(text);
+  append_figures(os, drop, ports, collateral);
+  return text;
 }
 
 RollingReporter::RollingReporter(RollingConfig config)
@@ -153,7 +193,11 @@ void RollingReporter::emit(bool final_report) {
   const double stability =
       lines_.empty() ? 1.0 : topk_stability(last_top_, top);
 
-  std::ostringstream os;
+  // The previous line's length is a close upper bound on this one's:
+  // render into one reservation.
+  std::string line;
+  line.reserve(lines_.empty() ? 4096 : lines_.back().size() + 4096);
+  JsonOut os(line);
   os << "{\"snapshot\":" << lines_.size()
      << ",\"final\":" << (final_report ? "true" : "false")
      << ",\"clock\":" << snap.clock << ",\"events\":" << snap.events_seen
@@ -169,12 +213,11 @@ void RollingReporter::emit(bool final_report) {
        << ",\"port\":" << top[i].pp.port << ",\"count\":" << top[i].count
        << ",\"err\":" << top[i].err << "}";
   }
-  os << "],\"topk_stability\":";
-  os << std::setprecision(17) << stability;
-  os << ",\"figures\":"
-     << figures_json(snap.drop, snap.ports, snap.collateral) << "}";
+  os << "],\"topk_stability\":" << stability << ",\"figures\":";
+  append_figures(os, snap.drop, snap.ports, snap.collateral);
+  os << "}";
 
-  lines_.push_back(os.str());
+  lines_.push_back(std::move(line));
   last_top_ = std::move(top);
   snapshot_bytes.add(lines_.back().size());
   snapshot_us.add(watch.elapsed_us());

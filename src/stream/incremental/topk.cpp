@@ -27,13 +27,14 @@ TopKPorts::TopKPorts(std::size_t capacity, bool exact)
 
 void TopKPorts::add(net::ProtoPort pp, std::uint64_t weight) {
   total_ += weight;
-  const auto [it, inserted] = slot_.try_emplace(
-      key_of(pp), static_cast<std::uint32_t>(entries_.size()));
-  if (!inserted) {
-    entries_[it->second].count += weight;
+  if (const std::uint32_t slot = slot_.find(net::port_key(pp));
+      slot != util::FlatIndex::kNone) {
+    entries_[slot].count += weight;
     return;
   }
   if (exact_ || entries_.size() < capacity_) {
+    slot_.try_emplace(net::port_key(pp),
+                      static_cast<std::uint32_t>(entries_.size()));
     entries_.push_back({pp, weight, 0});
     return;
   }
@@ -43,8 +44,9 @@ void TopKPorts::add(net::ProtoPort pp, std::uint64_t weight) {
   const auto victim =
       std::min_element(entries_.begin(), entries_.end(), evicts_before);
   const std::uint64_t floor = victim->count;
-  it->second = static_cast<std::uint32_t>(victim - entries_.begin());
-  slot_.erase(key_of(victim->pp));
+  slot_.erase(net::port_key(victim->pp));
+  const auto slot = static_cast<std::uint32_t>(victim - entries_.begin());
+  slot_.try_emplace(net::port_key(pp), slot);
   *victim = {pp, floor + weight, floor};
   ++evictions_;
 }

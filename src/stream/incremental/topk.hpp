@@ -20,18 +20,19 @@
 // sketch against an exact oracle.
 //
 // Storage is contiguous: the counters live in one vector, found through a
-// hash index from key to slot. A rolling snapshot asks for the top k of
-// every counter (65k of them in exact mode on a scale-0.1 corpus), so top()
-// is a bounded selection over that vector — O(n log k) — rather than a
-// copy-and-sort of all n. Slot order carries no meaning; every ordering
-// the class exposes is the explicit total order above.
+// flat open-addressing index from key to slot (util::FlatIndex). A rolling
+// snapshot asks for the top k of every counter (65k of them in exact mode
+// on a scale-0.1 corpus), so top() is a bounded selection over that vector
+// — O(n log k) — rather than a copy-and-sort of all n. Slot order carries
+// no meaning; every ordering the class exposes is the explicit total order
+// above.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ports.hpp"
+#include "util/flat_index.hpp"
 
 namespace bw::stream::incremental {
 
@@ -66,16 +67,12 @@ class TopKPorts {
   [[nodiscard]] std::uint64_t max_error() const;
 
  private:
-  [[nodiscard]] static std::uint32_t key_of(net::ProtoPort pp) noexcept {
-    return static_cast<std::uint32_t>(pp.proto) << 16 | pp.port;
-  }
-
   std::size_t capacity_;
   bool exact_;
   std::uint64_t total_{0};
   std::uint64_t evictions_{0};
   std::vector<Entry> entries_;
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_;  ///< key -> index
+  util::FlatIndex slot_;  ///< net::port_key -> index into entries_
 };
 
 /// Jaccard similarity of the key sets of two top lists — the rolling

@@ -7,13 +7,22 @@
 //
 //   - after every record of a single accumulator;
 //   - after a random shard split whose shards are merged in a random
-//     order (the records engine's shard merge).
+//     order (the records engine's shard merge);
+//   - with days arriving in reverse and shuffled order (the flat layout's
+//     insert-in-place path, not just its append fast path);
+//   - with outbound days seen before their inbound days (the bidirectional
+//     count's second-side increment from either side);
+//   - with every port of a day tied on packets (the first-maximum rule);
+//   - with more than 4,096 distinct ports (the sorted-to-bitmap switch of
+//     the port sets), on both sides of a merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
+
+#include "net/ipv4.hpp"
 
 #include "core/port_accum.hpp"
 #include "util/rng.hpp"
@@ -166,6 +175,162 @@ TEST(PortAccumulatorPropertyTest, ShardMergeMatchesBruteForce) {
         finalize_port_host(net::Ipv4(0x0a000001u), 64500, merged, config),
         brute_force(records, config));
   }
+}
+
+TEST(PortAccumulatorPropertyTest, OutOfOrderDaysMatchBruteForce) {
+  const PortStatsConfig config = small_config();
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed * 104729);
+    std::vector<Record> records = random_records(rng, 240);
+    // Newest day first, then a shuffle: every day lands before existing
+    // ones at least once.
+    std::stable_sort(records.begin(), records.end(),
+                     [](const Record& a, const Record& b) {
+                       return a.day > b.day;
+                     });
+    for (const bool shuffle : {false, true}) {
+      if (shuffle) {
+        for (std::size_t i = records.size(); i > 1; --i) {
+          std::swap(records[i - 1], records[rng.index(i)]);
+        }
+      }
+      PortAccumulator acc;
+      std::vector<Record> prefix;
+      for (const Record& r : records) {
+        apply(acc, r);
+        prefix.push_back(r);
+        expect_same(
+            finalize_port_host(net::Ipv4(0x0a000001u), 64500, acc, config),
+            brute_force(prefix, config));
+        ASSERT_FALSE(HasFailure()) << "after record " << prefix.size();
+      }
+    }
+  }
+}
+
+TEST(PortAccumulatorPropertyTest, OutboundBeforeInboundCountsBidirectional) {
+  PortStatsConfig config;
+  config.min_days = 4;
+  // Days 9, 7, 5, 3 see outbound traffic first; days 3, 5, 7, 9 inbound
+  // later, plus inbound-only and outbound-only days that must not count.
+  std::vector<Record> records;
+  for (const std::int64_t day : {9, 7, 5, 3, 12}) {
+    records.push_back({false, day, 50000, net::Proto::kTcp, 443, 0});
+  }
+  for (const std::int64_t day : {3, 5, 7, 9, 1}) {
+    records.push_back({true, day, 40000, net::Proto::kTcp, 443, 2});
+  }
+  // A second outbound record on an already-bidirectional day is no news.
+  records.push_back({false, 5, 50001, net::Proto::kTcp, 443, 0});
+
+  PortAccumulator acc;
+  for (const Record& r : records) apply(acc, r);
+  const HostPortStats got =
+      finalize_port_host(net::Ipv4(0x0a000001u), 64500, acc, config);
+  EXPECT_EQ(got.days_bidirectional, 4u);
+  EXPECT_EQ(got.classification, HostClass::kServer);
+  expect_same(got, brute_force(records, config));
+
+  // The same record set in the other direction order and through a merge.
+  PortAccumulator in_side;
+  PortAccumulator out_side;
+  for (const Record& r : records) apply(r.inbound ? in_side : out_side, r);
+  PortAccumulator merged = out_side;
+  merged.merge(in_side);
+  expect_same(
+      finalize_port_host(net::Ipv4(0x0a000001u), 64500, merged, config), got);
+}
+
+TEST(PortAccumulatorPropertyTest, TiedDaysKeepTheFirstMaximum) {
+  const PortStatsConfig config = small_config();
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed * 7);
+    // Every day: the same 12 (proto, port) keys, each brought to the same
+    // total in a random order and random steps, so each day ends in a
+    // 12-way tie its first maximum (the smallest key) must win.
+    std::vector<Record> records;
+    for (std::int64_t day = 0; day < 6; ++day) {
+      std::vector<Record> day_records;
+      for (net::Port port = 1; port <= 6; ++port) {
+        for (const net::Proto proto : {net::Proto::kTcp, net::Proto::kUdp}) {
+          day_records.push_back({true, day, 1000, proto, port, 2});
+          day_records.push_back({true, day, 1000, proto, port, 1});
+          day_records.push_back({true, day, 1000, proto, port, 1});
+        }
+      }
+      for (std::size_t i = day_records.size(); i > 1; --i) {
+        std::swap(day_records[i - 1], day_records[rng.index(i)]);
+      }
+      records.insert(records.end(), day_records.begin(), day_records.end());
+      records.push_back({false, day, 2000, net::Proto::kTcp, 80, 0});
+    }
+    PortAccumulator acc;
+    std::vector<Record> prefix;
+    for (const Record& r : records) {
+      apply(acc, r);
+      prefix.push_back(r);
+      expect_same(
+          finalize_port_host(net::Ipv4(0x0a000001u), 64500, acc, config),
+          brute_force(prefix, config));
+      ASSERT_FALSE(HasFailure()) << "after record " << prefix.size();
+    }
+    const HostPortStats got =
+        finalize_port_host(net::Ipv4(0x0a000001u), 64500, acc, config);
+    ASSERT_EQ(got.top_ports.size(), 1u);
+    EXPECT_EQ(got.top_ports[0], (net::ProtoPort{net::Proto::kTcp, 1}));
+    EXPECT_EQ(got.classification, HostClass::kServer);
+  }
+}
+
+TEST(PortAccumulatorPropertyTest, MoreThan4096PortsStayExact) {
+  const PortStatsConfig config = small_config();
+  util::Rng rng(4096);
+  // Random 16-bit ports: ~9,000 distinct source ports, ~6,000 distinct
+  // destination ports, with repeats on both sides of the 4,096 switch.
+  std::vector<Record> records(12000);
+  for (Record& r : records) {
+    r.inbound = rng.chance(0.7);
+    r.day = rng.uniform_int(0, 4);
+    r.src_port = static_cast<net::Port>(rng.uniform_int(0, 65535));
+    r.proto = rng.chance(0.5) ? net::Proto::kTcp : net::Proto::kUdp;
+    r.dst_port = static_cast<net::Port>(rng.uniform_int(0, 6999));
+    r.packets = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+  }
+  const HostPortStats want = brute_force(records, config);
+  ASSERT_GT(want.unique_src_ports_in, 4096u);
+  ASSERT_GT(want.unique_dst_ports_in, 4096u);
+
+  PortAccumulator acc;
+  for (const Record& r : records) apply(acc, r);
+  expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500, acc, config),
+              want);
+
+  // Merges across the switch: bitmap into sorted, sorted into bitmap, and
+  // two halves that are each below it but not together.
+  const std::size_t half = records.size() / 2;
+  PortAccumulator big;
+  PortAccumulator small;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    apply(i < records.size() - 200 ? big : small, records[i]);
+  }
+  PortAccumulator small_then_big = small;
+  small_then_big.merge(big);
+  big.merge(small);
+  expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500, big, config),
+              want);
+  expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500,
+                                 small_then_big, config),
+              want);
+
+  std::vector<Record> sub(records.begin(), records.begin() + half / 3);
+  PortAccumulator a;
+  PortAccumulator b;
+  for (std::size_t i = 0; i < sub.size(); ++i) apply(i % 2 ? a : b, sub[i]);
+  a.merge(b);
+  expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500, a, config),
+              brute_force(sub, config));
 }
 
 }  // namespace

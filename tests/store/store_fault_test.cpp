@@ -277,6 +277,12 @@ struct HeaderCase {
   const char* named;  ///< what the error must name
 };
 
+// Without this, gtest prints the case as raw bytes, pointers included, and
+// the discovered ctest name changes with every run's address layout.
+void PrintTo(const HeaderCase& c, std::ostream* os) {
+  *os << c.magic << " v" << c.version;
+}
+
 class StoreHeaderTest : public StoreFaultTest,
                         public ::testing::WithParamInterface<HeaderCase> {};
 
