@@ -14,6 +14,13 @@ obs::Counter& monitor_counter(const char* what) {
   return obs::Registry::global().counter(std::string("monitor.") + what);
 }
 
+constexpr util::TimeMs kNever = std::numeric_limits<util::TimeMs>::max();
+
+/// t + d, clamped at kNever: a huge configured delay means never.
+util::TimeMs saturating_add(util::TimeMs t, util::DurationMs d) {
+  return d > 0 && t > kNever - d ? kNever : t + d;
+}
+
 }  // namespace
 
 std::string_view to_string(AlertKind k) {
@@ -28,7 +35,7 @@ std::string_view to_string(AlertKind k) {
 }
 
 RtbhMonitor::RtbhMonitor(MonitorConfig config, AlertSink sink)
-    : cfg_(config), sink_(std::move(sink)) {
+    : cfg_(config), sink_(std::move(sink)), empty_detector_(cfg_.ewma) {
   // The state map grows with observed destinations (hundreds of thousands
   // on a real tap); seeding the bucket array avoids the rehash storms that
   // otherwise dominate the first minutes of a replay.
@@ -36,11 +43,15 @@ RtbhMonitor::RtbhMonitor(MonitorConfig config, AlertSink sink)
 }
 
 RtbhMonitor::PrefixState& RtbhMonitor::state_for(const net::Prefix& prefix) {
-  auto [it, fresh] = prefixes_.try_emplace(prefix);
+  auto [it, fresh] = prefixes_.try_emplace(prefix, empty_detector_);
   if (fresh) {
-    it->second.detectors.assign(kFeatureCount,
-                                util::EwmaDetector(cfg_.ewma));
-    if (prefix.length() < 32) wide_prefixes_.push_back(prefix);
+    if (prefix.length() < 32) {
+      // Before the first shorter entry: longest first, ties in arrival order.
+      const auto pos = std::find_if(
+          wide_prefixes_.begin(), wide_prefixes_.end(),
+          [&](const net::Prefix& p) { return p.length() < prefix.length(); });
+      wide_prefixes_.insert(pos, prefix);
+    }
     // Recency bookkeeping exists only to pick eviction victims; an
     // unbounded monitor (the default, and the replay-bench shape) skips
     // the whole LRU list — one splice per flow is real money at 1M+
@@ -163,6 +174,18 @@ void RtbhMonitor::maybe_end_event(const net::Prefix& prefix, PrefixState& st,
   }
 }
 
+util::TimeMs RtbhMonitor::due_at(const PrefixState& st) const {
+  // The two checks of maybe_close_event, solved for `now`.
+  if (!st.announced) {
+    return saturating_add(saturating_add(st.last_withdraw, cfg_.merge_delta),
+                          1);
+  }
+  if (!st.zombie_alerted && st.packets_total < cfg_.zombie_max_packets) {
+    return saturating_add(st.event_start, cfg_.zombie_after);
+  }
+  return kNever;  // only a later update or eviction can change it
+}
+
 void RtbhMonitor::advance(util::TimeMs now) {
   if (now <= now_) return;
   now_ = now;
@@ -172,11 +195,27 @@ void RtbhMonitor::advance(util::TimeMs now) {
     return;
   }
   last_sweep_ = now;
+  // The minute still counts for the cadence, but before next_due_ the
+  // sweep would change nothing.
+  if (now < next_due_) return;
+  sweep(now);
+}
+
+void RtbhMonitor::sweep(util::TimeMs now) {
+  static obs::Counter& sweeps = monitor_counter("sweeps");
+  static obs::Counter& visits = monitor_counter("sweep_visits");
+  sweeps.add();
+  visits.add(active_.size());
+  next_due_ = kNever;
   std::vector<net::Prefix> closed;
   for (const auto& prefix : active_) {
     auto& st = prefixes_.at(prefix);
     maybe_close_event(prefix, st, now);
-    if (!st.in_event) closed.push_back(prefix);
+    if (st.in_event) {
+      next_due_ = std::min(next_due_, due_at(st));
+    } else {
+      closed.push_back(prefix);
+    }
   }
   for (const auto& prefix : closed) active_.erase(prefix);
 }
@@ -234,14 +273,17 @@ void RtbhMonitor::on_update(const bgp::Update& update) {
     st.announced = false;
     st.last_withdraw = update.time;
   }
+  // Updates are the only input that can bring an open event's due time
+  // forward (flows only add packets, which can only retire a zombie check).
+  if (st.in_event) next_due_ = std::min(next_due_, due_at(st));
   advance(update.time);
 }
 
 void RtbhMonitor::on_flow(const flow::FlowRecord& record) {
   PrefixState* st = nullptr;
-  // Attribute the record to the longest announced prefix we track. The
-  // common case is the /32; scan host first, then any tracked covering
-  // prefix (bounded: tracked prefixes only).
+  // Attribute the record to the longest tracked prefix covering it. The
+  // common case is the /32; scan host first, then the tracked wider
+  // prefixes, longest first (bounded: tracked prefixes only).
   const net::Prefix host = net::Prefix::host(record.dst_ip);
   if (auto it = prefixes_.find(host); it != prefixes_.end()) {
     st = &it->second;

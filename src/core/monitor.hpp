@@ -15,14 +15,22 @@
 //   kZombieSuspect      active for days with (almost) no traffic —
 //                       probably forgotten (Section 7.3)
 //
-// Per-destination history lives in fixed-size detector windows; the state
+// Per-destination history lives in bounded detector windows; the state
 // map grows with the number of *observed destinations*, so long-running
 // deployments bound it with MonitorConfig::max_destinations: least-recently
 // touched destinations are evicted first, and an eviction that drops an
 // open event emits a final kEventEnded alert — state is shed loudly, never
 // silently.
+//
+// Open events are swept once per simulated minute for zombie and end
+// checks, but only when one can be due: next_due_ bounds from below the
+// earliest time any open event could change state, and a minute before it
+// passes without visiting them. The state map and the open-event set stay
+// hash containers fed the same insert/erase sequence: their iteration
+// order decides the order of alerts raised in one sweep and in finish().
 #pragma once
 
+#include <array>
 #include <limits>
 #include <functional>
 #include <list>
@@ -109,6 +117,10 @@ class RtbhMonitor {
 
  private:
   struct PrefixState {
+    static_assert(kFeatureCount == 5, "one detector initialiser per feature");
+    explicit PrefixState(const util::EwmaDetector& detector)
+        : detectors{detector, detector, detector, detector, detector} {}
+
     bool announced{false};
     util::TimeMs event_start{0};
     util::TimeMs last_withdraw{0};
@@ -120,7 +132,7 @@ class RtbhMonitor {
     bool low_drop_alerted{false};
     bool zombie_alerted{false};
     /// Per-feature detectors over the slotted history of this destination.
-    std::vector<util::EwmaDetector> detectors;
+    std::array<util::EwmaDetector, kFeatureCount> detectors;
     /// Current (open) slot accumulation.
     std::int64_t slot_index{-1};
     std::int64_t last_closed_slot{std::numeric_limits<std::int64_t>::min()};
@@ -142,20 +154,28 @@ class RtbhMonitor {
                          util::TimeMs now);
   void maybe_end_event(const net::Prefix& prefix, PrefixState& st,
                        util::TimeMs now);
+  /// Earliest time a sweep could change this open event's state.
+  [[nodiscard]] util::TimeMs due_at(const PrefixState& st) const;
+  void sweep(util::TimeMs now);
   PrefixState& state_for(const net::Prefix& prefix);
   void touch(PrefixState& st);
   void evict_over_cap();
 
   MonitorConfig cfg_;
   AlertSink sink_;
+  /// Copied into each new destination's five detector slots.
+  util::EwmaDetector empty_detector_;
   std::unordered_map<net::Prefix, PrefixState> prefixes_;
   /// Recency order over prefixes_ keys; front = most recently touched.
   std::list<net::Prefix> lru_;
   /// Tracked non-/32 prefixes (rare), so flow attribution stays O(1)+small.
+  /// Longest first: the first covering entry is the longest match.
   std::vector<net::Prefix> wide_prefixes_;
   /// Prefixes with an open event — the only ones advance() must sweep.
   std::unordered_set<net::Prefix> active_;
   util::TimeMs last_sweep_{std::numeric_limits<util::TimeMs>::min()};
+  /// No open event can change state in a sweep before this time.
+  util::TimeMs next_due_{std::numeric_limits<util::TimeMs>::max()};
   util::TimeMs now_{std::numeric_limits<util::TimeMs>::min()};
   std::size_t total_events_{0};
   std::size_t alerts_emitted_{0};

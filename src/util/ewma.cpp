@@ -2,47 +2,87 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/stats.hpp"
+#include <map>
+#include <memory>
+#include <mutex>
 
 namespace bw::util {
 
-EwmaDetector::EwmaDetector(EwmaConfig config) : cfg_(config) {
-  if (cfg_.window == 0) cfg_.window = 1;
-  ring_.assign(cfg_.window, 0.0);
-  weights_.resize(cfg_.window);
-  const double alpha = 2.0 / (static_cast<double>(cfg_.window) + 1.0);
-  decay_ = 1.0 - alpha;
+struct EwmaWeights {
+  double decay{1.0};          ///< 1 - alpha
+  double oldest_weight{0.0};  ///< (1-alpha)^window: weight of an evicted value
+  std::vector<double> w;      ///< w_i, i = 0 newest, by repeated multiplication
+  std::vector<double> total;  ///< total[k] = ((0 + w_0) + w_1) + ... + w_{k-1}
+};
+
+namespace {
+
+std::unique_ptr<const EwmaWeights> build_weights(std::size_t window) {
+  auto t = std::make_unique<EwmaWeights>();
+  const double alpha = 2.0 / (static_cast<double>(window) + 1.0);
+  t->decay = 1.0 - alpha;
+  t->w.resize(window);
+  t->total.resize(window + 1);
   double w = 1.0;
-  for (std::size_t i = 0; i < cfg_.window; ++i) {
-    weights_[i] = w;
-    w *= decay_;
+  double sum = 0.0;
+  t->total[0] = sum;
+  for (std::size_t i = 0; i < window; ++i) {
+    t->w[i] = w;
+    sum += w;
+    t->total[i + 1] = sum;
+    w *= t->decay;
   }
-  oldest_weight_ = weights_.back() * decay_;  // (1-alpha)^window
+  t->oldest_weight = t->w.back() * t->decay;
+  return t;
 }
 
-void EwmaDetector::window_values(std::vector<double>& values) const {
-  values.clear();
-  values.reserve(size_);
-  // head_ points at the next write slot; the newest value sits just before it.
-  for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t idx = (head_ + cfg_.window - 1 - i) % cfg_.window;
-    values.push_back(ring_[idx]);
+/// The process-wide table for `window`, built on first use. Tables are
+/// never freed or modified, so the returned reference stays valid and can
+/// be read from any thread without a lock.
+const EwmaWeights& shared_weights(std::size_t window) {
+  static std::mutex mutex;
+  static auto* tables =  // never destroyed: detectors may outlive statics
+      new std::map<std::size_t, std::unique_ptr<const EwmaWeights>>();
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& slot = (*tables)[window];
+  if (!slot) slot = build_weights(window);
+  return *slot;
+}
+
+}  // namespace
+
+EwmaDetector::EwmaDetector(EwmaConfig config) : cfg_(config) {
+  if (cfg_.window == 0) cfg_.window = 1;
+  weights_ = &shared_weights(cfg_.window);
+}
+
+void EwmaDetector::drop_oldest(std::size_t count) {
+  head_ += count;
+  if (head_ == samples_.size()) {
+    samples_.clear();
+    head_ = 0;
+  } else if (head_ >= 32 && 2 * head_ >= samples_.size()) {
+    // Amortised O(1): at least as many entries were popped as are moved.
+    samples_.erase(samples_.begin(),
+                   samples_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 
 void EwmaDetector::recompute_sums() {
-  // Exact recomputation from the ring, killing accumulated float drift.
-  std::vector<double> values;
-  window_values(values);
+  // Exact recomputation from the retained samples, killing accumulated
+  // float drift. Newest first, as a dense ring walk would add them; the
+  // zero samples in between would add exact +0.0 terms.
+  const EwmaWeights& t = *weights_;
   weighted_sum_ = 0.0;
   weighted_sq_sum_ = 0.0;
-  weight_total_ = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    weighted_sum_ += weights_[i] * values[i];
-    weighted_sq_sum_ += weights_[i] * values[i] * values[i];
-    weight_total_ += weights_[i];
+  for (std::size_t i = samples_.size(); i-- > head_;) {
+    const double w = t.w[seen_ - 1 - samples_[i].seq];
+    const double v = samples_[i].value;
+    weighted_sum_ += w * v;
+    weighted_sq_sum_ += w * v * v;
   }
+  weight_total_ = t.total[std::min(seen_, cfg_.window)];
 }
 
 double EwmaDetector::current_average() const {
@@ -65,21 +105,24 @@ bool EwmaDetector::push(double x) {
   }
 
   // O(1) update: decay every retained weight by one step, add the new value
-  // at weight 1, and drop the value that falls out of the window.
-  const double evicted = size_ == cfg_.window ? ring_[head_] : 0.0;
-  weighted_sum_ = x + decay_ * weighted_sum_ - oldest_weight_ * evicted;
+  // at weight 1, and drop the value that falls out of the window (sample
+  // seen_ - window, if it was nonzero).
+  const EwmaWeights& t = *weights_;
+  double evicted = 0.0;
+  if (seen_ >= cfg_.window && head_ < samples_.size() &&
+      samples_[head_].seq == seen_ - cfg_.window) {
+    evicted = samples_[head_].value;
+    drop_oldest(1);
+  }
+  weighted_sum_ = x + t.decay * weighted_sum_ - t.oldest_weight * evicted;
   weighted_sq_sum_ =
-      x * x + decay_ * weighted_sq_sum_ - oldest_weight_ * evicted * evicted;
-  if (size_ < cfg_.window) {
+      x * x + t.decay * weighted_sq_sum_ - t.oldest_weight * evicted * evicted;
+  if (seen_ < cfg_.window) {
     // Growing phase: total weight gains the next power of the decay.
-    weight_total_ = weight_total_ * decay_ + 1.0;
+    weight_total_ = weight_total_ * t.decay + 1.0;
   }
 
-  if (evicted != 0.0) --nonzero_;
-  if (x != 0.0) ++nonzero_;
-  ring_[head_] = x;
-  head_ = (head_ + 1) % cfg_.window;
-  size_ = std::min(size_ + 1, cfg_.window);
+  if (x != 0.0) samples_.push_back({seen_, x});
   ++seen_;
 
   if (seen_ % (cfg_.window * 4) == 0) recompute_sums();
@@ -88,55 +131,47 @@ bool EwmaDetector::push(double x) {
 
 void EwmaDetector::push_zeros(std::size_t n) {
   if (n == 0) return;
+  const EwmaWeights& t = *weights_;
   if (n >= cfg_.window) {
     // The run displaces the entire window: every retained value ages out
     // and the moments collapse to exactly zero.
-    if (nonzero_ != 0) std::fill(ring_.begin(), ring_.end(), 0.0);
-    nonzero_ = 0;
-    if (size_ < cfg_.window) {
+    samples_.clear();
+    head_ = 0;
+    if (seen_ < cfg_.window) {
       // Growing phase ends inside the run; the total weight settles at the
       // closed form of the geometric series sum_{i<window} decay^i.
-      weight_total_ = (1.0 - oldest_weight_) / (1.0 - decay_);
+      weight_total_ = (1.0 - t.oldest_weight) / (1.0 - t.decay);
     }
-    head_ = (head_ + n) % cfg_.window;
-    size_ = cfg_.window;
     seen_ += n;
     weighted_sum_ = 0.0;
     weighted_sq_sum_ = 0.0;
     return;
   }
 
-  // n < window: the run evicts the n oldest entries, at ring_[head_ ..
-  // head_+n). An entry evicted at step k of the run contributes
+  // n < window: the run pushes samples seen_ .. seen_+n-1, and its step k
+  // evicts sample seen_+k-window. An entry evicted at step k contributes
   // oldest_weight * decay^(n-1-k) * value to the final sums; everything
-  // else just decays by decay^n. During the growing phase the evicted
-  // range holds untouched zeros, so the same scan is a no-op there.
+  // else just decays by decay^n. Entries are visited oldest first, in
+  // ascending k.
   double zs = 0.0;
   double zq = 0.0;
-  if (nonzero_ != 0) {
-    std::size_t idx = head_;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double v = ring_[idx];
-      if (v != 0.0) {
-        const double w = weights_[n - 1 - k];
-        zs += w * v;
-        zq += w * v * v;
-        ring_[idx] = 0.0;
-        --nonzero_;
-      }
-      if (++idx == cfg_.window) idx = 0;
-    }
+  std::size_t i = head_;
+  for (; i < samples_.size() && samples_[i].seq + cfg_.window < seen_ + n;
+       ++i) {
+    const std::size_t k = samples_[i].seq + cfg_.window - seen_;
+    const double w = t.w[n - 1 - k];
+    const double v = samples_[i].value;
+    zs += w * v;
+    zq += w * v * v;
   }
-  const double dn = weights_[n];
-  weighted_sum_ = dn * weighted_sum_ - oldest_weight_ * zs;
-  weighted_sq_sum_ = dn * weighted_sq_sum_ - oldest_weight_ * zq;
-  if (size_ < cfg_.window) {
-    const std::size_t g = std::min(n, cfg_.window - size_);
-    weight_total_ =
-        weight_total_ * weights_[g] + (1.0 - weights_[g]) / (1.0 - decay_);
+  drop_oldest(i - head_);
+  const double dn = t.w[n];
+  weighted_sum_ = dn * weighted_sum_ - t.oldest_weight * zs;
+  weighted_sq_sum_ = dn * weighted_sq_sum_ - t.oldest_weight * zq;
+  if (seen_ < cfg_.window) {
+    const std::size_t g = std::min(n, cfg_.window - seen_);
+    weight_total_ = weight_total_ * t.w[g] + (1.0 - t.w[g]) / (1.0 - t.decay);
   }
-  head_ = (head_ + n) % cfg_.window;
-  size_ = std::min(size_ + n, cfg_.window);
   const std::size_t period = cfg_.window * 4;
   const bool crossed = seen_ / period != (seen_ + n) / period;
   seen_ += n;
@@ -144,10 +179,8 @@ void EwmaDetector::push_zeros(std::size_t n) {
 }
 
 void EwmaDetector::reset() {
-  std::fill(ring_.begin(), ring_.end(), 0.0);
+  samples_.clear();
   head_ = 0;
-  size_ = 0;
-  nonzero_ = 0;
   seen_ = 0;
   weighted_sum_ = 0.0;
   weighted_sq_sum_ = 0.0;

@@ -9,6 +9,23 @@
 // window by `threshold_sd` weighted standard deviations (2.5 by default; the
 // paper reports stable results up to 10). Detection requires a full window:
 // no anomaly can fire within the first `window` samples.
+//
+// Layout. The monitor's per-destination slot series are mostly zeros, so a
+// detector keeps only its nonzero samples: (sequence number, value) pairs,
+// oldest first from a head index, at most `window` of them. A sample's age
+// is `samples_seen() - 1 - seq`, which indexes the weight table directly.
+// The weight table (w_i, its in-order prefix sums, decay and decay^window)
+// depends only on the window length, so it is built once per length,
+// never changes and is shared by every detector of the process; building
+// it is serialised, reading it needs no lock.
+//
+// Exactness. Every running sum keeps the expression form and accumulation
+// order of a dense ring walk. A zero sample would add w * 0.0 = +0.0 to an
+// accumulator that starts at +0.0 and so is never -0.0, and an evicted zero
+// subtracts +0.0 either way, so skipping zeros changes no bit: averages,
+// SDs and anomaly flags are those of the dense ring this layout replaced.
+// A pushed -0.0 is kept as a zero sample; the series fed here are counts,
+// which are never -0.0.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +47,10 @@ struct EwmaSeries {
   std::vector<bool> anomalous;   ///< x_t > y_{t-1} + threshold * sd_{t-1}
 };
 
-/// Streaming EWMA detector over a fixed-size ring of recent values.
+/// Per-window-length constants shared by all detectors (see ewma.cpp).
+struct EwmaWeights;
+
+/// Streaming EWMA detector over the most recent `window` samples.
 class EwmaDetector {
  public:
   explicit EwmaDetector(EwmaConfig config = {});
@@ -44,9 +64,9 @@ class EwmaDetector {
   /// for the non-negative series the monitor feeds (counts per slot), a
   /// zero can never exceed the anomaly threshold, so nothing is lost. A
   /// run of zeros is a linear update on the running moments (one decay^n
-  /// scaling minus the evicted entries' contributions), so the cost is one
-  /// scan of the evicted ring range instead of n divide+sqrt pushes — this
-  /// is what makes gap backfill affordable for sparse destinations.
+  /// scaling minus the evicted samples' contributions), so the cost is the
+  /// number of nonzero samples the run evicts, not n — this is what makes
+  /// gap backfill affordable for sparse destinations.
   void push_zeros(std::size_t n);
 
   [[nodiscard]] std::size_t samples_seen() const noexcept { return seen_; }
@@ -59,19 +79,20 @@ class EwmaDetector {
   void reset();
 
  private:
-  void window_values(std::vector<double>& values_newest_first) const;
+  struct Sample {
+    std::size_t seq;  ///< 0-based position in the pushed series
+    double value;     ///< nonzero
+  };
+
   void recompute_sums();
+  void drop_oldest(std::size_t count);
 
   EwmaConfig cfg_;
-  std::vector<double> ring_;
-  std::vector<double> weights_;  ///< w_i, i = 0 newest
-  std::size_t head_{0};          ///< next write position
-  std::size_t size_{0};          ///< values currently retained
-  std::size_t nonzero_{0};       ///< nonzero values currently retained
+  const EwmaWeights* weights_;
+  std::vector<Sample> samples_;  ///< retained nonzero samples from head_ on
+  std::size_t head_{0};          ///< oldest retained entry of samples_
   std::size_t seen_{0};
   // O(1) running weighted moments (renormalised periodically for drift).
-  double decay_{1.0};
-  double oldest_weight_{0.0};
   double weighted_sum_{0.0};
   double weighted_sq_sum_{0.0};
   double weight_total_{0.0};

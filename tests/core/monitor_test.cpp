@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/pipeline.hpp"
 #include "corpus.hpp"
+#include "obs/metrics.hpp"
 
 namespace bw::core {
 namespace {
@@ -160,6 +163,99 @@ TEST_F(MonitorTest, BusyBlackholeIsNotZombie) {
   }
   monitor.advance(util::kHour + 3 * util::kDay);
   EXPECT_EQ(count(AlertKind::kZombieSuspect), 0u);
+}
+
+// A flow into a /24 nested in a tracked /22 belongs to the /24, whichever
+// of the two was announced first: the /24 collects the packets, and only
+// the silent /22 is a zombie suspect.
+class NestedPrefixTest : public MonitorTest,
+                         public ::testing::WithParamInterface<bool> {};
+
+TEST_P(NestedPrefixTest, FlowChargedToLongestCoveringPrefix) {
+  const bool narrow_first = GetParam();
+  auto monitor = make_monitor(default_config());
+  ixp::BlackholeService svc;
+  const net::Prefix wide(net::Ipv4(24, 0, 0, 0), 22);
+  const net::Prefix narrow(net::Ipv4(24, 0, 1, 0), 24);
+  for (const auto& prefix : narrow_first ? std::vector{narrow, wide}
+                                         : std::vector{wide, narrow}) {
+    monitor.on_update(svc.make_announce(util::kHour, 64500, 65000, prefix));
+  }
+  const net::Ipv4 host(24, 0, 1, 5);
+  for (int i = 0; i < 20; ++i) {
+    monitor.on_flow(sample(util::kHour + i * util::kMinute, host, true));
+  }
+  monitor.advance(util::kHour + 3 * util::kDay);
+  ASSERT_EQ(count(AlertKind::kZombieSuspect), 1u);
+  for (const auto& a : alerts_) {
+    if (a.kind == AlertKind::kZombieSuspect) {
+      EXPECT_EQ(a.prefix, wide);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AnnounceOrder, NestedPrefixTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& order) {
+                           return order.param ? "NarrowFirst" : "WideFirst";
+                         });
+
+TEST_F(MonitorTest, SweepSkipsMinutesWithNothingDue) {
+  // One open event that can neither end (still announced) nor turn zombie
+  // (enough packets): three days of once-a-minute traffic elsewhere must
+  // not visit it every minute. At most the sweep at its original zombie
+  // deadline looks at it, and that sweep finds nothing left due.
+  auto monitor = make_monitor(default_config());
+  auto& registry = obs::Registry::global();
+  const std::uint64_t sweeps0 = registry.counter("monitor.sweeps").value();
+  const std::uint64_t visits0 =
+      registry.counter("monitor.sweep_visits").value();
+  const net::Ipv4 victim(24, 0, 0, 9);
+  monitor.on_update(announce(util::kHour, victim));
+  for (int i = 0; i < 20; ++i) {
+    monitor.on_flow(sample(util::kHour + i * util::kSecond, victim, true));
+  }
+  const int minutes = 3 * 24 * 60;
+  for (int m = 1; m <= minutes; ++m) {
+    monitor.on_flow(sample(util::kHour + m * util::kMinute,
+                           net::Ipv4(24, 1, 0, static_cast<std::uint8_t>(m)),
+                           false));
+  }
+  EXPECT_EQ(monitor.active_events(), 1u);
+  EXPECT_EQ(count(AlertKind::kZombieSuspect), 0u);
+  EXPECT_LE(registry.counter("monitor.sweep_visits").value() - visits0, 1u);
+  EXPECT_LE(registry.counter("monitor.sweeps").value() - sweeps0, 1u);
+
+  // A withdrawal makes the event due again: it ends on schedule.
+  const util::TimeMs withdrawn = util::kHour + (minutes + 1) * util::kMinute;
+  monitor.on_update(withdraw(withdrawn, victim));
+  for (int m = 1; m <= 30; ++m) {
+    monitor.on_flow(sample(withdrawn + m * util::kMinute,
+                           net::Ipv4(24, 2, 0, static_cast<std::uint8_t>(m)),
+                           false));
+    const bool past_merge = m * util::kMinute > default_config().merge_delta;
+    ASSERT_EQ(count(AlertKind::kEventEnded), past_merge ? 1u : 0u)
+        << "minute " << m;
+  }
+  EXPECT_GE(registry.counter("monitor.sweeps").value() - sweeps0, 1u);
+}
+
+TEST_F(MonitorTest, UnboundedDelaysNeverComeDue) {
+  // Delays at the top of the time range mean "never": the due time of an
+  // open event saturates instead of overflowing, and no check fires.
+  auto cfg = default_config();
+  cfg.zombie_after = std::numeric_limits<util::DurationMs>::max();
+  cfg.merge_delta = std::numeric_limits<util::DurationMs>::max();
+  auto monitor = make_monitor(cfg);
+  const net::Ipv4 zombie(24, 0, 0, 10);
+  const net::Ipv4 withdrawn(24, 0, 0, 11);
+  monitor.on_update(announce(util::kHour, zombie));
+  monitor.on_update(announce(util::kHour, withdrawn));
+  monitor.on_update(withdraw(2 * util::kHour, withdrawn));
+  monitor.advance(util::days(30));
+  EXPECT_EQ(count(AlertKind::kZombieSuspect), 0u);
+  EXPECT_EQ(count(AlertKind::kEventEnded), 0u);
+  EXPECT_EQ(monitor.active_events(), 2u);
 }
 
 TEST_F(MonitorTest, FinishClosesOpenEvents) {

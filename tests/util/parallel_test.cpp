@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/ewma.hpp"
+
 namespace bw::util {
 namespace {
 
@@ -105,6 +107,28 @@ TEST(ParallelForTest, NestedUseInsideSubmittedTask) {
     return sum;
   });
   EXPECT_EQ(f.get(), 500L * 499 / 2);
+}
+
+TEST(ParallelForTest, EwmaDetectorsShareWeightTablesAcrossThreads) {
+  // EWMA detectors share one process-wide weight table per window length,
+  // built on first use. The windows here are used by no other test, so
+  // the first constructions race on pool workers (as pre_rtbh's do); under
+  // TSan this must be clean, and every detector must see the same table.
+  const auto run = [](std::size_t i) {
+    EwmaDetector det({.window = 301 + i % 16});
+    for (std::size_t s = 0; s < 2000; ++s) {
+      det.push((s * 7 + i) % 13 == 0 ? 5.0 + static_cast<double>(s % 3) : 0.0);
+    }
+    det.push_zeros(50);
+    return det.current_stddev();
+  };
+  ThreadPool pool(4);
+  std::vector<double> parallel(64);
+  parallel_for(pool, parallel.size(),
+               [&](std::size_t i) { parallel[i] = run(i); });
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    EXPECT_EQ(parallel[i], run(i)) << "detector " << i;
+  }
 }
 
 TEST(ParallelMapTest, ResultsAreInIndexOrderAtAnyThreadCount) {
