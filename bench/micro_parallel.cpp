@@ -1,12 +1,10 @@
 // Thread-scaling benchmarks for the parallel analysis engine.
 //
-// Three families:
+// Two families:
 //   BM_PipelineThreads/N   full run_pipeline over the default benchmark
 //                          corpus with an N-way pool (N = 1 is the exact
 //                          serial fallback)
 //   BM_ParallelForOverhead parallel_for dispatch cost on trivial bodies
-//   BM_FlowsTo*            legacy allocating flows_to() vs the
-//                          zero-allocation for_each_flow_to() iteration
 //
 // After the google-benchmark run, main() times run_pipeline once per
 // thread count and writes machine-readable $BW_CSV_DIR/BENCH_pipeline.json
@@ -71,40 +69,6 @@ void BM_ParallelForOverhead(benchmark::State& state) {
                           static_cast<std::int64_t>(out.size()));
 }
 BENCHMARK(BM_ParallelForOverhead)->Arg(0)->Arg(1)->Arg(3)->Arg(7);
-
-void BM_FlowsToLegacy(benchmark::State& state) {
-  const core::Dataset& dataset = corpus().dataset;
-  const auto events = core::merge_events(dataset.blackhole_updates(),
-                                         dataset.period().end);
-  std::size_t e = 0;
-  for (auto _ : state) {
-    const auto& ev = events[e++ % events.size()];
-    std::uint64_t packets = 0;
-    for (const std::size_t idx : dataset.flows_to(ev.prefix, ev.span)) {
-      packets += dataset.flows()[idx].packets;
-    }
-    benchmark::DoNotOptimize(packets);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlowsToLegacy);
-
-void BM_ForEachFlowTo(benchmark::State& state) {
-  const core::Dataset& dataset = corpus().dataset;
-  const auto events = core::merge_events(dataset.blackhole_updates(),
-                                         dataset.period().end);
-  std::size_t e = 0;
-  for (auto _ : state) {
-    const auto& ev = events[e++ % events.size()];
-    std::uint64_t packets = 0;
-    dataset.for_each_flow_to(
-        ev.prefix, ev.span,
-        [&](const flow::FlowRecord& rec) { packets += rec.packets; });
-    benchmark::DoNotOptimize(packets);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ForEachFlowTo);
 
 double time_pipeline_ms(const core::Dataset& dataset, std::size_t threads,
                         int repetitions) {

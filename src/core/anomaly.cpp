@@ -1,7 +1,6 @@
 #include "core/anomaly.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/flow_view.hpp"
 
@@ -26,69 +25,13 @@ std::size_t FeatureMatrix::slots_with_data() const {
   return n;
 }
 
-namespace {
-
-// Core of compute_features over any record source: `for_each_record`
-// invokes its callback once per candidate FlowRecord.
-template <typename ForEachRecord>
-FeatureMatrix compute_features_impl(util::TimeRange range,
-                                    util::DurationMs slot,
-                                    ForEachRecord&& for_each_record) {
-  FeatureMatrix m;
-  m.start = range.begin;
-  m.slot = std::max<util::DurationMs>(slot, 1);
-  const auto slots = static_cast<std::size_t>(
-      std::max<util::TimeMs>((range.length() + m.slot - 1) / m.slot, 0));
-  for (auto& s : m.series) s.assign(slots, 0.0);
-  if (slots == 0) return m;
-
-  struct SlotSets {
-    std::unordered_set<std::uint32_t> sources;
-    std::unordered_set<std::uint32_t> dst_ports;
-  };
-  std::vector<SlotSets> sets(slots);
-
-  auto& packets = m.series[static_cast<std::size_t>(Feature::kPackets)];
-  auto& flows_f = m.series[static_cast<std::size_t>(Feature::kFlows)];
-  auto& non_tcp = m.series[static_cast<std::size_t>(Feature::kNonTcpFlows)];
-
-  for_each_record([&](const flow::FlowRecord& rec) {
-    if (!range.contains(rec.time)) return;
-    const auto s = static_cast<std::size_t>((rec.time - range.begin) / m.slot);
-    if (s >= slots) return;
-    packets[s] += static_cast<double>(rec.packets);
-    flows_f[s] += 1.0;
-    if (rec.proto != net::Proto::kTcp) non_tcp[s] += 1.0;
-    sets[s].sources.insert(rec.src_ip.value());
-    sets[s].dst_ports.insert(rec.dst_port);
-  });
-  auto& sources = m.series[static_cast<std::size_t>(Feature::kUniqueSources)];
-  auto& ports = m.series[static_cast<std::size_t>(Feature::kUniqueDstPorts)];
-  for (std::size_t s = 0; s < slots; ++s) {
-    sources[s] = static_cast<double>(sets[s].sources.size());
-    ports[s] = static_cast<double>(sets[s].dst_ports.size());
-  }
-  return m;
-}
-
-}  // namespace
-
 FeatureMatrix compute_features(const Dataset& dataset,
                                const net::Prefix& prefix,
                                util::TimeRange range, util::DurationMs slot,
-                               KernelEngine engine) {
-  if (engine == KernelEngine::kRecords) {
-    // Stream matching records straight off the sorted destination index
-    // (the seed path, kept as the equivalence oracle).
-    return compute_features_impl(range, slot, [&](auto&& visit) {
-      dataset.for_each_flow_to(prefix, range, visit);
-    });
-  }
-
-  // Columnar engine. Sums accumulate in the exact row order the records
-  // engine visits, so the doubles are bit-identical; unique counts are done
-  // by sort-unique over (slot << 32) | value keys instead of per-slot hash
-  // sets, which is both faster and order-independent.
+                               KernelEngine) {
+  // Sums accumulate in dst-row order; unique counts are done by sort-unique
+  // over (slot << 32) | value keys instead of per-slot hash sets, which is
+  // both faster and order-independent.
   static const KernelScanMetrics metrics = make_kernel_scan_metrics("anomaly");
   const obs::StopWatch watch;
   const FlowView view = dataset.view();
@@ -138,14 +81,6 @@ FeatureMatrix compute_features(const Dataset& dataset,
   metrics.rows->add(rows);
   metrics.ns->add(watch.elapsed_ns());
   return m;
-}
-
-FeatureMatrix compute_features(const flow::FlowLog& flows,
-                               const std::vector<std::size_t>& indices,
-                               util::TimeRange range, util::DurationMs slot) {
-  return compute_features_impl(range, slot, [&](auto&& visit) {
-    for (const std::size_t idx : indices) visit(flows[idx]);
-  });
 }
 
 int AnomalyScan::max_level() const {

@@ -44,12 +44,7 @@ struct FeatureMatrix {
 [[nodiscard]] FeatureMatrix compute_features(
     const Dataset& dataset, const net::Prefix& prefix, util::TimeRange range,
     util::DurationMs slot = kFeatureSlot,
-    KernelEngine engine = KernelEngine::kColumnar);
-
-/// Build the matrix from pre-fetched record indices (avoids re-querying).
-[[nodiscard]] FeatureMatrix compute_features(
-    const flow::FlowLog& flows, const std::vector<std::size_t>& indices,
-    util::TimeRange range, util::DurationMs slot = kFeatureSlot);
+    KernelEngine = KernelEngine::kColumnar);
 
 struct AnomalyScan {
   std::vector<int> level;  ///< per slot: number of anomalous features (0..5)

@@ -20,7 +20,7 @@ ClassificationReport classify_events(const Dataset& dataset,
                                      const std::vector<RtbhEvent>& events,
                                      const PreRtbhReport& pre,
                                      const ClassifyConfig& config,
-                                     KernelEngine engine) {
+                                     KernelEngine) {
   ClassificationReport report;
   report.events.reserve(events.size());
   std::set<net::Prefix> squat_prefixes;
@@ -36,17 +36,10 @@ ClassificationReport classify_events(const Dataset& dataset,
     ClassifiedEvent ce;
     ce.event_index = e;
     ce.duration = ev.span.length();
-    if (engine == KernelEngine::kColumnar) {
-      rows += view.for_each_dst_row(
-          ev.prefix, ev.span,
-          [&](const flow::FlowColumns& cols, std::size_t i) {
-            ce.sampled_packets += cols.packets[i];
-          });
-    } else {
-      dataset.for_each_flow_to(
-          ev.prefix, ev.span,
-          [&](const flow::FlowRecord& rec) { ce.sampled_packets += rec.packets; });
-    }
+    rows += view.for_each_dst_row(
+        ev.prefix, ev.span, [&](const flow::FlowColumns& cols, std::size_t i) {
+          ce.sampled_packets += cols.packets[i];
+        });
     const bool anomaly = e < pre.per_event.size()
                              ? pre.per_event[e].anomaly_within_10min
                              : false;
@@ -78,10 +71,8 @@ ClassificationReport classify_events(const Dataset& dataset,
     }
     report.events.push_back(ce);
   }
-  if (engine == KernelEngine::kColumnar) {
-    metrics.rows->add(rows);
-    metrics.ns->add(watch.elapsed_ns());
-  }
+  metrics.rows->add(rows);
+  metrics.ns->add(watch.elapsed_ns());
   report.squatting_prefixes = squat_prefixes.size();
   report.squatting_origin_as = squat_origins.size();
   return report;

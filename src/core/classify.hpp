@@ -63,6 +63,6 @@ struct ClassifyConfig {
 [[nodiscard]] ClassificationReport classify_events(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PreRtbhReport& pre, const ClassifyConfig& config = {},
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 }  // namespace bw::core

@@ -12,7 +12,7 @@ CollateralReport compute_collateral(const Dataset& dataset,
                                     std::uint32_t sampling_rate,
                                     util::ThreadPool* pool_opt,
                                     const util::Deadline* deadline,
-                                    KernelEngine engine) {
+                                    KernelEngine) {
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
   CollateralReport report;
 
@@ -44,37 +44,24 @@ CollateralReport compute_collateral(const Dataset& dataset,
       CollateralEvent ce;
       ce.server = server->ip;
       ce.event_index = e;
-      if (engine == KernelEngine::kColumnar) {
-        scanned += view.for_each_dst_row(
-            net::Prefix::host(server->ip), ev.span,
-            [&](const flow::FlowColumns& cols, std::size_t i) {
-          const net::ProtoPort pp{static_cast<net::Proto>(cols.proto[i]),
-                                  cols.dst_port[i]};
-          const bool to_top_port =
-              std::find(server->top_ports.begin(), server->top_ports.end(),
-                        pp) != server->top_ports.end();
-          if (!to_top_port) return;
-          ce.packets_to_top_ports += cols.packets[i];
-          if (cols.dropped(i)) ce.packets_actually_dropped += cols.packets[i];
-        });
-      } else {
-        dataset.for_each_flow_to(net::Prefix::host(server->ip), ev.span,
-                                 [&](const flow::FlowRecord& rec) {
-          const net::ProtoPort pp{rec.proto, rec.dst_port};
-          const bool to_top_port =
-              std::find(server->top_ports.begin(), server->top_ports.end(),
-                        pp) != server->top_ports.end();
-          if (!to_top_port) return;
-          ce.packets_to_top_ports += rec.packets;
-          if (rec.dropped()) ce.packets_actually_dropped += rec.packets;
-        });
-      }
+      scanned += view.for_each_dst_row(
+          net::Prefix::host(server->ip), ev.span,
+          [&](const flow::FlowColumns& cols, std::size_t i) {
+        const net::ProtoPort pp{static_cast<net::Proto>(cols.proto[i]),
+                                cols.dst_port[i]};
+        const bool to_top_port =
+            std::find(server->top_ports.begin(), server->top_ports.end(),
+                      pp) != server->top_ports.end();
+        if (!to_top_port) return;
+        ce.packets_to_top_ports += cols.packets[i];
+        if (cols.dropped(i)) ce.packets_actually_dropped += cols.packets[i];
+      });
       rows.push_back(ce);
     }
-    if (engine == KernelEngine::kColumnar) metrics.rows->add(scanned);
+    metrics.rows->add(scanned);
     return rows;
   }, 0, deadline);
-  if (engine == KernelEngine::kColumnar) metrics.ns->add(watch.elapsed_ns());
+  metrics.ns->add(watch.elapsed_ns());
 
   std::vector<CollateralEvent> rows;
   for (const auto& per : per_event) {

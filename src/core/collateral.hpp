@@ -47,6 +47,6 @@ struct CollateralReport {
     const PortStatsReport& stats, std::uint32_t sampling_rate = 10000,
     util::ThreadPool* pool = nullptr,
     const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 }  // namespace bw::core

@@ -285,18 +285,8 @@ std::optional<bgp::Asn> Dataset::origin_asn(net::Ipv4 src) const {
   return *asn;
 }
 
-std::vector<std::size_t> Dataset::flows_to(const net::Prefix& prefix,
-                                           util::TimeRange range) const {
-  std::vector<std::size_t> out;
-  scan_sorted_index(
-      by_dst_, prefix, range,
-      [](const flow::FlowRecord& r) { return r.dst_ip; },
-      [&](std::size_t idx, const flow::FlowRecord&) { out.push_back(idx); });
-  return out;
-}
-
 Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
-                                  KernelEngine engine) const {
+                                  KernelEngine) const {
   Summary s;
   s.control_updates = control_.size();
   s.blackhole_updates = blackhole_updates_.size();
@@ -306,85 +296,48 @@ Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
                        : data_.size();
 
   // Shard the volume sums over the pool; integer addition is associative,
-  // so the merged totals are exact at any thread count and identical under
-  // either engine (the columns are a permutation of the records).
+  // so the merged totals are exact at any thread count and in either
+  // residency mode (the chunks partition the rows the columns hold).
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
   struct Volume {
     std::uint64_t packets{0}, bytes{0}, dropped_packets{0}, dropped_bytes{0};
   };
+  const auto add_rows = [](Volume& v, const flow::FlowColumns& c,
+                           std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      v.packets += c.packets[i];
+      v.bytes += c.bytes[i];
+      if (c.dropped(i)) {
+        v.dropped_packets += c.packets[i];
+        v.dropped_bytes += c.bytes[i];
+      }
+    }
+  };
+  static const KernelScanMetrics metrics = make_kernel_scan_metrics("summary");
+  const obs::StopWatch watch;
+  std::vector<Volume> sums;
   if (store_ != nullptr) {
     // Chunked mode: one shard per chunk, each served from the store's
-    // shared chunk cache (decoded once on a miss) and summed independently.
-    // Chunks partition the same rows the in-RAM columns hold, so the totals
-    // are unchanged.
-    static const KernelScanMetrics metrics =
-        make_kernel_scan_metrics("summary");
-    const obs::StopWatch watch;
-    const std::vector<Volume> chunk_sums =
-        util::parallel_map(pool, store_->chunk_count(), [&](std::size_t k) {
-          Volume v;
-          const std::shared_ptr<const store::ChunkData> ch = store_->chunk(k);
-          const flow::FlowColumns& c = ch->cols;
-          for (std::size_t i = 0; i < c.size(); ++i) {
-            v.packets += c.packets[i];
-            v.bytes += c.bytes[i];
-            if (c.dropped(i)) {
-              v.dropped_packets += c.packets[i];
-              v.dropped_bytes += c.bytes[i];
-            }
-          }
-          return v;
-        });
-    metrics.rows->add(store_->flow_count());
-    metrics.ns->add(watch.elapsed_ns());
-    for (const Volume& v : chunk_sums) {
-      s.sampled_packets += v.packets;
-      s.sampled_bytes += v.bytes;
-      s.dropped_packets += v.dropped_packets;
-      s.dropped_bytes += v.dropped_bytes;
-    }
-    return s;
-  }
-  const std::size_t shards =
-      std::clamp<std::size_t>(data_.size() / 65536, 1, 64);
-  const std::size_t shard_len = (data_.size() + shards - 1) / shards;
-  std::vector<Volume> sums;
-  if (engine == KernelEngine::kColumnar) {
-    static const KernelScanMetrics metrics = make_kernel_scan_metrics("summary");
-    const obs::StopWatch watch;
-    const std::uint32_t* const packets = columns_.packets.data();
-    const std::uint64_t* const bytes = columns_.bytes.data();
-    sums = util::parallel_map(pool, shards, [&](std::size_t k) {
+    // shared chunk cache (decoded once on a miss).
+    sums = util::parallel_map(pool, store_->chunk_count(), [&](std::size_t k) {
       Volume v;
-      const std::size_t end = std::min(columns_.size(), (k + 1) * shard_len);
-      for (std::size_t i = k * shard_len; i < end; ++i) {
-        v.packets += packets[i];
-        v.bytes += bytes[i];
-        if (columns_.dropped(i)) {
-          v.dropped_packets += packets[i];
-          v.dropped_bytes += bytes[i];
-        }
-      }
+      const std::shared_ptr<const store::ChunkData> ch = store_->chunk(k);
+      add_rows(v, ch->cols, 0, ch->cols.size());
       return v;
     });
-    metrics.rows->add(columns_.size());
-    metrics.ns->add(watch.elapsed_ns());
   } else {
+    const std::size_t n = columns_.size();
+    const std::size_t shards = std::clamp<std::size_t>(n / 65536, 1, 64);
+    const std::size_t shard_len = (n + shards - 1) / shards;
     sums = util::parallel_map(pool, shards, [&](std::size_t k) {
       Volume v;
-      const std::size_t end = std::min(data_.size(), (k + 1) * shard_len);
-      for (std::size_t i = k * shard_len; i < end; ++i) {
-        const auto& r = data_[i];
-        v.packets += r.packets;
-        v.bytes += r.bytes;
-        if (r.dropped()) {
-          v.dropped_packets += r.packets;
-          v.dropped_bytes += r.bytes;
-        }
-      }
+      add_rows(v, columns_, std::min(n, k * shard_len),
+               std::min(n, (k + 1) * shard_len));
       return v;
     });
   }
+  metrics.rows->add(s.flow_records);
+  metrics.ns->add(watch.elapsed_ns());
   for (const Volume& v : sums) {
     s.sampled_packets += v.packets;
     s.sampled_bytes += v.bytes;

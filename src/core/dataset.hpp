@@ -4,12 +4,11 @@
 // BGP log (control plane), the sampled flow log (data plane), the MAC ->
 // member-AS mapping of the switching fabric, and a BGP-derived source-IP ->
 // origin-AS resolver. It additionally builds the indices every analysis
-// module needs: the route-server blackhole activity index, a flow index
-// sorted by destination, and the columnar flow view (flow/columns.hpp)
-// whose src-ordered columns serve source-address scans.
+// module needs: the route-server blackhole activity index and the columnar
+// flow view (flow/columns.hpp), whose dst-ordered rows serve destination
+// scans and whose src-ordered columns serve source-address scans.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -97,9 +96,9 @@ class Dataset {
   [[nodiscard]] const bgp::UpdateLog& control() const noexcept {
     return control_;
   }
-  /// The materialized flow log. Empty in chunked (out-of-core) mode — use
-  /// view() / for_each_flow_to there; record-engine paths that need the
-  /// whole log at once (replay, CSV export) require a materializing load.
+  /// The materialized flow log, in time order. Empty in chunked
+  /// (out-of-core) mode; the analysis kernels read view() instead, and the
+  /// record walkers (replay, CSV export) require a materializing load.
   [[nodiscard]] const flow::FlowLog& flows() const noexcept { return data_; }
   [[nodiscard]] util::TimeRange period() const noexcept { return period_; }
 
@@ -160,41 +159,6 @@ class Dataset {
     return store_.get();
   }
 
-  // --- flow indices ---
-  /// Indices (into flows()) of records destined to `prefix` within `range`,
-  /// ordered by (dst_ip, time).
-  [[nodiscard]] std::vector<std::size_t> flows_to(const net::Prefix& prefix,
-                                                  util::TimeRange range) const;
-  /// All records to an exact address over the whole period.
-  [[nodiscard]] std::vector<std::size_t> flows_to(net::Ipv4 addr) const {
-    return flows_to(net::Prefix::host(addr), period_);
-  }
-
-  /// Allocation-free variant of flows_to: invoke
-  /// `fn(const flow::FlowRecord&)` for every matching record, in the same
-  /// (dst_ip, time) order the vector-returning version uses, without
-  /// materialising an index vector. This is the hot-kernel iteration API;
-  /// prefer it anywhere the indices themselves are not needed.
-  template <typename Fn>
-  void for_each_flow_to(const net::Prefix& prefix, util::TimeRange range,
-                        Fn&& fn) const {
-    if (store_ != nullptr) {
-      // Chunked mode: reconstruct records from the pruned chunk scan. The
-      // per-chunk dst order concatenated in chunk order is exactly the
-      // global (dst_ip, time, index) order of by_dst_, so the visit order
-      // (and with it every downstream accumulation) is unchanged.
-      store_->scan_dst(prefix, range,
-                       [&](const store::ChunkData& chunk, std::size_t i) {
-                         fn(store_->record_at(chunk, i));
-                       });
-      return;
-    }
-    scan_sorted_index(
-        by_dst_, prefix, range,
-        [](const flow::FlowRecord& r) { return r.dst_ip; },
-        [&](std::size_t, const flow::FlowRecord& rec) { fn(rec); });
-  }
-
   // --- persistence (binary .bwds v3) ---
   /// The Status carries what failed and where (path, magic, truncation
   /// point). try_save writes the chunked .bwds v3 format (column chunks +
@@ -232,10 +196,10 @@ class Dataset {
     std::uint64_t dropped_bytes{0};
   };
   /// Corpus totals; the volume sums shard over `pool` (null: the global
-  /// pool) and are exact at any thread count and under either engine.
+  /// pool) and are exact at any thread count and in either residency mode.
   [[nodiscard]] Summary summary(
       util::ThreadPool* pool = nullptr,
-      KernelEngine engine = KernelEngine::kColumnar) const;
+      KernelEngine = KernelEngine::kColumnar) const;
 
  private:
   /// Chunked-open shell; fields are filled by try_open_chunked.
@@ -265,39 +229,6 @@ class Dataset {
   void replay_blackholes();
   std::unordered_map<net::Mac, std::uint32_t> member_id_map();
 
-  /// Range-scan an (ip, time)-sorted index: binary-search the address run
-  /// covered by the prefix, then visit it in order. For a single-address
-  /// prefix the run is time-sorted, so the half-open time window is itself
-  /// located by binary search and the per-record time predicate disappears
-  /// — hosts with long histories no longer pay a full-run scan per
-  /// narrow-window event. Calls `fn(flow_index, record)`.
-  template <typename GetIp, typename Fn>
-  void scan_sorted_index(const std::vector<std::size_t>& index,
-                         const net::Prefix& prefix, util::TimeRange range,
-                         GetIp get_ip, Fn&& fn) const {
-    const net::Ipv4 lo = prefix.network();
-    const net::Ipv4 hi = prefix.address_at(prefix.size() - 1);
-    auto begin = std::lower_bound(
-        index.begin(), index.end(), lo,
-        [&](std::size_t i, net::Ipv4 v) { return get_ip(data_[i]) < v; });
-    auto end = std::upper_bound(
-        begin, index.end(), hi,
-        [&](net::Ipv4 v, std::size_t i) { return v < get_ip(data_[i]); });
-    if (prefix.length() == 32) {
-      const auto by_time = [&](std::size_t i, util::TimeMs t) {
-        return data_[i].time < t;
-      };
-      begin = std::lower_bound(begin, end, range.begin, by_time);
-      end = std::lower_bound(begin, end, range.end, by_time);
-      for (auto it = begin; it != end; ++it) fn(*it, data_[*it]);
-      return;
-    }
-    for (auto it = begin; it != end; ++it) {
-      const flow::FlowRecord& rec = data_[*it];
-      if (range.contains(rec.time)) fn(*it, rec);
-    }
-  }
-
   bgp::UpdateLog control_;
   flow::FlowLog data_;
   std::unordered_map<net::Mac, bgp::Asn> mac_to_asn_;
@@ -308,7 +239,9 @@ class Dataset {
   bgp::UpdateLog blackhole_updates_;
   bgp::BlackholeIndex rs_index_;
   net::FlatLpm<bgp::Asn> origin_lpm_;
-  std::vector<std::size_t> by_dst_;  ///< flow indices sorted by (dst, time)
+  /// flows() positions in dst-row order; try_save reads the MAC ids and
+  /// orig_pos of each dst row through it.
+  std::vector<std::size_t> by_dst_;
   std::vector<bgp::Asn> source_as_;  ///< ascending unique member source ASes
   flow::FlowColumns columns_;  ///< SoA view in (dst, time) / (src, time) order
   /// Non-null in chunked mode: the on-disk v3 store flows are read from.

@@ -34,38 +34,18 @@ DropRateReport compute_drop_rates(const Dataset& dataset,
                                   const DropRateConfig& config,
                                   util::ThreadPool* pool_opt,
                                   const util::Deadline* deadline,
-                                  KernelEngine engine) {
+                                  KernelEngine) {
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
-  DropRateReport report;
 
-  // Records engine: walk the AoS log via the sorted index (the seed path).
-  const auto records_delta = [&](std::size_t e) {
-    const auto& ev = events[e];
-    // The shared tally hoists the per-length stats slot and the /32 check
-    // out of the per-record loop — and is the exact accumulator the
-    // streaming incremental kernel uses, so the two cannot drift.
-    DropEventTally tally;
-    tally.init(ev.prefix.length());
-    for (const auto& active : ev.active) {
-      dataset.for_each_flow_to(ev.prefix, active,
-                               [&](const flow::FlowRecord& rec) {
-        tally.add(rec.packets, rec.bytes, rec.dropped(),
-                  tally.host_event ? dataset.member_asn(rec.src_mac)
-                                   : std::nullopt);
-      });
-    }
-    return tally.delta();
-  };
-
-  // Columnar engine: per-source accumulation over flat arena arrays indexed
-  // by dense member id. Dense ids ascend with ASN (Dataset::source_as), so
-  // the emitted source list matches the records engine's std::map order;
-  // the "seen" bitset reproduces map-entry creation even for zero-packet
-  // records.
+  // Per-source accumulation over flat arena arrays indexed by dense member
+  // id. Dense ids ascend with ASN (Dataset::source_as), so the emitted
+  // source list is in ascending-ASN order, as DropEventTally::delta emits
+  // it; the "seen" bitset creates a source entry even for zero-packet
+  // records, as DropEventTally::add does.
   const FlowView view = dataset.view();
   const std::size_t n_src = dataset.source_as_count();
   static const KernelScanMetrics metrics = make_kernel_scan_metrics("drop_rate");
-  const auto columnar_delta = [&](std::size_t e) {
+  const auto event_delta = [&](std::size_t e) {
     thread_local util::Arena arena;
     arena.reset();
     const auto& ev = events[e];
@@ -123,14 +103,9 @@ DropRateReport compute_drop_rates(const Dataset& dataset,
 
   const obs::StopWatch watch;
   const auto deltas =
-      engine == KernelEngine::kColumnar
-          ? util::parallel_map(pool, events.size(), columnar_delta, 0, deadline)
-          : util::parallel_map(pool, events.size(), records_delta, 0, deadline);
-  if (engine == KernelEngine::kColumnar) metrics.ns->add(watch.elapsed_ns());
-
-  report = assemble_drop_rate_report(deltas, config,
-                                     dataset.mac_table().size());
-  return report;
+      util::parallel_map(pool, events.size(), event_delta, 0, deadline);
+  metrics.ns->add(watch.elapsed_ns());
+  return assemble_drop_rate_report(deltas, config, dataset.mac_table().size());
 }
 
 DropRateReport assemble_drop_rate_report(

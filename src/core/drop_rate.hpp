@@ -86,11 +86,11 @@ struct DropEventDelta {
   std::vector<SourceAsReaction> sources;
 };
 
-/// Per-event accumulation shared by the batch records engine and the
-/// streaming incremental kernel: same add() per record, same flatten, so
-/// the two paths cannot drift apart numerically. A source entry is created
-/// for *every* attributed record from a known member — even a zero-packet
-/// one — matching the batch map-entry semantics.
+/// Per-event accumulation of the streaming incremental kernel, also fed by
+/// the naive reference kernels in tests/core/reference_kernels.cpp: same
+/// add() per record, same flatten. A source entry is created for *every*
+/// attributed record from a known member — even a zero-packet one — which
+/// the batch kernel's "seen" bitset reproduces.
 struct DropEventTally {
   PrefixLenDropStats stats;
   std::uint64_t ev_total{0};
@@ -128,7 +128,7 @@ struct DropEventTally {
 
 /// Merge per-event deltas — in event order — into the final report: the
 /// by-length totals, the Fig. 6 per-event rate distributions and the
-/// sorted /32 source list. Shared by both batch engines and the streaming
+/// sorted /32 source list. Shared by the batch kernel and the streaming
 /// incremental kernel so a rolling snapshot's drop section is assembled by
 /// the same code as the batch report's. `source_reserve` pre-sizes the
 /// source merge map (pass the member-table size when known).
@@ -144,7 +144,7 @@ struct DropEventTally {
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const DropRateConfig& config = {}, util::ThreadPool* pool = nullptr,
     const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 /// Fig. 7 summary: of the top `top_n` sources, how many drop > 99%, how
 /// many forward > 99%, and how many do both (inconsistent).

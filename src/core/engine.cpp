@@ -2,14 +2,6 @@
 
 namespace bw::core {
 
-std::string_view to_string(KernelEngine engine) {
-  switch (engine) {
-    case KernelEngine::kColumnar: return "columnar";
-    case KernelEngine::kRecords: return "records";
-  }
-  return "unknown";
-}
-
 KernelScanMetrics make_kernel_scan_metrics(std::string_view kernel) {
   auto& reg = obs::Registry::global();
   const std::string base = "kernel." + std::string(kernel);

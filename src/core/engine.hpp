@@ -1,11 +1,7 @@
-// Kernel execution engine selection and per-kernel scan instrumentation.
+// Per-kernel scan instrumentation, plus the vestigial KernelEngine tag.
 //
-// Every hot analysis kernel exists twice: the columnar engine scans the
-// Dataset's structure-of-arrays flow view (flow/columns.hpp), the records
-// engine walks the AoS FlowRecord log the way the seed implementation did.
-// Both produce byte-identical reports — the records engine is kept as the
-// correctness oracle for the golden-equivalence tests and as the fallback
-// for ad-hoc analyses that need fields the columns do not carry.
+// Every analysis kernel has one implementation: a columnar scan through
+// core::FlowView, which serves in-RAM and out-of-core datasets alike.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +11,13 @@
 
 namespace bw::core {
 
-enum class KernelEngine : std::uint8_t {
-  kColumnar,  ///< structure-of-arrays scans (default, fast path)
-  kRecords,   ///< AoS FlowRecord scans (seed-equivalent oracle)
-};
-
-[[nodiscard]] std::string_view to_string(KernelEngine engine);
+/// Placeholder with no effect. The kernels used to choose between a
+/// columnar and a records implementation; only the columnar one is left.
+/// The kernels still accept it as an unnamed trailing parameter because
+/// the performance ledger (ledger/harness.cpp) passes kColumnar, and
+/// ledger/ changes only together with its benchmark definition. The next
+/// benchmark change drops the argument there and deletes this type.
+enum class KernelEngine : std::uint8_t { kColumnar };
 
 /// Per-kernel scan counters, registered as kernel.<name>.scan_rows and
 /// kernel.<name>.scan_ns. Rows counts resolved range sizes and is invariant

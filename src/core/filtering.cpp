@@ -9,7 +9,7 @@ FilteringReport compute_filtering(const Dataset& dataset,
                                   const std::vector<RtbhEvent>& events,
                                   const PreRtbhReport& pre,
                                   double full_threshold,
-                                  KernelEngine engine) {
+                                  KernelEngine) {
   FilteringReport report;
   report.threshold = full_threshold;
 
@@ -26,37 +26,23 @@ FilteringReport compute_filtering(const Dataset& dataset,
     const auto& ev = events[e];
     std::uint64_t total = 0;
     std::uint64_t matched = 0;
-    if (engine == KernelEngine::kColumnar) {
-      rows += view.for_each_dst_row(
-          ev.prefix, ev.span,
-          [&](const flow::FlowColumns& cols, std::size_t i) {
-            const std::uint64_t pk = cols.packets[i];
-            total += pk;
-            if (cols.proto[i] == kUdp &&
-                net::amplification_port_index(cols.src_port[i]) !=
-                    net::kNoAmplificationPort) {
-              matched += pk;
-            }
-          });
-    } else {
-      dataset.for_each_flow_to(ev.prefix, ev.span,
-                               [&](const flow::FlowRecord& rec) {
-        total += rec.packets;
-        if (rec.proto == net::Proto::kUdp &&
-            net::is_amplification_port(rec.src_port)) {
-          matched += rec.packets;
-        }
-      });
-    }
+    rows += view.for_each_dst_row(
+        ev.prefix, ev.span, [&](const flow::FlowColumns& cols, std::size_t i) {
+          const std::uint64_t pk = cols.packets[i];
+          total += pk;
+          if (cols.proto[i] == kUdp &&
+              net::amplification_port_index(cols.src_port[i]) !=
+                  net::kNoAmplificationPort) {
+            matched += pk;
+          }
+        });
     if (total == 0) continue;
     ++report.events_considered;
     report.coverage.push_back(static_cast<double>(matched) /
                               static_cast<double>(total));
   }
-  if (engine == KernelEngine::kColumnar) {
-    metrics.rows->add(rows);
-    metrics.ns->add(watch.elapsed_ns());
-  }
+  metrics.rows->add(rows);
+  metrics.ns->add(watch.elapsed_ns());
 
   if (!report.coverage.empty()) {
     std::size_t full = 0;

@@ -26,6 +26,6 @@ struct FilteringReport {
 [[nodiscard]] FilteringReport compute_filtering(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PreRtbhReport& pre, double full_threshold = 0.95,
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 }  // namespace bw::core

@@ -25,7 +25,7 @@ struct AsParticipation {
 
 struct ParticipationReport {
   std::size_t attacks{0};  ///< amplification attacks considered
-  /// Sorted by descending event share.
+  /// Sorted by descending event share, tied shares by ascending ASN.
   std::vector<AsParticipation> handover;
   std::vector<AsParticipation> origins;
   double avg_amplifiers_per_attack{0.0};
@@ -33,6 +33,8 @@ struct ParticipationReport {
   double avg_origins_per_attack{0.0};
 };
 
+/// Over the attack-correlated events (preceding anomaly within 10 minutes)
+/// that carry amplification traffic.
 [[nodiscard]] ParticipationReport compute_participation(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PreRtbhReport& pre);

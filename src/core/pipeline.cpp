@@ -75,12 +75,6 @@ AnalysisReport run_pipeline(const Dataset& dataset,
   AnalysisReport report;
   report.data_quality.dataset = dataset.quality();
 
-  // Chunked datasets have no materialized AoS log, so the records engine
-  // cannot run; the columnar kernels serve both residency modes with
-  // byte-identical output, making the override safe.
-  const KernelEngine engine =
-      dataset.chunked() ? KernelEngine::kColumnar : config.engine;
-
   // Per-stage isolation: each stage body runs inside a guard that converts
   // an escaped exception into a degraded StageStatus. The stage's report
   // section stays default-constructed; every other stage still runs. Each
@@ -143,7 +137,7 @@ AnalysisReport run_pipeline(const Dataset& dataset,
   // the pre-RTBH scan (the heaviest kernel) fans events out internally.
   auto summary_done = pool.submit([&] {
     guarded(0, [&](const util::Deadline&) {
-      report.summary = dataset.summary(&pool, engine);
+      report.summary = dataset.summary(&pool);
     });
   });
   guarded(1, [&](const util::Deadline&) {
@@ -152,8 +146,7 @@ AnalysisReport run_pipeline(const Dataset& dataset,
   });
   const std::vector<RtbhEvent>& events = report.events;
   guarded(2, [&](const util::Deadline& dl) {
-    report.pre = compute_pre_rtbh(dataset, events, config.pre, &pool, &dl,
-                                  engine);
+    report.pre = compute_pre_rtbh(dataset, events, config.pre, &pool, &dl);
   });
 
   // Stage graph: with events and the pre-RTBH report fixed, the remaining
@@ -165,20 +158,19 @@ AnalysisReport run_pipeline(const Dataset& dataset,
   // submit() runs inline, reproducing the sequential stage order exactly.
   auto drop_done = pool.submit([&] {
     guarded(3, [&](const util::Deadline& dl) {
-      report.drop = compute_drop_rates(dataset, events, config.drop, &pool,
-                                       &dl, engine);
+      report.drop =
+          compute_drop_rates(dataset, events, config.drop, &pool, &dl);
     });
   });
   auto protocols_done = pool.submit([&] {
     guarded(4, [&](const util::Deadline&) {
       report.protocols = compute_protocol_mix(dataset, events, report.pre,
-                                              config.protocols, engine);
+                                              config.protocols);
     });
   });
   auto filtering_done = pool.submit([&] {
     guarded(5, [&](const util::Deadline&) {
-      report.filtering = compute_filtering(dataset, events, report.pre, 0.95,
-                                           engine);
+      report.filtering = compute_filtering(dataset, events, report.pre, 0.95);
     });
   });
   auto participation_done = pool.submit([&] {
@@ -188,17 +180,17 @@ AnalysisReport run_pipeline(const Dataset& dataset,
   });
   auto victims_done = pool.submit([&] {
     guarded(7, [&](const util::Deadline& dl) {
-      report.ports = compute_port_stats(dataset, events, config.ports, &pool,
-                                        &dl, engine);
+      report.ports =
+          compute_port_stats(dataset, events, config.ports, &pool, &dl);
       report.radviz = radviz_projection(report.ports, config.ports.min_days);
       report.collateral =
           compute_collateral(dataset, events, report.ports,
-                             config.sampling_rate, &pool, &dl, engine);
+                             config.sampling_rate, &pool, &dl);
     });
   });
   guarded(8, [&](const util::Deadline&) {
     report.classes = classify_events(dataset, events, report.pre,
-                                     config.classify, engine);
+                                     config.classify);
   });
 
   summary_done.get();

@@ -38,11 +38,6 @@ struct AnalysisConfig {
   PortStatsConfig ports{};
   ClassifyConfig classify{};
   std::uint32_t sampling_rate{10000};
-  /// Kernel engine for every analysis stage. kColumnar (the default) runs
-  /// the SoA scan kernels; kRecords runs the original AoS path. Both
-  /// produce byte-identical reports — kRecords exists as the equivalence
-  /// oracle and fallback.
-  KernelEngine engine{KernelEngine::kColumnar};
   /// Thread pool for the stage graph and the per-event kernels; null uses
   /// the process-wide pool (sized by $BW_THREADS). The report is identical
   /// for every pool size.

@@ -1,7 +1,6 @@
 #include "core/port_accum.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 namespace bw::core {
@@ -50,18 +49,6 @@ void PortSet::insert(net::Port port) {
   size_ = 0;
   for (const std::uint16_t p : sorted) set_bit(p);
   set_bit(port);
-}
-
-void PortSet::merge(const PortSet& other) {
-  if (other.is_bitmap()) {
-    for (std::size_t w = 0; w < other.words_.size(); ++w) {
-      for (unsigned bits = other.words_[w]; bits != 0; bits &= bits - 1) {
-        insert(static_cast<net::Port>(w << 4 | std::countr_zero(bits)));
-      }
-    }
-    return;
-  }
-  for (const std::uint16_t p : other.words_) insert(p);
 }
 
 void PortAccumulator::count_top(PortKey port) {
@@ -123,17 +110,6 @@ void PortAccumulator::add_out_day(std::int64_t day) {
   days_out_.insert(it, day);
   const auto dit = seek(days_in_, day, [](const Day& d) { return d.day; });
   if (dit != days_in_.end() && dit->day == day) ++bidir_days_;
-}
-
-void PortAccumulator::merge(const PortAccumulator& other) {
-  src_in_.merge(other.src_in_);
-  dst_in_.merge(other.dst_in_);
-  src_out_.merge(other.src_out_);
-  dst_out_.merge(other.dst_out_);
-  // Replaying the other side's tallies through the same per-record steps
-  // keeps every invariant without a second derivation.
-  for (const Tally& t : other.tallies_) add_day_port(t.day, t.port, t.packets);
-  for (const std::int64_t day : other.days_out_) add_out_day(day);
 }
 
 HostPortStats finalize_port_host(net::Ipv4 ip, std::optional<bgp::Asn> origin,

@@ -20,14 +20,14 @@
 // Both hot paths deliver a host's records in time order (the batch kernel
 // walks time-sorted dst/src runs, the streaming kernel commits in delivery
 // order), so a record almost always lands on the last day: the day lookups
-// check the back first, and new entries append. Out-of-order days (the
-// records engine's shard merge) insert in place and stay exact.
+// check the back first, and new entries append. Out-of-order days (late
+// stream deliveries) insert in place and stay exact.
 //
 // The accumulator keeps its derived state current as records arrive, so
 // finalize_port_host costs O(distinct top ports) however many days the
 // host has — a rolling snapshot finalizes every universe host it has to
-// re-render. Invariants, all maintained by add_inbound / add_outbound /
-// merge (the fields are private so no caller can break them):
+// re-render. Invariants, all maintained by add_inbound / add_outbound
+// (the fields are private so no caller can break them):
 //
 //   sorted      days_in, days_out, tallies and top_days are strictly
 //               increasing in their keys; every tally's day is in days_in
@@ -60,7 +60,6 @@ namespace bw::core {
 class PortSet {
  public:
   void insert(net::Port port);
-  void merge(const PortSet& other);
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
@@ -91,10 +90,6 @@ class PortAccumulator {
     dst_out_.insert(dst_port);
     add_out_day(day);
   }
-
-  /// Fold `other` in: the state afterwards equals that of one accumulator
-  /// fed both record sets, in any order (the records engine's shard merge).
-  void merge(const PortAccumulator& other);
 
  private:
   friend HostPortStats finalize_port_host(net::Ipv4 ip,

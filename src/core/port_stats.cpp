@@ -33,11 +33,6 @@ struct Exclusions {
   }
 };
 
-/// Shared with the streaming incremental kernel (core/port_accum.hpp); the
-/// rolling-report convergence contract requires both sides to accumulate
-/// and finalise identically.
-using Accumulator = PortAccumulator;
-
 }  // namespace
 
 PortStatsReport compute_port_stats(const Dataset& dataset,
@@ -45,7 +40,7 @@ PortStatsReport compute_port_stats(const Dataset& dataset,
                                    const PortStatsConfig& config,
                                    util::ThreadPool* pool_opt,
                                    const util::Deadline* deadline,
-                                   KernelEngine engine) {
+                                   KernelEngine) {
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
   PortStatsReport report;
 
@@ -79,115 +74,59 @@ PortStatsReport compute_port_stats(const Dataset& dataset,
   }
   report.blackholed_hosts_total = exclusions.size();
 
-  // Shared finaliser (core/port_accum.hpp): identical for both engines and
-  // for the streaming incremental kernel, so derived values (and therefore
-  // the rendered report) cannot diverge.
-  const auto finalize_host = [&config, &host_origin](net::Ipv4 ip,
-                                                     const Accumulator& a) {
-    return finalize_port_host(ip, host_origin.at(ip), a, config);
-  };
-
+  // Jump straight to each blackholed host's destination and source runs in
+  // the columns. A host appears in the report iff at least one
+  // non-excluded record touches it in either direction. The accumulator
+  // and its finaliser (core/port_accum.hpp) are shared with the streaming
+  // incremental kernel, so both sides derive identical rows.
+  static const KernelScanMetrics metrics =
+      make_kernel_scan_metrics("port_stats");
+  const obs::StopWatch watch;
+  const FlowView view = dataset.view();
   const util::TimeMs epoch = dataset.period().begin;
 
-  if (engine == KernelEngine::kColumnar) {
-    // Columnar engine: instead of scanning the whole log and hashing every
-    // record against the universe, jump straight to each blackholed host's
-    // destination and source runs in the columns. A host appears in the
-    // report iff at least one non-excluded record touches it in either
-    // direction — exactly the records engine's map-entry condition.
-    static const KernelScanMetrics metrics =
-        make_kernel_scan_metrics("port_stats");
-    const obs::StopWatch watch;
-    const FlowView view = dataset.view();
+  std::vector<net::Ipv4> universe;
+  universe.reserve(exclusions.size());
+  for (const auto& [ip, ex] : exclusions) universe.push_back(ip);
+  std::sort(universe.begin(), universe.end());
 
-    std::vector<net::Ipv4> universe;
-    universe.reserve(exclusions.size());
-    for (const auto& [ip, ex] : exclusions) universe.push_back(ip);
-    std::sort(universe.begin(), universe.end());
+  auto hosts = util::parallel_map(pool, universe.size(), [&](std::size_t u) {
+    const net::Ipv4 ip = universe[u];
+    const Exclusions& ex = exclusions.at(ip);
+    PortAccumulator a;
+    bool any = false;
 
-    auto hosts = util::parallel_map(pool, universe.size(), [&](std::size_t u) {
-      const net::Ipv4 ip = universe[u];
-      const Exclusions& ex = exclusions.at(ip);
-      Accumulator a;
-      bool any = false;
+    const std::uint64_t din = view.for_each_dst_run(
+        ip, [&](const flow::FlowColumns& cols, std::size_t i) {
+          if (ex.contains(cols.time[i])) return;
+          any = true;
+          const std::int64_t day =
+              util::slot_index(cols.time[i] - epoch, util::kDay);
+          a.add_inbound(day, cols.src_port[i],
+                        static_cast<net::Proto>(cols.proto[i]),
+                        cols.dst_port[i], cols.packets[i]);
+        });
 
-      const std::uint64_t din = view.for_each_dst_run(
-          ip, [&](const flow::FlowColumns& cols, std::size_t i) {
-            if (ex.contains(cols.time[i])) return;
-            any = true;
-            const std::int64_t day =
-                util::slot_index(cols.time[i] - epoch, util::kDay);
-            a.add_inbound(day, cols.src_port[i],
-                          static_cast<net::Proto>(cols.proto[i]),
-                          cols.dst_port[i], cols.packets[i]);
-          });
+    const std::uint64_t dout = view.for_each_src_run(
+        ip, [&](const flow::FlowColumns& cols, std::size_t i) {
+          if (ex.contains(cols.s_time[i])) return;
+          any = true;
+          const std::int64_t day =
+              util::slot_index(cols.s_time[i] - epoch, util::kDay);
+          a.add_outbound(day, cols.s_src_port[i], cols.s_dst_port[i]);
+        });
 
-      const std::uint64_t dout = view.for_each_src_run(
-          ip, [&](const flow::FlowColumns& cols, std::size_t i) {
-            if (ex.contains(cols.s_time[i])) return;
-            any = true;
-            const std::int64_t day =
-                util::slot_index(cols.s_time[i] - epoch, util::kDay);
-            a.add_outbound(day, cols.s_src_port[i], cols.s_dst_port[i]);
-          });
-
-      metrics.rows->add(din + dout);
-      return any ? std::optional<HostPortStats>(finalize_host(ip, a))
-                 : std::nullopt;
-    }, 0, deadline);
-
-    report.hosts.reserve(hosts.size());
-    for (auto& h : hosts) {
-      if (h) report.hosts.push_back(std::move(*h));
-    }
-    metrics.ns->add(watch.elapsed_ns());
-  } else {
-  // Pass over the flow log, attributing both directions. The log is
-  // sharded over the pool with one accumulator map per shard; shard
-  // boundaries depend only on the log size, and the set/sum merge below is
-  // order-insensitive, so the result is identical at any thread count.
-  const flow::FlowLog& flows = dataset.flows();
-  const std::size_t shards =
-      std::clamp<std::size_t>(flows.size() / 65536, 1, 64);
-  const std::size_t shard_len = (flows.size() + shards - 1) / shards;
-  auto shard_accs = util::parallel_map(pool, shards, [&](std::size_t k) {
-    std::unordered_map<net::Ipv4, Accumulator> acc;
-    const std::size_t end = std::min(flows.size(), (k + 1) * shard_len);
-    for (std::size_t i = k * shard_len; i < end; ++i) {
-      const auto& rec = flows[i];
-      const std::int64_t day = util::slot_index(rec.time - epoch, util::kDay);
-      if (auto it = exclusions.find(rec.dst_ip); it != exclusions.end()) {
-        if (!it->second.contains(rec.time)) {
-          acc[rec.dst_ip].add_inbound(day, rec.src_port, rec.proto,
-                                      rec.dst_port, rec.packets);
-        }
-      }
-      if (auto it = exclusions.find(rec.src_ip); it != exclusions.end()) {
-        if (!it->second.contains(rec.time)) {
-          acc[rec.src_ip].add_outbound(day, rec.src_port, rec.dst_port);
-        }
-      }
-    }
-    return acc;
+    metrics.rows->add(din + dout);
+    return any ? std::optional<HostPortStats>(finalize_port_host(
+                     ip, host_origin.at(ip), a, config))
+               : std::nullopt;
   }, 0, deadline);
 
-  std::unordered_map<net::Ipv4, Accumulator> acc;
-  acc.reserve(exclusions.size());
-  for (auto& shard : shard_accs) {
-    for (const auto& [ip, sa] : shard) acc[ip].merge(sa);
+  report.hosts.reserve(hosts.size());
+  for (auto& h : hosts) {
+    if (h) report.hosts.push_back(std::move(*h));
   }
-
-  // Finalise per host in sorted-address order (deterministic output and
-  // embarrassingly parallel).
-  std::vector<net::Ipv4> ips;
-  ips.reserve(acc.size());
-  for (const auto& [ip, a] : acc) ips.push_back(ip);
-  std::sort(ips.begin(), ips.end());
-
-  report.hosts = util::parallel_map(pool, ips.size(), [&](std::size_t i) {
-    return finalize_host(ips[i], acc.at(ips[i]));
-  }, 0, deadline);
-  }
+  metrics.ns->add(watch.elapsed_ns());
   for (const HostPortStats& h : report.hosts) {
     if (h.classification == HostClass::kUnclassified) continue;
     ++report.eligible_hosts;

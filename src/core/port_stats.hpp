@@ -70,7 +70,7 @@ struct PortStatsConfig {
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PortStatsConfig& config = {}, util::ThreadPool* pool = nullptr,
     const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 /// Table 4: origin-AS type distribution of detected clients and servers.
 struct AsnTypeRow {

@@ -9,7 +9,7 @@ PreRtbhReport compute_pre_rtbh(const Dataset& dataset,
                                const PreRtbhConfig& config,
                                util::ThreadPool* pool_opt,
                                const util::Deadline* deadline,
-                               KernelEngine engine) {
+                               KernelEngine) {
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
   PreRtbhReport report;
 
@@ -32,7 +32,7 @@ PreRtbhReport compute_pre_rtbh(const Dataset& dataset,
     window.begin = std::max(window.begin, dataset.period().begin);
 
     const FeatureMatrix features =
-        compute_features(dataset, ev.prefix, window, config.slot, engine);
+        compute_features(dataset, ev.prefix, window, config.slot);
     res.slots_with_data = features.slots_with_data();
     res.has_data = res.slots_with_data > 0;
 

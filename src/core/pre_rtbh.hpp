@@ -62,6 +62,6 @@ struct PreRtbhConfig {
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PreRtbhConfig& config = {}, util::ThreadPool* pool = nullptr,
     const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 }  // namespace bw::core

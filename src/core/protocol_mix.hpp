@@ -49,6 +49,6 @@ struct ProtocolMixConfig {
 [[nodiscard]] ProtocolMixReport compute_protocol_mix(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PreRtbhReport& pre, const ProtocolMixConfig& config = {},
-    KernelEngine engine = KernelEngine::kColumnar);
+    KernelEngine = KernelEngine::kColumnar);
 
 }  // namespace bw::core

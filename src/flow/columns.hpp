@@ -8,12 +8,13 @@
 // branch-light linear walk over contiguous uint32/uint64 columns that the
 // compiler can auto-vectorize.
 //
-// Invariants (what makes columnar results byte-identical to the AoS path):
+// Invariants (what keeps every report byte-identical across residency
+// modes and thread counts):
 //   - Row k of the dst-ordered columns is flows[by_dst[k]], where by_dst is
-//     sorted by (dst_ip, time, flow index). Scanning rows [lo, hi) ascending
-//     therefore visits records in exactly the order
-//     Dataset::for_each_flow_to delivers them — all accumulation orders,
-//     including non-associative double sums, are preserved.
+//     sorted by (dst_ip, time, flow index). This row order is the one visit
+//     order of every destination scan: the out-of-core store cuts its
+//     chunks from the same sequence (core/flow_view.hpp), so accumulation
+//     orders, including non-associative double sums, never change.
 //   - A single-address (/32) run is time-sorted, so a half-open time window
 //     is a contiguous sub-run: resolve_dst binary-searches it and the time
 //     predicate disappears from the inner loop.
@@ -92,9 +93,8 @@ class FlowColumns {
   [[nodiscard]] Range src_run(net::Ipv4 addr) const;
 
   /// Invoke `fn(row)` for every dst-ordered row destined to `prefix`
-  /// within `range`, in ascending row order — the exact visit order of
-  /// Dataset::for_each_flow_to. Returns the number of rows scanned (the
-  /// resolved range size, before any time predicate).
+  /// within `range`, in ascending row order. Returns the number of rows
+  /// scanned (the resolved range size, before any time predicate).
   template <typename Fn>
   std::uint64_t for_each_dst_row(const net::Prefix& prefix,
                                  util::TimeRange range, Fn&& fn) const {

@@ -155,16 +155,22 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   [[nodiscard]] util::Status try_decode(std::size_t k, bool src,
                                         ChunkData& out) const;
 
-  /// Reassemble the AoS record of dst-chunk row `i` (MAC ids resolved
-  /// through the dictionary).
-  [[nodiscard]] flow::FlowRecord record_at(const ChunkData& chunk,
-                                           std::size_t i) const {
-    return make_record(chunk.cols, chunk.src_mac_id[i], chunk.dst_mac_id[i],
-                       i);
-  }
+  /// Reassemble the AoS record of row `i` of a decoded dst chunk (MAC ids
+  /// resolved through the dictionary).
   [[nodiscard]] flow::FlowRecord record_at(const DstChunkSpans& chunk,
                                            std::size_t i) const {
-    return make_record(chunk, chunk.src_mac_id[i], chunk.dst_mac_id[i], i);
+    flow::FlowRecord rec;
+    rec.time = chunk.time[i];
+    rec.src_ip = net::Ipv4(chunk.src_ip[i]);
+    rec.dst_ip = net::Ipv4(chunk.dst_ip[i]);
+    rec.proto = static_cast<net::Proto>(chunk.proto[i]);
+    rec.src_port = chunk.src_port[i];
+    rec.dst_port = chunk.dst_port[i];
+    rec.src_mac = net::Mac(mac_dict_[chunk.src_mac_id[i]]);
+    rec.dst_mac = net::Mac(mac_dict_[chunk.dst_mac_id[i]]);
+    rec.packets = chunk.packets[i];
+    rec.bytes = chunk.bytes[i];
+    return rec;
   }
 
   /// Pruned scan over rows destined to `prefix` within `range`, visiting
@@ -278,26 +284,6 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
       std::size_t k, bool src,
       const std::function<util::Status(const std::uint8_t*, std::size_t)>&
           decode) const;
-  /// Row `i` of columns `c` (FlowColumns or DstChunkSpans) with its
-  /// dictionary MAC ids -> record.
-  template <typename Cols>
-  [[nodiscard]] flow::FlowRecord make_record(const Cols& c,
-                                             std::uint32_t src_mac,
-                                             std::uint32_t dst_mac,
-                                             std::size_t i) const {
-    flow::FlowRecord rec;
-    rec.time = c.time[i];
-    rec.src_ip = net::Ipv4(c.src_ip[i]);
-    rec.dst_ip = net::Ipv4(c.dst_ip[i]);
-    rec.proto = static_cast<net::Proto>(c.proto[i]);
-    rec.src_port = c.src_port[i];
-    rec.dst_port = c.dst_port[i];
-    rec.src_mac = net::Mac(mac_dict_[src_mac]);
-    rec.dst_mac = net::Mac(mac_dict_[dst_mac]);
-    rec.packets = c.packets[i];
-    rec.bytes = c.bytes[i];
-    return rec;
-  }
   /// Serve `e` from the cache if resident, refreshing its LRU stamp.
   [[nodiscard]] bool lookup(CacheEntry& e,
                             std::shared_ptr<const ChunkData>& out) const;

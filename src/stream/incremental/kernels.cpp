@@ -40,7 +40,8 @@ void IncrementalKernels::on_event(const StreamEvent& ev) {
     // Drop tally at delivery: the record counts toward every event whose
     // prefix contains its destination and is mid-interval right now —
     // exactly the batch membership (see the header's ordering argument).
-    // The tally itself is the batch records engine's (DropEventTally).
+    // The tally (DropEventTally) merges through the batch kernel's
+    // assemble_drop_rate_report.
     log_.for_each_open(rec.dst_ip, [&](OnlineEvent& event) {
       event.drop.add(rec.packets, rec.bytes, rec.dropped(),
                      event.drop.host_event && cfg_.member_asn

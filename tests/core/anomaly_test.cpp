@@ -18,6 +18,14 @@ flow::FlowRecord rec(util::TimeMs t, net::Ipv4 src, net::Ipv4 dst,
   return r;
 }
 
+/// Features of the traffic to `dst` in `range`, over a flows-only Dataset.
+FeatureMatrix features_of(flow::FlowLog flows, net::Ipv4 dst,
+                          util::TimeRange range) {
+  const Dataset dataset({}, std::move(flows), {}, {},
+                        {-util::kHour, util::days(1)});
+  return compute_features(dataset, net::Prefix::host(dst), range);
+}
+
 TEST(FeatureMatrixTest, SlotBucketing) {
   const net::Ipv4 dst(10, 0, 0, 1);
   flow::FlowLog flows;
@@ -25,8 +33,7 @@ TEST(FeatureMatrixTest, SlotBucketing) {
   flows.push_back(rec(1000, net::Ipv4(1, 1, 1, 2), dst, net::Proto::kTcp, 80));
   flows.push_back(
       rec(5 * util::kMinute, net::Ipv4(1, 1, 1, 1), dst, net::Proto::kUdp, 81));
-  std::vector<std::size_t> idx{0, 1, 2};
-  const auto m = compute_features(flows, idx, {0, 10 * util::kMinute});
+  const auto m = features_of(flows, dst, {0, 10 * util::kMinute});
   ASSERT_EQ(m.slot_count(), 2u);
 
   const auto& packets = m.series[static_cast<std::size_t>(Feature::kPackets)];
@@ -54,14 +61,12 @@ TEST(FeatureMatrixTest, OutOfRangeRecordsIgnored) {
   flows.push_back(rec(-1, net::Ipv4(1, 1, 1, 1), dst, net::Proto::kUdp, 80));
   flows.push_back(rec(10 * util::kMinute, net::Ipv4(1, 1, 1, 1), dst,
                       net::Proto::kUdp, 80));
-  std::vector<std::size_t> idx{0, 1};
-  const auto m = compute_features(flows, idx, {0, 10 * util::kMinute});
+  const auto m = features_of(flows, dst, {0, 10 * util::kMinute});
   EXPECT_EQ(m.slots_with_data(), 0u);
 }
 
 TEST(FeatureMatrixTest, EmptyRange) {
-  flow::FlowLog flows;
-  const auto m = compute_features(flows, {}, {100, 100});
+  const auto m = features_of({}, net::Ipv4(10, 0, 0, 1), {100, 100});
   EXPECT_EQ(m.slot_count(), 0u);
 }
 

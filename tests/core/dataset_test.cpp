@@ -8,12 +8,22 @@
 #include <sstream>
 #include <string>
 
+#include "core/flow_view.hpp"
 #include "corpus.hpp"
 
 namespace bw::core {
 namespace {
 
 using testutil::World;
+
+/// Rows the columnar view visits for traffic to `prefix` within `range`.
+std::size_t rows_to(const Dataset& d, const net::Prefix& prefix,
+                    util::TimeRange range) {
+  std::size_t n = 0;
+  d.view().for_each_dst_row(
+      prefix, range, [&](const flow::FlowColumns&, std::size_t) { ++n; });
+  return n;
+}
 
 class DatasetTest : public ::testing::Test {
  protected:
@@ -62,14 +72,15 @@ TEST_F(DatasetTest, RsIndexRebuiltFromControl) {
 }
 
 TEST_F(DatasetTest, FlowsToFiltersPrefixAndRange) {
-  const auto all = dataset_->flows_to(net::Ipv4(24, 0, 0, 1));
-  EXPECT_EQ(all.size(), 150u);
-  const auto during = dataset_->flows_to(
-      net::Prefix::host(net::Ipv4(24, 0, 0, 1)), {util::kHour, 2 * util::kHour});
-  EXPECT_EQ(during.size(), 100u);
-  const auto none = dataset_->flows_to(
-      net::Prefix::host(net::Ipv4(24, 0, 0, 99)), dataset_->period());
-  EXPECT_TRUE(none.empty());
+  const net::Prefix victim = net::Prefix::host(net::Ipv4(24, 0, 0, 1));
+  EXPECT_EQ(rows_to(*dataset_, victim, dataset_->period()), 150u);
+  EXPECT_EQ(rows_to(*dataset_, victim, {util::kHour, 2 * util::kHour}), 100u);
+  EXPECT_EQ(rows_to(*dataset_, net::Prefix(net::Ipv4(24, 0, 0, 0), 24),
+                    dataset_->period()),
+            150u);
+  EXPECT_EQ(rows_to(*dataset_, net::Prefix::host(net::Ipv4(24, 0, 0, 99)),
+                    dataset_->period()),
+            0u);
 }
 
 TEST_F(DatasetTest, HostScanHonorsTimeSubrangeBoundaries) {
@@ -89,11 +100,12 @@ TEST_F(DatasetTest, HostScanHonorsTimeSubrangeBoundaries) {
   for (const auto& range : windows) {
     std::size_t scanned = 0;
     std::uint64_t packets = 0;
-    dataset_->for_each_flow_to(host, range, [&](const flow::FlowRecord& rec) {
-      EXPECT_TRUE(range.contains(rec.time));
-      ++scanned;
-      packets += rec.packets;
-    });
+    dataset_->view().for_each_dst_row(
+        host, range, [&](const flow::FlowColumns& cols, std::size_t i) {
+          EXPECT_TRUE(range.contains(cols.time[i]));
+          ++scanned;
+          packets += cols.packets[i];
+        });
     std::size_t expected = 0;
     std::uint64_t expected_packets = 0;
     for (const auto& rec : dataset_->flows()) {
@@ -130,17 +142,24 @@ TEST_F(DatasetTest, ColumnsMirrorDestinationOrder) {
   EXPECT_EQ(dropped_rows, dropped_records);
 }
 
-TEST_F(DatasetTest, SummaryEnginesAgree) {
-  const auto columnar = dataset_->summary(nullptr, KernelEngine::kColumnar);
-  const auto records = dataset_->summary(nullptr, KernelEngine::kRecords);
-  EXPECT_EQ(columnar.control_updates, records.control_updates);
-  EXPECT_EQ(columnar.blackhole_updates, records.blackhole_updates);
-  EXPECT_EQ(columnar.blackholed_prefixes, records.blackholed_prefixes);
-  EXPECT_EQ(columnar.flow_records, records.flow_records);
-  EXPECT_EQ(columnar.sampled_packets, records.sampled_packets);
-  EXPECT_EQ(columnar.sampled_bytes, records.sampled_bytes);
-  EXPECT_EQ(columnar.dropped_packets, records.dropped_packets);
-  EXPECT_EQ(columnar.dropped_bytes, records.dropped_bytes);
+TEST_F(DatasetTest, SummaryMatchesTheFlowLog) {
+  // The columnar volume sums equal a plain walk over the record log.
+  Dataset::Summary want;
+  for (const flow::FlowRecord& rec : dataset_->flows()) {
+    want.sampled_packets += rec.packets;
+    want.sampled_bytes += rec.bytes;
+    if (rec.dropped()) {
+      want.dropped_packets += rec.packets;
+      want.dropped_bytes += rec.bytes;
+    }
+  }
+  const Dataset::Summary got = dataset_->summary();
+  EXPECT_EQ(got.flow_records, dataset_->flows().size());
+  EXPECT_EQ(got.sampled_packets, want.sampled_packets);
+  EXPECT_EQ(got.sampled_bytes, want.sampled_bytes);
+  EXPECT_EQ(got.dropped_packets, want.dropped_packets);
+  EXPECT_EQ(got.dropped_bytes, want.dropped_bytes);
+  EXPECT_GT(want.dropped_bytes, 0u);
 }
 
 TEST_F(DatasetTest, FlowsFromSourcePrefix) {

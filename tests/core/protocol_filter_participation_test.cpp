@@ -136,5 +136,68 @@ TEST_F(AttackAnalysisTest, ParticipationAttribution) {
   EXPECT_NEAR(share, 1.0, 1e-9);
 }
 
+TEST(ParticipationRankingTest, TiedSharesRankByAscendingAsn) {
+  // Two amplification attacks on v1 and v2. All 24 amplifiers hit v1; the
+  // even-numbered ones also hit v2. Each amplifier has its own handover AS
+  // and its own origin AS, so both lists hold a run of 12 ASes at share 1.0
+  // and a run of 12 at share 0.5. The ASNs are a scrambled permutation, so
+  // no container's iteration order yields the ranking by accident.
+  constexpr int kAses = 24;
+  const net::Ipv4 v1(24, 0, 0, 1);
+  const net::Ipv4 v2(24, 0, 0, 2);
+  std::unordered_map<net::Mac, bgp::Asn> macs;
+  std::vector<std::pair<net::Prefix, bgp::Asn>> origins;
+  flow::FlowLog flows;
+  for (int i = 0; i < kAses; ++i) {
+    const auto asn = static_cast<bgp::Asn>(64512 + (i * 7) % kAses);
+    const net::Mac mac(0x020000000000ULL + static_cast<std::uint64_t>(i));
+    const net::Ipv4 amplifier(64, static_cast<std::uint8_t>(i), 0, 1);
+    macs[mac] = asn;
+    origins.emplace_back(net::Prefix(amplifier, 16), asn + 1000);
+    for (const net::Ipv4 victim : {v1, v2}) {
+      if (victim == v2 && i % 2 == 1) continue;
+      flow::FlowRecord r;
+      r.time = util::kHour + i;
+      r.src_ip = amplifier;
+      r.dst_ip = victim;
+      r.proto = net::Proto::kUdp;
+      r.src_port = 123;
+      r.dst_port = 40000;
+      r.src_mac = mac;
+      r.dst_mac = mac;
+      r.packets = static_cast<std::uint32_t>(1 + i);
+      flows.push_back(r);
+    }
+  }
+  const Dataset dataset({}, std::move(flows), std::move(macs),
+                        std::move(origins), {0, util::days(1)});
+  std::vector<RtbhEvent> events(2);
+  events[0].prefix = net::Prefix::host(v1);
+  events[1].prefix = net::Prefix::host(v2);
+  PreRtbhReport pre;
+  pre.per_event.resize(2);
+  for (std::size_t e = 0; e < 2; ++e) {
+    events[e].span = {0, 2 * util::kHour};
+    events[e].active = {events[e].span};
+    pre.per_event[e].anomaly_within_10min = true;
+  }
+
+  const auto expect_ranked = [](const std::vector<AsParticipation>& rows) {
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kAses));
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      EXPECT_DOUBLE_EQ(rows[k].event_share, k < kAses / 2 ? 1.0 : 0.5);
+      if (k > 0 && rows[k].event_share == rows[k - 1].event_share) {
+        EXPECT_LT(rows[k - 1].asn, rows[k].asn) << "row " << k;
+      }
+    }
+  };
+  const auto part = compute_participation(dataset, events, pre);
+  EXPECT_EQ(part.attacks, 2u);
+  expect_ranked(part.handover);
+  expect_ranked(part.origins);
+  EXPECT_EQ(part.handover.front().asn, 64512u);
+  EXPECT_EQ(part.origins.front().asn, 65512u);
+}
+
 }  // namespace
 }  // namespace bw::core

@@ -5,6 +5,7 @@
 
 #include <unordered_set>
 
+#include "core/flow_view.hpp"
 #include "core/pipeline.hpp"
 #include "gen/scenario.hpp"
 
@@ -59,15 +60,15 @@ TEST(PrivateBlackholeTest, PrivateOnlyDropsAppearOnDataPlane) {
     if (!ev.private_only || checked >= 20) continue;
     ++checked;
     std::uint64_t dropped = 0;
-    for (const std::size_t idx :
-         run.dataset.flows_to(ev.prefix, ev.rtbh_span)) {
-      const auto& rec = run.dataset.flows()[idx];
-      if (!rec.dropped()) continue;
-      ++dropped;
-      // No route-server blackhole explains this drop.
-      EXPECT_FALSE(
-          run.dataset.rs_index().announced_at(rec.dst_ip, rec.time + 40));
-    }
+    run.dataset.view().for_each_dst_row(
+        ev.prefix, ev.rtbh_span,
+        [&](const flow::FlowColumns& cols, std::size_t i) {
+          if (!cols.dropped(i)) return;
+          ++dropped;
+          // No route-server blackhole explains this drop.
+          EXPECT_FALSE(run.dataset.rs_index().announced_at(
+              net::Ipv4(cols.dst_ip[i]), cols.time[i] + 40));
+        });
     if (dropped > 0) ++victims_with_drops;
   }
   EXPECT_GT(victims_with_drops, checked / 2);

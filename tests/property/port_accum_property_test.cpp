@@ -6,15 +6,13 @@
 // over random record streams with zero-packet records and count ties:
 //
 //   - after every record of a single accumulator;
-//   - after a random shard split whose shards are merged in a random
-//     order (the records engine's shard merge);
 //   - with days arriving in reverse and shuffled order (the flat layout's
 //     insert-in-place path, not just its append fast path);
 //   - with outbound days seen before their inbound days (the bidirectional
 //     count's second-side increment from either side);
 //   - with every port of a day tied on packets (the first-maximum rule);
 //   - with more than 4,096 distinct ports (the sorted-to-bitmap switch of
-//     the port sets), on both sides of a merge.
+//     the port sets), whatever order the ports arrive in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,28 +153,6 @@ TEST(PortAccumulatorPropertyTest, MatchesBruteForceAfterEveryRecord) {
   EXPECT_EQ(classes_seen.size(), 3u) << "streams should reach every class";
 }
 
-TEST(PortAccumulatorPropertyTest, ShardMergeMatchesBruteForce) {
-  const PortStatsConfig config = small_config();
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    util::Rng rng(seed * 7919);
-    const std::vector<Record> records = random_records(rng, 200);
-    const auto shards = static_cast<std::size_t>(rng.uniform_int(1, 4));
-    std::vector<PortAccumulator> parts(shards);
-    for (const Record& r : records) apply(parts[rng.index(shards)], r);
-    std::vector<std::size_t> order(shards);
-    for (std::size_t i = 0; i < shards; ++i) order[i] = i;
-    for (std::size_t i = shards; i > 1; --i) {
-      std::swap(order[i - 1], order[rng.index(i)]);
-    }
-    PortAccumulator merged;
-    for (const std::size_t i : order) merged.merge(parts[i]);
-    expect_same(
-        finalize_port_host(net::Ipv4(0x0a000001u), 64500, merged, config),
-        brute_force(records, config));
-  }
-}
-
 TEST(PortAccumulatorPropertyTest, OutOfOrderDaysMatchBruteForce) {
   const PortStatsConfig config = small_config();
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
@@ -232,14 +208,16 @@ TEST(PortAccumulatorPropertyTest, OutboundBeforeInboundCountsBidirectional) {
   EXPECT_EQ(got.classification, HostClass::kServer);
   expect_same(got, brute_force(records, config));
 
-  // The same record set in the other direction order and through a merge.
-  PortAccumulator in_side;
-  PortAccumulator out_side;
-  for (const Record& r : records) apply(r.inbound ? in_side : out_side, r);
-  PortAccumulator merged = out_side;
-  merged.merge(in_side);
+  // The same record set with every inbound record first.
+  PortAccumulator in_first;
+  for (const bool inbound : {true, false}) {
+    for (const Record& r : records) {
+      if (r.inbound == inbound) apply(in_first, r);
+    }
+  }
   expect_same(
-      finalize_port_host(net::Ipv4(0x0a000001u), 64500, merged, config), got);
+      finalize_port_host(net::Ipv4(0x0a000001u), 64500, in_first, config),
+      got);
 }
 
 TEST(PortAccumulatorPropertyTest, TiedDaysKeepTheFirstMaximum) {
@@ -307,28 +285,33 @@ TEST(PortAccumulatorPropertyTest, MoreThan4096PortsStayExact) {
   expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500, acc, config),
               want);
 
-  // Merges across the switch: bitmap into sorted, sorted into bitmap, and
-  // two halves that are each below it but not together.
-  const std::size_t half = records.size() / 2;
-  PortAccumulator big;
-  PortAccumulator small;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    apply(i < records.size() - 200 ? big : small, records[i]);
+  // Other arrival orders across the switch: the last 200 records first,
+  // then the rest; and the whole stream reversed.
+  PortAccumulator tail_first;
+  for (std::size_t i = records.size() - 200; i < records.size(); ++i) {
+    apply(tail_first, records[i]);
   }
-  PortAccumulator small_then_big = small;
-  small_then_big.merge(big);
-  big.merge(small);
-  expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500, big, config),
-              want);
-  expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500,
-                                 small_then_big, config),
-              want);
+  for (std::size_t i = 0; i < records.size() - 200; ++i) {
+    apply(tail_first, records[i]);
+  }
+  expect_same(
+      finalize_port_host(net::Ipv4(0x0a000001u), 64500, tail_first, config),
+      want);
+  PortAccumulator reversed;
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    apply(reversed, *it);
+  }
+  expect_same(
+      finalize_port_host(net::Ipv4(0x0a000001u), 64500, reversed, config),
+      want);
 
-  std::vector<Record> sub(records.begin(), records.begin() + half / 3);
+  // A stream that stays below the switch: odd-indexed records, then even.
+  std::vector<Record> sub(records.begin(),
+                          records.begin() + records.size() / 6);
   PortAccumulator a;
-  PortAccumulator b;
-  for (std::size_t i = 0; i < sub.size(); ++i) apply(i % 2 ? a : b, sub[i]);
-  a.merge(b);
+  for (const std::size_t parity : {1u, 0u}) {
+    for (std::size_t i = parity; i < sub.size(); i += 2) apply(a, sub[i]);
+  }
   expect_same(finalize_port_host(net::Ipv4(0x0a000001u), 64500, a, config),
               brute_force(sub, config));
 }

@@ -195,12 +195,16 @@ TEST_F(FlowStoreTest, RecordAtReassemblesTheOriginalFlow) {
   auto store = FlowStore::open(*path_);
   ASSERT_TRUE(store.ok()) << store.status().to_string();
   const flow::FlowLog& flows = dataset_->flows();
-  std::shared_ptr<const ChunkData> chunk;
-  ASSERT_TRUE((*store)->try_chunk(0, /*src=*/false, chunk).ok());
-  ASSERT_GT(chunk->rows(), 0u);
-  for (std::size_t i = 0; i < chunk->rows(); ++i) {
-    const flow::FlowRecord rec = (*store)->record_at(*chunk, i);
-    const flow::FlowRecord& orig = flows[chunk->orig_pos[i]];
+  // A materializing load decodes each dst chunk into spans of its final
+  // columns and reassembles the records from them.
+  ChunkData chunk;
+  const DstChunkSpans spans =
+      dst_spans(chunk, (*store)->dst_metas()[0].row_count);
+  ASSERT_TRUE((*store)->try_decode(0, spans).ok());
+  ASSERT_GT(spans.rows(), 0u);
+  for (std::size_t i = 0; i < spans.rows(); ++i) {
+    const flow::FlowRecord rec = (*store)->record_at(spans, i);
+    const flow::FlowRecord& orig = flows[spans.orig_pos[i]];
     EXPECT_EQ(rec.time, orig.time);
     EXPECT_EQ(rec.src_ip, orig.src_ip);
     EXPECT_EQ(rec.dst_ip, orig.dst_ip);
