@@ -27,6 +27,13 @@ void append_json_string(std::ostringstream& os, std::string_view s) {
   os << '"';
 }
 
+/// The "transport" block, in rendering order.
+constexpr const char* kTransportCounters[] = {
+    "connects",      "connect_failures", "reconnects",   "disconnects",
+    "idle_timeouts", "frames",           "heartbeats",   "bytes",
+    "discarded_bytes", "resyncs",        "crc_failures", "payload_errors",
+    "dead_feeds",    "clean_closes",     "watchdog_fired"};
+
 /// Indent every line of a pre-rendered JSON block by two spaces so the
 /// embedded metrics snapshot nests cleanly inside the manifest document.
 std::string indent_block(const std::string& block) {
@@ -53,34 +60,20 @@ void Manifest::populate_from_metrics(const MetricsSnapshot& snapshot) {
   rows_repaired = snapshot.counter("ingest.rows_repaired");
   monitor_alerts = snapshot.counter("monitor.alerts");
   monitor_evictions = snapshot.counter("monitor.evictions");
-  stream_ingested = snapshot.counter("stream.ingested_bgp") +
-                    snapshot.counter("stream.ingested_flow");
-  stream_delivered = snapshot.counter("stream.delivered");
-  stream_shed = snapshot.counter("stream.shed_total");
-  stream_late_dropped = snapshot.counter("stream.late_dropped");
-  transport.connects = snapshot.counter("stream.transport.connects");
-  transport.connect_failures =
-      snapshot.counter("stream.transport.connect_failures");
-  transport.reconnects = snapshot.counter("stream.transport.reconnects");
-  transport.disconnects = snapshot.counter("stream.transport.disconnects");
-  transport.idle_timeouts = snapshot.counter("stream.transport.idle_timeouts");
-  transport.frames = snapshot.counter("stream.transport.frames");
-  transport.heartbeats = snapshot.counter("stream.transport.heartbeats");
-  transport.bytes = snapshot.counter("stream.transport.bytes");
-  transport.discarded_bytes =
-      snapshot.counter("stream.transport.discarded_bytes");
-  transport.resyncs = snapshot.counter("stream.transport.resyncs");
-  transport.crc_failures = snapshot.counter("stream.transport.crc_failures");
-  transport.payload_errors =
-      snapshot.counter("stream.transport.payload_errors");
-  transport.dead_feeds = snapshot.counter("stream.transport.dead_feeds");
-  transport.clean_closes = snapshot.counter("stream.transport.clean_closes");
-  transport.watchdog_fired =
-      snapshot.counter("stream.transport.watchdog_fired");
-  rolling.snapshots = snapshot.counter("stream.kernel.snapshots");
-  rolling.events = snapshot.counter("stream.kernel.events");
-  rolling.flows_committed = snapshot.counter("stream.kernel.flows_committed");
-  rolling.rtbh_events = snapshot.counter("stream.kernel.rtbh_events");
+  if (stream) {
+    stream->ingested = snapshot.counter("stream.ingested_bgp") +
+                       snapshot.counter("stream.ingested_flow");
+    stream->delivered = snapshot.counter("stream.delivered");
+    stream->shed = snapshot.counter("stream.shed_total");
+    stream->late_dropped = snapshot.counter("stream.late_dropped");
+  }
+  if (rolling) {
+    rolling->snapshots = snapshot.counter("stream.kernel.snapshots");
+    rolling->events = snapshot.counter("stream.kernel.events");
+    rolling->flows_committed =
+        snapshot.counter("stream.kernel.flows_committed");
+    rolling->rtbh_events = snapshot.counter("stream.kernel.rtbh_events");
+  }
   for (auto& stage : stages) {
     stage.wall_us = snapshot.counter("pipeline.stage." + stage.name + ".wall_us");
     stage.cpu_us = snapshot.counter("pipeline.stage." + stage.name + ".cpu_us");
@@ -122,33 +115,31 @@ std::string Manifest::to_json() const {
      << ", \"rows_repaired\": " << rows_repaired << "}";
   os << ",\n  \"monitor\": {\"alerts\": " << monitor_alerts
      << ", \"evictions\": " << monitor_evictions << "}";
-  os << ",\n  \"stream\": {\"mode\": ";
-  append_json_string(os, stream_mode);
-  os << ", \"ingested\": " << stream_ingested
-     << ", \"delivered\": " << stream_delivered
-     << ", \"shed\": " << stream_shed
-     << ", \"late_dropped\": " << stream_late_dropped << "}";
-  os << ",\n  \"transport\": {\"connects\": " << transport.connects
-     << ", \"connect_failures\": " << transport.connect_failures
-     << ", \"reconnects\": " << transport.reconnects
-     << ", \"disconnects\": " << transport.disconnects
-     << ", \"idle_timeouts\": " << transport.idle_timeouts
-     << ", \"frames\": " << transport.frames
-     << ", \"heartbeats\": " << transport.heartbeats
-     << ", \"bytes\": " << transport.bytes
-     << ", \"discarded_bytes\": " << transport.discarded_bytes
-     << ", \"resyncs\": " << transport.resyncs
-     << ", \"crc_failures\": " << transport.crc_failures
-     << ", \"payload_errors\": " << transport.payload_errors
-     << ", \"dead_feeds\": " << transport.dead_feeds
-     << ", \"clean_closes\": " << transport.clean_closes
-     << ", \"watchdog_fired\": " << transport.watchdog_fired << "}";
-  os << ",\n  \"rolling\": {\"enabled\": " << (rolling.enabled ? "true" : "false")
-     << ", \"report_every_ms\": " << rolling.report_every_ms
-     << ", \"snapshots\": " << rolling.snapshots
-     << ", \"events\": " << rolling.events
-     << ", \"flows_committed\": " << rolling.flows_committed
-     << ", \"rtbh_events\": " << rolling.rtbh_events << "}";
+  if (stream) {
+    os << ",\n  \"stream\": {\"mode\": ";
+    append_json_string(os, stream->mode);
+    os << ", \"ingested\": " << stream->ingested
+       << ", \"delivered\": " << stream->delivered
+       << ", \"shed\": " << stream->shed
+       << ", \"late_dropped\": " << stream->late_dropped << "}";
+  }
+  if (transport) {
+    const char* sep = ",\n  \"transport\": {";
+    for (const char* name : kTransportCounters) {
+      os << sep << '"' << name << "\": "
+         << metrics.counter(std::string("stream.transport.") + name);
+      sep = ", ";
+    }
+    os << "}";
+  }
+  if (rolling) {
+    os << ",\n  \"rolling\": {\"report_every_ms\": "
+       << rolling->report_every_ms
+       << ", \"snapshots\": " << rolling->snapshots
+       << ", \"events\": " << rolling->events
+       << ", \"flows_committed\": " << rolling->flows_committed
+       << ", \"rtbh_events\": " << rolling->rtbh_events << "}";
+  }
   os << ",\n  \"metrics\": " << indent_block(metrics.to_json());
   os << "\n}\n";
   return os.str();

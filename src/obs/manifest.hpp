@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,55 +56,44 @@ struct Manifest {
   std::uint64_t monitor_alerts{0};
   std::uint64_t monitor_evictions{0};
 
-  // --- streaming ingest (bw-monitor --replay; all zero for batch runs) ---
-  std::string stream_mode;  ///< shed-mode name, "" when not streaming
-  std::uint64_t stream_ingested{0};   ///< events produced by the feeds
-  std::uint64_t stream_delivered{0};  ///< events that reached the monitor
-  std::uint64_t stream_shed{0};       ///< events shed by backpressure policy
-  std::uint64_t stream_late_dropped{0};  ///< events behind their watermark
+  // The three blocks below are emitted only by the runs that own them: a
+  // tool engages a block (emplace) before populate_from_metrics fills it.
 
-  // --- live transport sessions (bw-monitor --listen/--connect, bw-feed;
-  // all zero for batch and replay runs). Mirrors stream.transport.*; the
-  // chaos harness reconciles these against its ground-truth fault log. ---
-  struct TransportBlock {
-    std::uint64_t connects{0};
-    std::uint64_t connect_failures{0};
-    std::uint64_t reconnects{0};
-    std::uint64_t disconnects{0};
-    std::uint64_t idle_timeouts{0};
-    std::uint64_t frames{0};
-    std::uint64_t heartbeats{0};
-    std::uint64_t bytes{0};
-    std::uint64_t discarded_bytes{0};
-    std::uint64_t resyncs{0};
-    std::uint64_t crc_failures{0};
-    std::uint64_t payload_errors{0};
-    std::uint64_t dead_feeds{0};
-    std::uint64_t clean_closes{0};
-    std::uint64_t watchdog_fired{0};
+  // --- streaming ingest (bw-monitor --replay and live runs) ---
+  struct StreamBlock {
+    std::string mode;            ///< shed-mode name
+    std::uint64_t ingested{0};   ///< events produced by the feeds
+    std::uint64_t delivered{0};  ///< events that reached the monitor
+    std::uint64_t shed{0};       ///< events shed by backpressure policy
+    std::uint64_t late_dropped{0};  ///< events behind their watermark
   };
-  TransportBlock transport;
+  std::optional<StreamBlock> stream;
 
-  // --- rolling incremental reports (bw-monitor --rolling-out; all zero
-  // when rolling reporting is off). Mirrors stream.kernel.*; the final
-  // snapshot of a no-shed replay is the batch kernels' fixed point. ---
+  // --- live transport sessions (bw-monitor --listen/--connect): when set,
+  // to_json renders every stream.transport.* counter as the "transport"
+  // block, which the chaos harness reconciles against its ground-truth
+  // fault log. ---
+  bool transport{false};
+
+  // --- rolling incremental reports (bw-monitor --rolling-out running the
+  // kernels). Mirrors stream.kernel.*; the final snapshot of a no-shed
+  // replay is the batch kernels' fixed point. ---
   struct RollingBlock {
-    bool enabled{false};
     std::uint64_t report_every_ms{0};  ///< event-time cadence, 0 = final only
     std::uint64_t snapshots{0};
     std::uint64_t events{0};           ///< StreamEvents into the kernels
     std::uint64_t flows_committed{0};  ///< records past the commit horizon
     std::uint64_t rtbh_events{0};      ///< online merged events created
   };
-  RollingBlock rolling;
+  std::optional<RollingBlock> rolling;
 
   /// Full registry snapshot embedded under "metrics".
   MetricsSnapshot metrics;
 
-  /// Fill the headline counters and per-stage wall/cpu times from a
-  /// snapshot (by the documented metric names). Stage entries must already
-  /// be present (pushed in pipeline order by the caller); only their
-  /// timings are filled in.
+  /// Fill the headline counters, the engaged blocks and per-stage wall/cpu
+  /// times from a snapshot (by the documented metric names). Stage entries
+  /// must already be present (pushed in pipeline order by the caller);
+  /// only their timings are filled in.
   void populate_from_metrics(const MetricsSnapshot& snapshot);
 
   /// Stable-key-ordered JSON document (fixed field order; maps inside the

@@ -2,52 +2,26 @@
 
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <limits>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "stream/incremental/rolling.hpp"
 
 namespace bw::stream {
 
 namespace {
 
-obs::Counter& stream_counter(const char* what) {
-  return obs::Registry::global().counter(std::string("stream.") + what);
-}
-
-/// Consumer-side delivery into the monitor, with per-kind accounting.
-/// Owned by the consumer (thread); counters read only after it finishes.
-struct Deliverer {
-  core::RtbhMonitor& monitor;
-  incremental::RollingReporter* rolling{nullptr};
-  std::uint64_t delivered_bgp{0};
-  std::uint64_t delivered_flow{0};
-  std::uint64_t delay_us{0};  ///< threaded slow-consumer fault
-
-  void operator()(const StreamEvent& ev) {
-    static obs::Counter& delivered = stream_counter("delivered");
-    delivered.add();
-    if (ev.kind == EventKind::kBgpUpdate) {
-      ++delivered_bgp;
-      monitor.on_update(ev.update);
-    } else {
-      ++delivered_flow;
-      monitor.on_flow(ev.flow);
-    }
-    if (rolling != nullptr) rolling->on_event(ev);
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-  }
-};
-
-void count_produced(EventKind kind) {
-  static obs::Counter& bgp = stream_counter("ingested_bgp");
-  static obs::Counter& flow = stream_counter("ingested_flow");
-  (kind == EventKind::kBgpUpdate ? bgp : flow).add();
+ReplayStats collect(const Feed& updates, const Feed& flows,
+                    const WatermarkMux& mux, const Deliverer& deliver) {
+  ReplayStats stats;
+  stats.shed = updates.shed_stats();
+  stats.shed += flows.shed_stats();
+  stats.mux = mux.stats();
+  stats.produced_bgp = updates.produced();
+  stats.produced_flow = flows.produced();
+  stats.delivered_bgp = deliver.delivered_bgp;
+  stats.delivered_flow = deliver.delivered_flow;
+  return stats;
 }
 
 // --------------------------------------------------------------------------
@@ -66,139 +40,76 @@ void count_produced(EventKind kind) {
 ReplayStats run_lockstep(const core::Dataset& dataset,
                          core::RtbhMonitor& monitor,
                          const ReplayOptions& opt) {
-  FeedRing upd_feed(opt.ring_capacity, opt.allowance);
-  FeedRing flow_feed(opt.ring_capacity, opt.allowance);
-  ShedConfig shed_cfg{opt.shed_mode, opt.shed_sink};
-  Shedder upd_shed(shed_cfg);
-  Shedder flow_shed(shed_cfg);
-  WatermarkMux mux({&upd_feed, &flow_feed}, opt.max_reorder);
+  Feed updates(opt);
+  Feed flows(opt);
+  WatermarkMux mux({&updates, &flows}, opt.max_reorder);
   Deliverer deliver{monitor, opt.rolling};
 
-  ReplayStats stats;
   const bool slow = opt.fault.tick_events > 0;
   const std::size_t tick = slow ? opt.fault.tick_events : 1;
   const std::size_t budget =
       slow ? opt.fault.drain_per_tick : std::numeric_limits<std::size_t>::max();
+  // No-fault ticks deliver straight out of the ring slots: same order, no
+  // heap traffic. The fault path's bounded drain budgets need the heap,
+  // and so does a nonzero allowance (WatermarkMux::pump).
+  const bool pump = !slow && opt.allowance == 0;
   const Shedder::MakeRoom force_drain = [&] { return mux.drain_feeds(1) > 0; };
 
-  const auto& updates = dataset.blackhole_updates();
-  const auto& flows = dataset.flows();
+  const std::size_t n_updates = dataset.blackhole_updates().size();
+  const std::size_t n_flows = dataset.flows().size();
   // An empty feed must not gate releases with its never-advanced watermark.
-  if (updates.empty()) upd_feed.close();
-  if (flows.empty()) flow_feed.close();
-  std::size_t ui = 0;
-  std::size_t fi = 0;
-  std::uint64_t useq = 0;
-  std::uint64_t fseq = 0;
+  if (n_updates == 0) updates.close();
+  if (n_flows == 0) flows.close();
   std::size_t since_tick = 0;
-  while (ui < updates.size() || fi < flows.size()) {
-    const bool take_update =
-        fi >= flows.size() ||
-        (ui < updates.size() && updates[ui].time <= flows[fi].time);
-    if (take_update) {
-      StreamEvent ev = StreamEvent::from(updates[ui++], useq++);
-      count_produced(ev.kind);
-      ++stats.produced_bgp;
-      upd_feed.advance_watermark(ev.time);
-      upd_shed.offer(upd_feed.ring, std::move(ev), force_drain);
-      if (ui == updates.size()) upd_feed.close();
+  const auto step = [&](Feed& feed, const auto& rec, std::size_t total) {
+    feed.push(feed.stamp(rec), force_drain);
+    if (feed.produced() == total) feed.close();
+    if (++since_tick < tick) return true;
+    since_tick = 0;
+    if (pump) {
+      mux.pump(deliver);
     } else {
-      StreamEvent ev = StreamEvent::from(flows[fi++], fseq++);
-      count_produced(ev.kind);
-      ++stats.produced_flow;
-      flow_feed.advance_watermark(ev.time);
-      flow_shed.offer(flow_feed.ring, std::move(ev), force_drain);
-      if (fi == flows.size()) flow_feed.close();
+      mux.drain_feeds(budget);
+      mux.release_ready(deliver);
     }
-    if (++since_tick >= tick) {
-      since_tick = 0;
-      if (slow) {
-        // Fault path: bounded drain budgets and forced releases need the
-        // heap, so the original drain+release pair stays byte-identical.
-        mux.drain_feeds(budget);
-        mux.release_ready(deliver);
-      } else {
-        // No-fault path: deliver straight out of the ring slots. Same
-        // (time, kind, seq) order, no heap traffic — this is where the
-        // lockstep replay spends its time at full speed.
-        mux.pump(deliver);
-      }
-    }
-  }
-  upd_feed.close();  // also when the log was empty from the start
-  flow_feed.close();
+    return true;
+  };
+  for_each_in_merge_order(
+      dataset,
+      [&](const bgp::Update& u) { return step(updates, u, n_updates); },
+      [&](const flow::FlowRecord& f) { return step(flows, f, n_flows); });
   while (!mux.exhausted()) {
     mux.pump(deliver);
     mux.drain_feeds(std::numeric_limits<std::size_t>::max());
     mux.release_ready(deliver);
   }
-
-  stats.shed = upd_shed.stats();
-  stats.shed += flow_shed.stats();
-  stats.mux = mux.stats();
-  stats.delivered_bgp = deliver.delivered_bgp;
-  stats.delivered_flow = deliver.delivered_flow;
-  return stats;
+  return collect(updates, flows, mux, deliver);
 }
 
 // --------------------------------------------------------------------------
-// Threaded mode: one producer thread per feed, the consumer on the calling
-// thread. The daemon shape — real rings under real concurrency, optional
-// real-time pacing, wall-clock faults. The consumer cannot exit before
-// both feeds close, and a producer waiting for room only waits on that
-// same still-running consumer, so the only unbounded wait (kPriorityShed
-// protecting BGP) is always serviced. A monitor-sink exception aborts the
-// producers, joins, and rethrows.
+// Threaded mode: one producer thread per feed, the shared threaded consumer
+// on the calling thread, with optional real-time pacing and wall-clock
+// faults. The consumer cannot exit before both feeds close, and a
+// producer waiting for room only waits on that same still-running
+// consumer, so the only unbounded wait (kPriorityShed protecting BGP) is
+// always serviced.
 // --------------------------------------------------------------------------
 
 template <typename Log>
-void run_producer(const Log& log, FeedRing& feed, Shedder& shedder,
-                  std::uint64_t& produced, const ReplayOptions& opt,
-                  const std::atomic<bool>& abort) {
-  const std::uint64_t block_budget_us =
-      static_cast<std::uint64_t>(opt.block_deadline) * 1000;
-  obs::StopWatch pace_watch;
-  obs::StopWatch wait_watch;
-  std::uint64_t wait_budget_us = 0;
-  const Shedder::MakeRoom make_room = [&] {
-    if (abort.load(std::memory_order_relaxed)) return false;
-    if (wait_budget_us != 0 && wait_watch.elapsed_us() > wait_budget_us) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return true;
-  };
-
-  const util::TimeMs t0 = log.empty() ? 0 : log.front().time;
-  std::uint64_t seq = 0;
+void produce(const Log& log, Feed& feed, const ReplayOptions& opt,
+             const std::atomic<bool>& abort) {
+  const Shedder::MakeRoom make_room = feed.wait_for_room(abort);
+  Pacer pacer(opt.speed);
   std::size_t in_burst = 0;
   for (const auto& rec : log) {
     if (abort.load(std::memory_order_relaxed)) break;
-    if (opt.speed > 0) {
-      const auto target_us = static_cast<std::uint64_t>(
-          static_cast<double>(rec.time - t0) * 1000.0 / opt.speed);
-      while (pace_watch.elapsed_us() < target_us &&
-             !abort.load(std::memory_order_relaxed)) {
-        const std::uint64_t left = target_us - pace_watch.elapsed_us();
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(left > 1000 ? 1000 : left));
-      }
-    }
+    pacer.wait_until(rec.time, &abort);
     if (opt.fault.burst > 0 && ++in_burst > opt.fault.burst) {
       in_burst = 1;
       std::this_thread::sleep_for(
           std::chrono::microseconds(opt.fault.burst_pause_us));
     }
-    StreamEvent ev = StreamEvent::from(rec, seq++);
-    count_produced(ev.kind);
-    ++produced;
-    // Block mode honours the deadline; priority mode waits for room
-    // without one (the consumer is guaranteed alive until we close).
-    wait_budget_us =
-        opt.shed_mode == ShedMode::kBlockWithDeadline ? block_budget_us : 0;
-    wait_watch.restart();
-    feed.advance_watermark(ev.time);
-    shedder.offer(feed.ring, std::move(ev), make_room);
+    feed.push(feed.stamp(rec), make_room);
   }
   feed.close();
 }
@@ -206,55 +117,20 @@ void run_producer(const Log& log, FeedRing& feed, Shedder& shedder,
 ReplayStats run_threaded(const core::Dataset& dataset,
                          core::RtbhMonitor& monitor,
                          const ReplayOptions& opt) {
-  FeedRing upd_feed(opt.ring_capacity, opt.allowance);
-  FeedRing flow_feed(opt.ring_capacity, opt.allowance);
-  ShedConfig shed_cfg{opt.shed_mode, opt.shed_sink};
-  Shedder upd_shed(shed_cfg);
-  Shedder flow_shed(shed_cfg);
-  WatermarkMux mux({&upd_feed, &flow_feed}, opt.max_reorder);
-  Deliverer deliver{monitor, opt.rolling};
-  deliver.delay_us = opt.fault.consumer_delay_us;
-
-  ReplayStats stats;
-  std::atomic<bool> abort{false};
-  std::thread upd_thread([&] {
-    run_producer(dataset.blackhole_updates(), upd_feed, upd_shed,
-                 stats.produced_bgp, opt, abort);
-  });
-  std::thread flow_thread([&] {
-    run_producer(dataset.flows(), flow_feed, flow_shed, stats.produced_flow,
-                 opt, abort);
-  });
-
-  std::exception_ptr failure;
-  try {
-    while (!mux.exhausted()) {
-      // Fast path first: ready events go monitor-ward straight from the
-      // ring slots. The drain+release pair then absorbs whatever the pump
-      // could not deliver (a racing feed waiting on the gating one) into
-      // the heap, so producers keep their room and backpressure semantics
-      // stay as they were.
-      const std::size_t pumped = mux.pump(deliver);
-      const std::size_t got = mux.drain_feeds(1024);
-      const std::size_t released = mux.release_ready(deliver);
-      if (pumped == 0 && got == 0 && released == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-  } catch (...) {
-    failure = std::current_exception();
-    abort.store(true, std::memory_order_relaxed);
-  }
-  upd_thread.join();
-  flow_thread.join();
-  if (failure) std::rethrow_exception(failure);
-
-  stats.shed = upd_shed.stats();
-  stats.shed += flow_shed.stats();
-  stats.mux = mux.stats();
-  stats.delivered_bgp = deliver.delivered_bgp;
-  stats.delivered_flow = deliver.delivered_flow;
-  return stats;
+  Feed updates(opt);
+  Feed flows(opt);
+  WatermarkMux mux({&updates, &flows}, opt.max_reorder);
+  Deliverer deliver{monitor, opt.rolling, opt.fault.consumer_delay_us};
+  consume_threaded(
+      mux, deliver,
+      {[&](const std::atomic<bool>& abort) {
+         produce(dataset.blackhole_updates(), updates, opt, abort);
+       },
+       [&](const std::atomic<bool>& abort) {
+         produce(dataset.flows(), flows, opt, abort);
+       }},
+      0);
+  return collect(updates, flows, mux, deliver);
 }
 
 }  // namespace
@@ -272,17 +148,16 @@ ReplayStats replay_streaming(const core::Dataset& dataset,
 
 void replay_batch(const core::Dataset& dataset, core::RtbhMonitor& monitor) {
   const obs::TraceSpan span("monitor.replay", "monitor");
-  const auto& updates = dataset.blackhole_updates();
-  const auto& flows = dataset.flows();
-  std::size_t ui = 0;
-  std::size_t fi = 0;
-  while (ui < updates.size() || fi < flows.size()) {
-    const bool take_update =
-        fi >= flows.size() ||
-        (ui < updates.size() && updates[ui].time <= flows[fi].time);
-    if (take_update) monitor.on_update(updates[ui++]);
-    else monitor.on_flow(flows[fi++]);
-  }
+  for_each_in_merge_order(
+      dataset,
+      [&](const bgp::Update& u) {
+        monitor.on_update(u);
+        return true;
+      },
+      [&](const flow::FlowRecord& f) {
+        monitor.on_flow(f);
+        return true;
+      });
   monitor.finish(dataset.period().end);
 }
 

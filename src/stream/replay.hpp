@@ -15,51 +15,34 @@
 //              This is the daemon shape; the TSan job runs it to prove the
 //              rings under real concurrency.
 //
-// Convergence guarantee (ISSUE 7): with no shedding the monitor receives
-// the events in (time, kind, seq) order — identical to the batch merge in
-// replay_batch — so the alert sequence is byte-for-byte the same. Under
-// forced shedding the run still exits cleanly, every dropped event is
-// counted (stream.shed_*, stream.late_dropped), and produced ==
-// delivered + shed + late holds exactly.
+// Both modes run the shared ingest core (stream/ingest.hpp). Convergence
+// guarantee: with no shedding the monitor receives the events in (time,
+// kind, seq) order, identical to the batch merge in replay_batch, so the
+// alert sequence is byte-for-byte the same. Under forced shedding the run
+// still exits cleanly, every dropped event is counted (stream.shed_*,
+// stream.late_dropped), and produced == delivered + shed + late holds
+// exactly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "core/dataset.hpp"
 #include "core/monitor.hpp"
-#include "stream/shedding.hpp"
-#include "stream/watermark.hpp"
+#include "stream/ingest.hpp"
 #include "testing/fault.hpp"
-#include "util/time.hpp"
 
 namespace bw::stream {
 
-namespace incremental {
-class RollingReporter;
-}
-
-struct ReplayOptions {
-  /// Per-feed ring capacity (rounded up to a power of two).
-  std::size_t ring_capacity{8192};
-  /// Out-of-orderness allowance subtracted from each feed's watermark.
-  util::DurationMs allowance{0};
-  ShedMode shed_mode{ShedMode::kBlockWithDeadline};
-  /// kBlockWithDeadline, threaded mode: how long a producer waits for ring
-  /// space before shedding anyway.
-  util::DurationMs block_deadline{5 * util::kSecond};
+/// The shared ingest knobs plus what only a corpus replay has.
+struct ReplayOptions : IngestOptions {
   /// Threaded mode: corpus-time to wall-clock ratio (2.0 = twice real
   /// time); 0 = as fast as possible.
   double speed{0.0};
   /// Single-thread deterministic interleave instead of real threads.
   bool lockstep{false};
-  /// Reorder-heap bound of the watermark mux.
-  std::size_t max_reorder{1 << 16};
   /// Forced-overload fault (slow consumer / bursty producer); inert when
   /// `fault.any()` is false.
   testing::StreamFaultPlan fault;
-  /// Ground-truth shed log; called once per shed decision.
-  std::function<void(const ShedRecord&)> shed_sink;
   /// Rolling incremental kernels: every delivered event is fed after the
   /// monitor saw it (same thread, same order). The replay does NOT call
   /// finish() on it — the owner does, so output-write errors surface at

@@ -25,13 +25,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace bw::stream {
 
-/// Smallest power of two >= n (n = 0 maps to 1).
+/// Smallest power of two >= n (n = 0 maps to 1); 0 when no size_t power
+/// of two is that large (n above 2^63 on 64-bit).
 [[nodiscard]] constexpr std::size_t ceil_pow2(std::size_t n) noexcept {
+  constexpr std::size_t kTop = ~(~std::size_t{0} >> 1);
+  if (n > kTop) return 0;
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
@@ -42,8 +46,9 @@ class SpscRing {
  public:
   /// Capacity is rounded up to a power of two; a capacity of 1 is legal
   /// (a single-slot handoff cell) and exercised by the edge-case tests.
+  /// Throws std::length_error above 2^63, which no power of two covers.
   explicit SpscRing(std::size_t capacity)
-      : mask_(ceil_pow2(capacity) - 1), slots_(mask_ + 1) {}
+      : mask_(checked_mask(capacity)), slots_(mask_ + 1) {}
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
@@ -154,6 +159,12 @@ class SpscRing {
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
  private:
+  static std::size_t checked_mask(std::size_t capacity) {
+    const std::size_t slots = ceil_pow2(capacity);
+    if (slots == 0) throw std::length_error("SpscRing: capacity above 2^63");
+    return slots - 1;
+  }
+
   std::size_t mask_;
   std::vector<T> slots_;
   /// Consumer cache line: its own cursor plus the last tail it observed.

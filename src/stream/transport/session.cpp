@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -12,23 +11,14 @@ namespace bw::stream::transport {
 
 namespace {
 
-/// Events staged per feed before a bulk ring push — one acquire/release
-/// cursor handshake per batch instead of per event.
-constexpr std::size_t kDecodeBatch = 64;
 /// Granularity of abort/idle checks while blocked in a read or a sleep.
 constexpr util::DurationMs kPollSlice = 50;
+/// Largest single read from the connection.
+constexpr std::size_t kReadChunk = 64 * 1024;
 
 obs::Counter& transport_counter(const char* what) {
   return obs::Registry::global().counter(std::string("stream.transport.") +
                                          what);
-}
-
-void count_produced(EventKind kind) {
-  static obs::Counter& bgp =
-      obs::Registry::global().counter("stream.ingested_bgp");
-  static obs::Counter& flow =
-      obs::Registry::global().counter("stream.ingested_flow");
-  (kind == EventKind::kBgpUpdate ? bgp : flow).add();
 }
 
 void sleep_slice(util::DurationMs ms) {
@@ -50,62 +40,21 @@ std::string_view to_string(SessionState s) {
 }
 
 Session::Session(std::string name, std::unique_ptr<Transport> transport,
-                 SessionConfig config)
+                 SessionConfig config, const IngestOptions& ingest)
     : name_(std::move(name)),
       transport_(std::move(transport)),
       cfg_(std::move(config)),
-      bgp_feed_(cfg_.ring_capacity, cfg_.allowance),
-      flow_feed_(cfg_.ring_capacity, cfg_.allowance),
-      bgp_shed_(ShedConfig{cfg_.shed_mode, cfg_.shed_sink}),
-      flow_shed_(ShedConfig{cfg_.shed_mode, cfg_.shed_sink}),
-      backoff_(cfg_.backoff, cfg_.backoff_seed) {
-  bgp_batch_.reserve(kDecodeBatch);
-  flow_batch_.reserve(kDecodeBatch);
-}
+      bgp_feed_(ingest),
+      flow_feed_(ingest),
+      backoff_(cfg_.backoff, cfg_.backoff_seed) {}
 
 void Session::enter(SessionState s) {
   state_.store(s, std::memory_order_relaxed);
 }
 
-void Session::flush(FeedRing& feed, Shedder& shedder,
-                    std::vector<StreamEvent>& batch) {
-  if (batch.empty()) return;
-  util::TimeMs max_t = batch.front().time;
-  for (const StreamEvent& ev : batch) max_t = std::max(max_t, ev.time);
-
-  std::size_t done = feed.ring.try_push_bulk(batch.data(), batch.size());
-  if (done < batch.size()) {
-    // Ring full: fall back to the shedding policy, one event at a time.
-    obs::StopWatch wait;
-    const std::uint64_t budget_us =
-        cfg_.shed_mode == ShedMode::kBlockWithDeadline
-            ? static_cast<std::uint64_t>(cfg_.block_deadline) * 1000
-            : 0;
-    const Shedder::MakeRoom make_room = [&] {
-      if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
-        return false;
-      }
-      if (budget_us != 0 && wait.elapsed_us() > budget_us) return false;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      return true;
-    };
-    for (; done < batch.size(); ++done) {
-      shedder.offer(feed.ring, std::move(batch[done]), make_room);
-    }
-  }
-  // Publish the batch promise only after every event has landed (or been
-  // shed). Advancing to the batch max before the first push would let the
-  // consumer — with nothing in the ring for effective_mark to clamp
-  // against — release other feeds past this batch's earlier events and
-  // then drop them as late once they arrive; with the events in the ring,
-  // the oldest-undrained clamp keeps the promise sound.
-  feed.advance_watermark(max_t);
-  batch.clear();
-}
-
 void Session::flush_batches() {
-  flush(bgp_feed_, bgp_shed_, bgp_batch_);
-  flush(flow_feed_, flow_shed_, flow_batch_);
+  bgp_feed_.flush(bgp_room_);
+  flow_feed_.flush(flow_room_);
 }
 
 void Session::handle_frame(const Frame& frame) {
@@ -114,42 +63,29 @@ void Session::handle_frame(const Frame& frame) {
   static obs::Counter& payload_errors = transport_counter("payload_errors");
   frames.add();
   ++stats_.frames;
+  const auto payload_error = [&] {
+    payload_errors.add();
+    ++stats_.payload_errors;
+  };
   switch (frame.type) {
-    case FrameType::kBgpUpdate: {
-      auto update = decode_update(frame.payload);
-      if (!update.ok()) {
-        payload_errors.add();
-        ++stats_.payload_errors;
-        return;
-      }
-      count_produced(EventKind::kBgpUpdate);
-      ++stats_.events_bgp;
-      bgp_batch_.push_back(StreamEvent::from(*update, bgp_seq_++));
-      if (bgp_batch_.size() >= kDecodeBatch) {
-        flush(bgp_feed_, bgp_shed_, bgp_batch_);
+    case FrameType::kBgpUpdate:
+      if (auto update = decode_update(frame.payload); update.ok()) {
+        bgp_feed_.stage(bgp_feed_.stamp(*update), bgp_room_);
+      } else {
+        payload_error();
       }
       return;
-    }
-    case FrameType::kFlow: {
-      auto flow = decode_flow(frame.payload);
-      if (!flow.ok()) {
-        payload_errors.add();
-        ++stats_.payload_errors;
-        return;
-      }
-      count_produced(EventKind::kFlow);
-      ++stats_.events_flow;
-      flow_batch_.push_back(StreamEvent::from(*flow, flow_seq_++));
-      if (flow_batch_.size() >= kDecodeBatch) {
-        flush(flow_feed_, flow_shed_, flow_batch_);
+    case FrameType::kFlow:
+      if (auto flow = decode_flow(frame.payload); flow.ok()) {
+        flow_feed_.stage(flow_feed_.stamp(*flow), flow_room_);
+      } else {
+        payload_error();
       }
       return;
-    }
     case FrameType::kHeartbeat: {
       auto t = decode_time(frame.payload);
       if (!t.ok()) {
-        payload_errors.add();
-        ++stats_.payload_errors;
+        payload_error();
         return;
       }
       heartbeats.add();
@@ -167,8 +103,7 @@ void Session::handle_frame(const Frame& frame) {
       if (t.ok()) {
         stats_.close_time = std::max(stats_.close_time, *t);
       } else {
-        payload_errors.add();
-        ++stats_.payload_errors;
+        payload_error();
       }
       return;  // pump() notices the close via stats_.clean_close
     }
@@ -181,7 +116,11 @@ Session::PumpEnd Session::pump(Connection& conn,
   FrameDecoder decoder;
   obs::StopWatch idle;
 
-  const auto account_decoder = [&] {
+  // Every way out drains: stage the session as draining, land what the
+  // batches hold, and fold the decoder's accounting into the stats.
+  const auto end = [&](PumpEnd why) {
+    enter(SessionState::kDraining);
+    flush_batches();
     decoder.finish();
     const DecodeStats& d = decoder.stats();
     stats_.decode.bytes_fed += d.bytes_fed;
@@ -194,51 +133,33 @@ Session::PumpEnd Session::pump(Connection& conn,
     transport_counter("discarded_bytes").add(d.discarded_bytes);
     transport_counter("resyncs").add(d.resyncs);
     transport_counter("crc_failures").add(d.crc_failures);
+    return why;
   };
 
   for (;;) {
-    if (abort.load(std::memory_order_relaxed)) {
-      enter(SessionState::kDraining);
-      flush_batches();
-      account_decoder();
-      return PumpEnd::kAborted;
-    }
-    auto chunk = conn.read_some(cfg_.read_chunk, kPollSlice);
+    if (abort.load(std::memory_order_relaxed)) return end(PumpEnd::kAborted);
+    auto chunk = conn.read_some(kReadChunk, kPollSlice);
     if (!chunk.ok()) {
       if (chunk.status().code() == util::StatusCode::kUnavailable) {
         // Poll slice elapsed with no bytes; only fatal past the idle bound.
         if (cfg_.read_idle_timeout > 0 &&
             static_cast<util::DurationMs>(idle.elapsed_us() / 1000) >
                 cfg_.read_idle_timeout) {
-          enter(SessionState::kDraining);
-          flush_batches();
-          account_decoder();
-          return PumpEnd::kIdleTimeout;
+          return end(PumpEnd::kIdleTimeout);
         }
         continue;
       }
-      enter(SessionState::kDraining);
-      flush_batches();
-      account_decoder();
-      return PumpEnd::kDisconnect;
+      return end(PumpEnd::kDisconnect);
     }
     if (chunk->empty()) {  // orderly EOF with no kClose frame: abnormal
-      enter(SessionState::kDraining);
-      flush_batches();
-      account_decoder();
-      return PumpEnd::kDisconnect;
+      return end(PumpEnd::kDisconnect);
     }
     idle.restart();
     bytes_ctr.add(chunk->size());
     decoder.feed(*chunk);
     while (auto frame = decoder.next()) {
       handle_frame(*frame);
-      if (frame->type == FrameType::kClose) {
-        enter(SessionState::kDraining);
-        flush_batches();
-        account_decoder();
-        return PumpEnd::kCleanClose;
-      }
+      if (frame->type == FrameType::kClose) return end(PumpEnd::kCleanClose);
     }
   }
 }
@@ -252,7 +173,8 @@ void Session::run(const std::atomic<bool>& abort) {
   static obs::Counter& dead_feeds = transport_counter("dead_feeds");
   static obs::Counter& clean_closes = transport_counter("clean_closes");
 
-  abort_ = &abort;
+  bgp_room_ = bgp_feed_.wait_for_room(abort);
+  flow_room_ = flow_feed_.wait_for_room(abort);
   while (!abort.load(std::memory_order_relaxed)) {
     enter(SessionState::kConnecting);
     auto conn = transport_->open(cfg_.connect_timeout);
@@ -313,44 +235,19 @@ void Session::run(const std::atomic<bool>& abort) {
   flush_batches();
   bgp_feed_.close();
   flow_feed_.close();
-  stats_.shed = bgp_shed_.stats();
-  stats_.shed += flow_shed_.stats();
-  abort_ = nullptr;
+  bgp_room_ = flow_room_ = nullptr;  // they refer to `abort`
+  stats_.events_bgp = bgp_feed_.produced();
+  stats_.events_flow = flow_feed_.produced();
+  stats_.shed = bgp_feed_.shed_stats();
+  stats_.shed += flow_feed_.shed_stats();
   finished_.store(true, std::memory_order_release);
 }
 
 // --- run_live -------------------------------------------------------------
 
-namespace {
-
-/// Consumer-side delivery into the monitor (same accounting as replay's).
-struct LiveDeliverer {
-  core::RtbhMonitor& monitor;
-  const std::function<void(const StreamEvent&)>* tap{nullptr};
-  std::uint64_t delivered_bgp{0};
-  std::uint64_t delivered_flow{0};
-  util::TimeMs last_time{std::numeric_limits<util::TimeMs>::min()};
-
-  void operator()(const StreamEvent& ev) {
-    static obs::Counter& delivered =
-        obs::Registry::global().counter("stream.delivered");
-    delivered.add();
-    last_time = ev.time;
-    if (ev.kind == EventKind::kBgpUpdate) {
-      ++delivered_bgp;
-      monitor.on_update(ev.update);
-    } else {
-      ++delivered_flow;
-      monitor.on_flow(ev.flow);
-    }
-    if (tap != nullptr && *tap) (*tap)(ev);
-  }
-};
-
-}  // namespace
-
 util::Result<LiveStats> run_live(core::RtbhMonitor& monitor,
-                                 const LiveConfig& config) {
+                                 const LiveConfig& config,
+                                 const IngestOptions& ingest) {
   const obs::TraceSpan span("stream.live", "stream");
   if (config.listen_specs.empty() && config.connect_specs.empty()) {
     return util::invalid_argument("run_live: no endpoints configured");
@@ -360,79 +257,42 @@ util::Result<LiveStats> run_live(core::RtbhMonitor& monitor,
   // errors (fail fast), and a bound socket accepts even if the peer dials
   // before the session thread spins up.
   std::vector<std::unique_ptr<Session>> sessions;
+  const auto add_session = [&](std::unique_ptr<Transport> transport) {
+    std::string name = transport->describe();
+    SessionConfig cfg = config.session;
+    cfg.backoff_seed = config.session.backoff_seed + sessions.size();
+    sessions.push_back(std::make_unique<Session>(
+        std::move(name), std::move(transport), cfg, ingest));
+  };
   for (const std::string& spec : config.listen_specs) {
     auto ep = Endpoint::parse(spec);
     if (!ep.ok()) return ep.status().with_context("run_live");
     auto listener = ListenTransport::bind(*ep);
     if (!listener.ok()) return listener.status().with_context("run_live");
-    std::string name = (*listener)->describe();
-    SessionConfig cfg = config.session;
-    cfg.backoff_seed = config.session.backoff_seed + sessions.size();
-    sessions.push_back(std::make_unique<Session>(
-        std::move(name), std::move(*listener), cfg));
+    add_session(std::move(*listener));
   }
   for (const std::string& spec : config.connect_specs) {
     auto ep = Endpoint::parse(spec);
     if (!ep.ok()) return ep.status().with_context("run_live");
-    auto dial = std::make_unique<DialTransport>(*ep);
-    std::string name = dial->describe();
-    SessionConfig cfg = config.session;
-    cfg.backoff_seed = config.session.backoff_seed + sessions.size();
-    sessions.push_back(std::make_unique<Session>(std::move(name),
-                                                 std::move(dial), cfg));
+    add_session(std::make_unique<DialTransport>(*ep));
   }
 
   std::vector<FeedRing*> feeds;
-  feeds.reserve(sessions.size() * 2);
+  std::vector<Producer> producers;
   for (auto& s : sessions) {
     feeds.push_back(&s->bgp_feed());
     feeds.push_back(&s->flow_feed());
+    producers.emplace_back([session = s.get()](const std::atomic<bool>& abort) {
+      session->run(abort);
+    });
   }
-  WatermarkMux mux(feeds, config.max_reorder);
-  LiveDeliverer deliver{monitor, &config.tap};
-
-  std::atomic<bool> abort{false};
-  std::vector<std::thread> threads;
-  threads.reserve(sessions.size());
-  for (auto& s : sessions) {
-    threads.emplace_back([&abort, session = s.get()] { session->run(abort); });
-  }
+  WatermarkMux mux(feeds, ingest.max_reorder);
+  Deliverer deliver{monitor, config.rolling};
 
   LiveStats stats;
-  obs::StopWatch wall;
-  std::exception_ptr failure;
-  try {
-    // exhausted() turns true exactly when every session has closed its
-    // feeds and everything buffered has been delivered.
-    while (!mux.exhausted()) {
-      if (config.watchdog > 0 && !stats.watchdog_fired &&
-          static_cast<util::DurationMs>(wall.elapsed_us() / 1000) >
-              config.watchdog) {
-        stats.watchdog_fired = true;
-        transport_counter("watchdog_fired").add();
-        abort.store(true, std::memory_order_relaxed);
-      }
-      const std::size_t got = mux.drain_feeds(1024);
-      const std::size_t released = mux.release_ready(deliver);
-      if (got == 0 && released == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-  } catch (...) {
-    failure = std::current_exception();
-    abort.store(true, std::memory_order_relaxed);
-    // Drain without delivering so producer threads blocked on full rings
-    // can observe the abort and exit.
-    while (std::any_of(sessions.begin(), sessions.end(),
-                       [](const auto& s) { return !s->finished(); })) {
-      mux.drain_feeds(1024);
-      mux.release_ready([](const StreamEvent&) {});
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  for (std::thread& t : threads) t.join();
-  if (failure) std::rethrow_exception(failure);
-
+  stats.watchdog_fired =
+      consume_threaded(mux, deliver, producers, config.watchdog);
+  if (stats.watchdog_fired) transport_counter("watchdog_fired").add();
   stats.mux = mux.stats();
   stats.delivered_bgp = deliver.delivered_bgp;
   stats.delivered_flow = deliver.delivered_flow;

@@ -26,26 +26,26 @@
 // in the stream.transport.* metrics and mirrored in SessionStats — the
 // numbers the chaos harness reconciles against its ground-truth fault log.
 //
-// run_live() assembles the whole live pipeline for the tools: bind/dial
-// the endpoints, one producer thread per session, the caller's thread
-// consuming the mux into an RtbhMonitor until every session has finished,
-// with an optional wall-clock watchdog that aborts (and loudly counts) a
-// hung run instead of hanging the process.
+// Each feed is a stream::Feed of the shared ingest core, and run_live()
+// drives the sessions with the same threaded consumer a threaded replay
+// uses (stream/ingest.hpp): bind/dial the endpoints, one producer thread
+// per session, the caller's thread consuming the mux into an RtbhMonitor
+// until every session has finished, with an optional wall-clock watchdog
+// that aborts (and loudly counts) a hung run instead of hanging the
+// process.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/monitor.hpp"
-#include "stream/shedding.hpp"
+#include "stream/ingest.hpp"
 #include "stream/transport/frame.hpp"
 #include "stream/transport/socket.hpp"
-#include "stream/watermark.hpp"
 #include "util/backoff.hpp"
 #include "util/time.hpp"
 
@@ -72,18 +72,6 @@ struct SessionConfig {
   /// Silence on an established connection longer than this counts as a
   /// disconnect (stall detection). <= 0 disables the idle check.
   util::DurationMs read_idle_timeout{10 * util::kSecond};
-  /// Largest single read from the connection.
-  std::size_t read_chunk{64 * 1024};
-  /// Per-feed ring capacity (rounded up to a power of two).
-  std::size_t ring_capacity{8192};
-  /// Out-of-orderness allowance of both feeds.
-  util::DurationMs allowance{0};
-  ShedMode shed_mode{ShedMode::kBlockWithDeadline};
-  /// kBlockWithDeadline: how long to wait for ring room before shedding.
-  util::DurationMs block_deadline{5 * util::kSecond};
-  /// Ground-truth shed log (shared across feeds; called from the session
-  /// thread).
-  std::function<void(const ShedRecord&)> shed_sink;
 };
 
 /// Everything one session did, readable after run() returns.
@@ -110,14 +98,15 @@ struct SessionStats {
 };
 
 /// One supervised live source. Construct, hand bgp_feed()/flow_feed() to a
-/// WatermarkMux, then call run() on a producer thread.
+/// WatermarkMux, then call run() on a producer thread. `ingest` sizes the
+/// feeds and sets their shedding policy.
 class Session {
  public:
   Session(std::string name, std::unique_ptr<Transport> transport,
-          SessionConfig config);
+          SessionConfig config, const IngestOptions& ingest = {});
 
-  [[nodiscard]] FeedRing& bgp_feed() noexcept { return bgp_feed_; }
-  [[nodiscard]] FeedRing& flow_feed() noexcept { return flow_feed_; }
+  [[nodiscard]] Feed& bgp_feed() noexcept { return bgp_feed_; }
+  [[nodiscard]] Feed& flow_feed() noexcept { return flow_feed_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Supervisor loop: connect, pump frames, reconnect on failure, until a
@@ -147,25 +136,19 @@ class Session {
   PumpEnd pump(Connection& conn, const std::atomic<bool>& abort);
   void handle_frame(const Frame& frame);
   void flush_batches();
-  void flush(FeedRing& feed, Shedder& shedder,
-             std::vector<StreamEvent>& batch);
   void enter(SessionState s);
 
   std::string name_;
   std::unique_ptr<Transport> transport_;
   SessionConfig cfg_;
-  FeedRing bgp_feed_;
-  FeedRing flow_feed_;
-  Shedder bgp_shed_;
-  Shedder flow_shed_;
+  Feed bgp_feed_;
+  Feed flow_feed_;
   util::BackoffPolicy backoff_;
   std::atomic<SessionState> state_{SessionState::kConnecting};
   std::atomic<bool> finished_{false};
-  const std::atomic<bool>* abort_{nullptr};  ///< valid during run()
-  std::vector<StreamEvent> bgp_batch_;
-  std::vector<StreamEvent> flow_batch_;
-  std::uint64_t bgp_seq_{0};
-  std::uint64_t flow_seq_{0};
+  /// The feeds' make-room policies, bound to run()'s abort flag.
+  Shedder::MakeRoom bgp_room_;
+  Shedder::MakeRoom flow_room_;
   SessionStats stats_;
 };
 
@@ -178,16 +161,14 @@ struct LiveConfig {
   /// Endpoint specs to dial out to; one session each.
   std::vector<std::string> connect_specs;
   SessionConfig session;
-  /// Reorder-heap bound of the watermark mux.
-  std::size_t max_reorder{1 << 16};
   /// Wall-clock bound on the whole run; exceeded => abort every session,
   /// count stream.transport.watchdog_fired, and return what was delivered.
   /// <= 0 disables the watchdog.
   util::DurationMs watchdog{0};
-  /// Optional consumer-side tap, called for every delivered event right
-  /// after the monitor saw it (single consumer thread, delivery order).
-  /// Hook for the rolling incremental kernels.
-  std::function<void(const StreamEvent&)> tap;
+  /// Rolling incremental kernels, fed every delivered event after the
+  /// monitor saw it, as in ReplayOptions::rolling. The caller finishes it
+  /// at LiveStats::finish_time.
+  incremental::RollingReporter* rolling{nullptr};
 };
 
 struct LiveStats {
@@ -209,12 +190,14 @@ struct LiveStats {
 
 /// Run every configured session concurrently, merge their feeds through a
 /// WatermarkMux, and deliver into `monitor` in (time, kind, seq) order.
+/// `ingest` carries the ring/shed/reorder knobs a replay takes too.
 /// Binds all listeners before accepting anything (ephemeral ports are
 /// resolvable via the error-free bind), finishes the monitor at the
 /// latest clean-close time (falling back to the last delivered event).
 /// Fails fast (kInvalidArgument/kUnavailable) only on setup errors; link
 /// faults during the run are the sessions' problem and never an error.
-[[nodiscard]] util::Result<LiveStats> run_live(core::RtbhMonitor& monitor,
-                                               const LiveConfig& config);
+[[nodiscard]] util::Result<LiveStats> run_live(
+    core::RtbhMonitor& monitor, const LiveConfig& config,
+    const IngestOptions& ingest = {});
 
 }  // namespace bw::stream::transport

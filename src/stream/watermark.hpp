@@ -139,17 +139,24 @@ class WatermarkMux {
   /// fronts and the heap top, and delivers it when it is strictly below
   /// the release threshold (or unconditionally once every feed is spent).
   ///
+  /// Zero-allowance contract: a ring front is its feed's earliest event
+  /// only when the feed promises time order, i.e. its allowance is 0. With
+  /// an allowance L > 0 an event up to L behind the front may still sit
+  /// deeper in the ring, and delivering the front first would late-drop
+  /// it. So pump delivers nothing while any open feed has a nonzero
+  /// allowance; drain_feeds/release_ready reorder those feeds in the heap.
+  ///
   /// The threshold here is the minimum *published* watermark over open
-  /// feeds — the producer's forward promise — rather than release_ready's
+  /// feeds, the producer's forward promise, rather than release_ready's
   /// front-clamped variant, because the clamped mark can never admit the
-  /// clamping front itself. Delivering front f under f.time < published
-  /// mark is sound against every event not yet pushed (the promise covers
-  /// them) and against everything buffered ahead of us (f is the global
-  /// minimum of fronts and heap). The one behavioural difference from the
-  /// drain+release pair: an event that *breaks* its feed's promise and is
-  /// still sitting deeper in the ring gets late-dropped on arrival instead
-  /// of possibly being reordered via the heap — violators were only ever
-  /// handled best-effort, and both outcomes are counted, never silent.
+  /// clamping front itself. With zero allowances, delivering front f under
+  /// f.time < published mark is sound against every event not yet pushed
+  /// (the promise covers them) and against everything buffered (f is the
+  /// global minimum of fronts and heap). The one behavioural difference
+  /// from the drain+release pair: an event that *breaks* its feed's
+  /// promise (earlier than an event before it) and still sits deeper in
+  /// the ring is late-dropped on arrival instead of possibly being
+  /// reordered via the heap. Both outcomes are counted, never silent.
   ///
   /// Events the pump cannot deliver stay in their rings; callers that need
   /// heap buffering (backpressure absorption for a racing feed, forced
@@ -170,6 +177,7 @@ class WatermarkMux {
             feed->closed.load(std::memory_order_acquire)) {
           continue;  // can never produce again; stops gating
         }
+        if (feed->allowance != 0) return n;  // ring order != time order
         spent = false;
         threshold = std::min(
             threshold, feed->watermark.load(std::memory_order_acquire));

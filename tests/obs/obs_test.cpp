@@ -188,6 +188,44 @@ TEST(ManifestTest, PopulateFromMetricsFillsHeadlinesAndStageTimes) {
   EXPECT_EQ(m.to_json(), json);
 }
 
+TEST(ManifestTest, StreamTransportAndRollingBlocksOnlyWhenOwned) {
+  Registry registry;
+  registry.counter("stream.ingested_bgp").add(2);
+  registry.counter("stream.ingested_flow").add(8);
+  registry.counter("stream.delivered").add(9);
+  registry.counter("stream.shed_total").add(1);
+  registry.counter("stream.transport.reconnects").add(3);
+  registry.counter("stream.kernel.snapshots").add(4);
+
+  // bw-analyze, bw-generate and batch bw-monitor own none of the blocks.
+  Manifest batch;
+  batch.populate_from_metrics(registry.snapshot());
+  const std::string plain = batch.to_json();
+  EXPECT_EQ(plain.find("\"stream\":"), std::string::npos);
+  EXPECT_EQ(plain.find("\"transport\":"), std::string::npos);
+  EXPECT_EQ(plain.find("\"rolling\":"), std::string::npos);
+
+  // A live run with --rolling-out owns all three.
+  Manifest live;
+  live.stream.emplace().mode = "priority";
+  live.transport = true;
+  live.rolling.emplace().report_every_ms = 3600000;
+  live.populate_from_metrics(registry.snapshot());
+  EXPECT_EQ(live.stream->ingested, 10u);
+  EXPECT_EQ(live.rolling->snapshots, 4u);
+  const std::string json = live.to_json();
+  EXPECT_NE(json.find("\"stream\": {\"mode\": \"priority\", \"ingested\": 10, "
+                      "\"delivered\": 9, \"shed\": 1, \"late_dropped\": 0}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"transport\": {\"connects\": 0, "
+                      "\"connect_failures\": 0, \"reconnects\": 3, "),
+            std::string::npos);
+  EXPECT_NE(json.find("\"watchdog_fired\": 0}"), std::string::npos);
+  EXPECT_NE(json.find("\"rolling\": {\"report_every_ms\": 3600000, "
+                      "\"snapshots\": 4, "),
+            std::string::npos);
+}
+
 TEST(ManifestTest, SeedIsNullWhenAbsent) {
   Manifest m;
   m.tool = "bw-test";

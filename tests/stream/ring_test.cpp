@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace bw::stream {
@@ -19,6 +20,17 @@ TEST(CeilPow2Test, RoundsUp) {
   EXPECT_EQ(ceil_pow2(5), 8u);
   EXPECT_EQ(ceil_pow2(1000), 1024u);
   EXPECT_EQ(ceil_pow2(1024), 1024u);
+}
+
+TEST(CeilPow2Test, LargestPowerIsTheBoundary) {
+  // Above 2^63 no power of two fits: ceil_pow2 must report 0 rather than
+  // shift p out to 0 and spin.
+  constexpr std::size_t kTop = std::size_t{1} << 63;
+  EXPECT_EQ(ceil_pow2(kTop - 1), kTop);
+  EXPECT_EQ(ceil_pow2(kTop), kTop);
+  EXPECT_EQ(ceil_pow2(kTop + 1), 0u);
+  EXPECT_EQ(ceil_pow2(SIZE_MAX), 0u);
+  EXPECT_THROW(SpscRing<int>{SIZE_MAX}, std::length_error);
 }
 
 TEST(SpscRingTest, CapacityRoundsToPowerOfTwo) {

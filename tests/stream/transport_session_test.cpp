@@ -402,8 +402,9 @@ TEST(TransportLiveTest, FaultFreeLiveSessionMatchesLockstepReplayAcrossSeeds) {
         unix_endpoint("bw_live_" + std::to_string(seed) + ".sock");
     LiveConfig live;
     live.listen_specs = {ep.to_string()};
-    live.session.block_deadline = 10 * util::kMinute;  // never shed
     live.session.connect_timeout = 10 * util::kSecond;
+    IngestOptions ingest;
+    ingest.block_deadline = 10 * util::kMinute;  // never shed
 
     std::thread emitter([&] {
       const std::string wire = corpus_wire(dataset);
@@ -415,7 +416,7 @@ TEST(TransportLiveTest, FaultFreeLiveSessionMatchesLockstepReplayAcrossSeeds) {
     core::RtbhMonitor monitor(
         core::MonitorConfig{},
         [&alerts](const core::Alert& a) { alerts.push_back(fmt(a)); });
-    const auto stats = run_live(monitor, live);
+    const auto stats = run_live(monitor, live, ingest);
     emitter.join();
     ASSERT_TRUE(stats.ok()) << stats.status().to_string();
 

@@ -33,6 +33,7 @@
 
 #include "cli.hpp"
 #include "obs/metrics.hpp"
+#include "stream/ingest.hpp"
 #include "stream/transport/frame.hpp"
 #include "stream/transport/socket.hpp"
 #include "testing/transport_fault.hpp"
@@ -126,6 +127,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Strict integer value of this flag (tools::parse_int).
+    const auto int_arg = [&](auto& out, long long min) {
+      return tools::parse_int("bw-feed", arg, argv[++i], min, out);
+    };
     if (obs_options.parse(argc, argv, i)) {
       continue;
     } else if (strictness.parse(arg)) {
@@ -137,11 +142,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_file = argv[++i];
     } else if (arg == "--heartbeat" && i + 1 < argc) {
-      heartbeat = std::atoll(argv[++i]);
-      if (heartbeat < 0) {
-        std::cerr << "bw-feed: --heartbeat must be >= 0 ms\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(heartbeat, 0)) return tools::kExitUsage;
     } else if (arg == "--speed" && i + 1 < argc) {
       speed = std::atof(argv[++i]);
       if (speed < 0) {
@@ -149,11 +150,7 @@ int main(int argc, char** argv) {
         return tools::kExitUsage;
       }
     } else if (arg == "--give-up" && i + 1 < argc) {
-      give_up = std::atoll(argv[++i]);
-      if (give_up <= 0) {
-        std::cerr << "bw-feed: --give-up must be > 0 ms\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(give_up, 1)) return tools::kExitUsage;
     } else if (arg == "--chaos" && i + 1 < argc) {
       chaos_spec = argv[++i];
     } else if (arg == "--chaos-seed" && i + 1 < argc) {
@@ -226,15 +223,6 @@ int main(int argc, char** argv) {
     std::uint64_t heartbeats = 0;
     std::uint64_t events_bgp = 0;
     std::uint64_t events_flow = 0;
-    obs::StopWatch pace;
-    const auto& updates = dataset.blackhole_updates();
-    const auto& flows = dataset.flows();
-    const util::TimeMs t0 =
-        updates.empty()
-            ? (flows.empty() ? dataset.period().begin : flows.front().time)
-            : (flows.empty()
-                   ? updates.front().time
-                   : std::min(updates.front().time, flows.front().time));
 
     // One frame out, through the chaos script when armed. Every scripted
     // disconnect is followed by a patient re-establish before the next
@@ -269,45 +257,34 @@ int main(int argc, char** argv) {
       return util::ok_status();
     };
 
-    const auto pace_to = [&](util::TimeMs t) {
-      if (speed <= 0) return;
-      const auto target_us = static_cast<std::uint64_t>(
-          static_cast<double>(t - t0) * 1000.0 / speed);
-      while (pace.elapsed_us() < target_us) {
-        const std::uint64_t left = target_us - pace.elapsed_us();
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(left > 1000 ? 1000 : left));
-      }
-    };
-
-    util::TimeMs last_heartbeat = t0;
+    // Events leave in the batch merge order. That order is time-sorted,
+    // so a heartbeat at the current merge time is always a safe promise
+    // for both feeds.
+    stream::Pacer pacer(speed);
+    std::optional<util::TimeMs> last_heartbeat;  // the first event's time
     util::Status link = util::ok_status();
-    std::size_t ui = 0;
-    std::size_t fi = 0;
-    while (link.ok() && (ui < updates.size() || fi < flows.size())) {
-      const bool take_update =
-          fi >= flows.size() ||
-          (ui < updates.size() && updates[ui].time <= flows[fi].time);
-      const util::TimeMs t =
-          take_update ? updates[ui].time : flows[fi].time;
-      // Merge order is globally time-sorted, so a heartbeat at the current
-      // merge time is always a safe promise for both feeds.
-      if (heartbeat > 0 && t - last_heartbeat >= heartbeat) {
+    const auto send = [&](util::TimeMs t, const std::string& frame_bytes) {
+      pacer.wait_until(t);
+      if (!last_heartbeat) last_heartbeat = t;
+      if (heartbeat > 0 && t - *last_heartbeat >= heartbeat) {
         last_heartbeat = t;
         ++heartbeats;
-        pace_to(t);
         link = emit(stream::transport::frame_heartbeat(t));
-        if (!link.ok()) break;
+        if (!link.ok()) return false;
       }
-      pace_to(t);
-      if (take_update) {
-        ++events_bgp;
-        link = emit(stream::transport::frame_update(updates[ui++]));
-      } else {
-        ++events_flow;
-        link = emit(stream::transport::frame_flow(flows[fi++]));
-      }
-    }
+      link = emit(frame_bytes);
+      return link.ok();
+    };
+    stream::for_each_in_merge_order(
+        dataset,
+        [&](const bgp::Update& u) {
+          ++events_bgp;
+          return send(u.time, stream::transport::frame_update(u));
+        },
+        [&](const flow::FlowRecord& f) {
+          ++events_flow;
+          return send(f.time, stream::transport::frame_flow(f));
+        });
     if (link.ok()) {
       link = emit(stream::transport::frame_close(dataset.period().end));
     }

@@ -149,6 +149,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Strict integer value of this flag (tools::parse_int).
+    const auto int_arg = [&](auto& out, long long min) {
+      return tools::parse_int("bw-monitor", arg, argv[++i], min, out);
+    };
     if (obs_options.parse(argc, argv, i)) {
       continue;
     } else if (strictness.parse(arg)) {
@@ -164,26 +168,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect" && i + 1 < argc) {
       live_config.connect_specs.emplace_back(argv[++i]);
     } else if (arg == "--connect-timeout" && i + 1 < argc) {
-      live_config.session.connect_timeout = std::atoll(argv[++i]);
-      if (live_config.session.connect_timeout <= 0) {
-        std::cerr << "bw-monitor: --connect-timeout must be > 0 ms\n";
+      if (!int_arg(live_config.session.connect_timeout, 1)) {
         return tools::kExitUsage;
       }
     } else if (arg == "--read-idle" && i + 1 < argc) {
       live_config.session.read_idle_timeout = std::atoll(argv[++i]);
     } else if (arg == "--reconnect-budget" && i + 1 < argc) {
-      live_config.session.backoff.budget =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!int_arg(live_config.session.backoff.budget, 0)) {
+        return tools::kExitUsage;
+      }
     } else if (arg == "--backoff-base" && i + 1 < argc) {
-      live_config.session.backoff.base = std::atoll(argv[++i]);
-      if (live_config.session.backoff.base < 0) {
-        std::cerr << "bw-monitor: --backoff-base must be >= 0 ms\n";
+      if (!int_arg(live_config.session.backoff.base, 0)) {
         return tools::kExitUsage;
       }
     } else if (arg == "--backoff-cap" && i + 1 < argc) {
-      live_config.session.backoff.cap = std::atoll(argv[++i]);
-      if (live_config.session.backoff.cap <= 0) {
-        std::cerr << "bw-monitor: --backoff-cap must be > 0 ms\n";
+      if (!int_arg(live_config.session.backoff.cap, 1)) {
         return tools::kExitUsage;
       }
     } else if (arg == "--backoff-seed" && i + 1 < argc) {
@@ -198,25 +197,11 @@ int main(int argc, char** argv) {
         return tools::kExitUsage;
       }
     } else if (arg == "--ring-capacity" && i + 1 < argc) {
-      replay_options.ring_capacity =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (replay_options.ring_capacity == 0) {
-        std::cerr << "bw-monitor: --ring-capacity must be > 0\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(replay_options.ring_capacity, 1)) return tools::kExitUsage;
     } else if (arg == "--allowance" && i + 1 < argc) {
-      replay_options.allowance = std::atoll(argv[++i]);
-      if (replay_options.allowance < 0) {
-        std::cerr << "bw-monitor: --allowance must be >= 0 ms\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(replay_options.allowance, 0)) return tools::kExitUsage;
     } else if (arg == "--max-reorder" && i + 1 < argc) {
-      replay_options.max_reorder =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (replay_options.max_reorder == 0) {
-        std::cerr << "bw-monitor: --max-reorder must be > 0\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(replay_options.max_reorder, 1)) return tools::kExitUsage;
     } else if (arg == "--shed-mode" && i + 1 < argc) {
       auto mode = stream::parse_shed_mode(argv[++i]);
       if (!mode.ok()) {
@@ -236,23 +221,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--rolling-context" && i + 1 < argc) {
       rolling_context = argv[++i];
     } else if (arg == "--report-every" && i + 1 < argc) {
-      report_every = std::atoll(argv[++i]);
-      if (report_every < 0) {
-        std::cerr << "bw-monitor: --report-every must be >= 0 ms\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(report_every, 0)) return tools::kExitUsage;
     } else if (arg == "--rolling-topk" && i + 1 < argc) {
-      rolling_topk = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (rolling_topk == 0) {
-        std::cerr << "bw-monitor: --rolling-topk must be > 0\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(rolling_topk, 1)) return tools::kExitUsage;
     } else if (arg == "--rolling-approx" && i + 1 < argc) {
-      rolling_approx = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (rolling_approx == 0) {
-        std::cerr << "bw-monitor: --rolling-approx must be > 0 counters\n";
-        return tools::kExitUsage;
-      }
+      if (!int_arg(rolling_approx, 1)) return tools::kExitUsage;
     } else if (arg == "--alerts-out" && i + 1 < argc) {
       alerts_out = argv[++i];
     } else if (arg == "--shed-log" && i + 1 < argc) {
@@ -300,19 +273,14 @@ int main(int argc, char** argv) {
   obs_options.arm();
 
   try {
+    // The corpus a run reads: the one it replays, or a live run's rolling
+    // context (period + MAC attribution), if any.
     std::optional<core::Dataset> dataset;
-    if (!live) {
-      std::cout << "Loading " << path << "...\n";
-      auto loaded = tools::load_corpus(path, strictness.load_options);
-      if (!loaded.ok()) {
-        std::cerr << "bw-monitor: " << loaded.status().to_string() << "\n";
-        return tools::kExitData;
-      }
-      dataset.emplace(std::move(loaded).value());
-    } else if (!rolling_context.empty()) {
-      std::cout << "Loading rolling context " << rolling_context << "...\n";
-      auto loaded = tools::load_corpus(rolling_context,
-                                       strictness.load_options);
+    if (const std::string& corpus = live ? rolling_context : path;
+        !corpus.empty()) {
+      std::cout << (live ? "Loading rolling context " : "Loading ") << corpus
+                << "...\n";
+      auto loaded = tools::load_corpus(corpus, strictness.load_options);
       if (!loaded.ok()) {
         std::cerr << "bw-monitor: " << loaded.status().to_string() << "\n";
         return tools::kExitData;
@@ -361,45 +329,32 @@ int main(int argc, char** argv) {
     // Sheds can come from any producer/session thread; the log is the one
     // shared sink, so it takes a lock (shedding is the rare path).
     static std::mutex shed_mutex;
-    const auto locked_shed_sink = [&](const stream::ShedRecord& rec) {
-      const std::lock_guard<std::mutex> lock(shed_mutex);
-      shed_log += rec.to_line();
-      shed_log += '\n';
-    };
+    if (!shed_log_out.empty()) {
+      replay_options.shed_sink = [&](const stream::ShedRecord& rec) {
+        const std::lock_guard<std::mutex> lock(shed_mutex);
+        shed_log += rec.to_line();
+        shed_log += '\n';
+      };
+    }
+    if (rolling) replay_options.rolling = live_config.rolling = &*rolling;
 
+    // The ring/shed/reorder knobs are one set of flags for replay and live
+    // (stream::IngestOptions, the base of ReplayOptions).
     stream::ReplayStats stats;
     stream::transport::LiveStats live_stats;
     if (live) {
-      // The ring/shed/reorder knobs are shared flags; forward them into
-      // the per-session config.
-      live_config.session.ring_capacity = replay_options.ring_capacity;
-      live_config.session.allowance = replay_options.allowance;
-      live_config.session.shed_mode = replay_options.shed_mode;
-      live_config.session.block_deadline = replay_options.block_deadline;
-      live_config.max_reorder = replay_options.max_reorder;
-      if (!shed_log_out.empty()) {
-        live_config.session.shed_sink = locked_shed_sink;
-      }
-      if (rolling) {
-        live_config.tap = [&rolling](const stream::StreamEvent& ev) {
-          rolling->on_event(ev);
-        };
-      }
-      auto ran = stream::transport::run_live(monitor, live_config);
+      auto ran = stream::transport::run_live(monitor, live_config,
+                                             replay_options);
       if (!ran.ok()) {
         std::cerr << "bw-monitor: " << ran.status().to_string() << "\n";
         return tools::kExitData;
       }
       live_stats = std::move(ran).value();
     } else if (replay) {
-      if (!shed_log_out.empty()) {
-        replay_options.shed_sink = locked_shed_sink;
-      }
       if (replay_options.fault.any() && !quiet) {
         std::cout << "stream fault armed: " << replay_options.fault.summary()
                   << "\n";
       }
-      if (rolling) replay_options.rolling = &*rolling;
       stats = stream::replay_streaming(*dataset, monitor, replay_options);
     } else {
       stream::replay_batch(*dataset, monitor);
@@ -514,11 +469,14 @@ int main(int argc, char** argv) {
     }
     manifest.threads = util::ThreadPool::configured_concurrency();
     if (replay || live) {
-      manifest.stream_mode = std::string(to_string(replay_options.shed_mode));
+      manifest.stream.emplace().mode =
+          std::string(to_string(replay_options.shed_mode));
     }
-    manifest.rolling.enabled = rolling_active;
-    manifest.rolling.report_every_ms =
-        static_cast<std::uint64_t>(report_every);
+    manifest.transport = live;
+    if (rolling_active) {
+      manifest.rolling.emplace().report_every_ms =
+          static_cast<std::uint64_t>(report_every);
+    }
     manifest.populate_from_metrics(obs::Registry::global().snapshot());
     if (!obs_options.emit("bw-monitor", manifest)) return tools::kExitData;
 

@@ -14,9 +14,12 @@
 // stage faults behave.
 #pragma once
 
+#include <charconv>
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "core/io_text.hpp"
 #include "obs/manifest.hpp"
@@ -29,6 +32,26 @@ inline constexpr int kExitOk = 0;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitData = 3;
 inline constexpr int kExitInternal = 4;
+
+/// Strict parse of an integer flag value: decimal digits (a sign only
+/// where `Int` is signed), nothing after them, no overflow, and at least
+/// `min`. On failure prints why to stderr and returns false; the caller
+/// exits kExitUsage. A size flag must never wrap "-1" into SIZE_MAX.
+template <typename Int>
+bool parse_int(std::string_view tool, std::string_view flag,
+               std::string_view text, std::type_identity_t<Int> min,
+               Int& out) {
+  Int value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end || value < min) {
+    std::cerr << tool << ": " << flag << " must be an integer >= " << min
+              << ", got '" << text << "'\n";
+    return false;
+  }
+  out = value;
+  return true;
+}
 
 /// Observability outputs every bw-* tool offers:
 ///   --metrics-out FILE  run manifest + full metrics snapshot (JSON)
