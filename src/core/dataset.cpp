@@ -1,16 +1,23 @@
 #include "core/dataset.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
+#include <memory>
+#include <numeric>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
+#include "util/checksum.hpp"
 #include "util/container.hpp"
 #include "util/parallel.hpp"
 
@@ -49,40 +56,77 @@ void record_io(const IoMetrics& m, bool succeeded, const obs::StopWatch& wall) {
 
 }  // namespace
 
-Dataset Dataset::from_run(ixp::RunResult run, const ixp::Platform& platform) {
+Dataset Dataset::from_run(ixp::RunResult run, const ixp::Platform& platform,
+                          util::ThreadPool* pool) {
   std::unordered_map<net::Mac, bgp::Asn> macs;
   for (const auto& m : platform.members()) macs[m.port_mac] = m.asn;
   // The platform's origin table is the BGP-derived prefix->origin view the
   // paper resolves source addresses against.
   auto origins = platform.origin_prefix_table();
   return Dataset(std::move(run.control), std::move(run.data), std::move(macs),
-                 std::move(origins), platform.config().period);
+                 std::move(origins), platform.config().period, BuildOptions(),
+                 pool);
 }
 
 Dataset::Dataset(bgp::UpdateLog control, flow::FlowLog data,
                  std::unordered_map<net::Mac, bgp::Asn> mac_to_asn,
                  std::vector<std::pair<net::Prefix, bgp::Asn>> origin_prefixes,
-                 util::TimeRange period, const BuildOptions& options)
+                 util::TimeRange period, const BuildOptions& options,
+                 util::ThreadPool* pool)
     : control_(std::move(control)),
       data_(std::move(data)),
       mac_to_asn_(std::move(mac_to_asn)),
       origin_prefixes_(std::move(origin_prefixes)),
       period_(period) {
-  sanitize(options);
-  build_indices();
+  util::ThreadPool& workers = util::pool_or_global(pool);
+  sanitize(options, workers);
+  build_indices(workers);
 }
 
 namespace {
 
 /// Adjacent input-order time inversions — what an out-of-order feed looks
-/// like before the build sorts it.
+/// like before the build sorts it — among rows [begin, end), each compared
+/// with its predecessor.
 template <typename Records>
-std::size_t count_inversions(const Records& records) {
+std::size_t count_inversions(const Records& records, std::size_t begin = 0,
+                             std::size_t end = SIZE_MAX) {
   std::size_t n = 0;
-  for (std::size_t i = 1; i < records.size(); ++i) {
+  end = std::min(end, records.size());
+  for (std::size_t i = std::max<std::size_t>(begin, 1); i < end; ++i) {
     if (records[i].time < records[i - 1].time) ++n;
   }
   return n;
+}
+
+/// Row shards of [0, n): about 64Ki rows each and at most 64, a split that
+/// depends on n only.
+std::size_t row_shard_count(std::size_t n) {
+  return std::clamp<std::size_t>(n / 65536, 1, 64);
+}
+
+/// Run `fn(shard, begin, end)` for every row shard of [0, n) over `pool`.
+template <typename Fn>
+void for_row_shards(util::ThreadPool& pool, std::size_t n, const Fn& fn) {
+  const std::size_t shards = row_shard_count(n);
+  const std::size_t len = (n + shards - 1) / shards;
+  util::parallel_for(
+      pool, shards,
+      [&](std::size_t k) {
+        fn(k, std::min(n, k * len), std::min(n, (k + 1) * len));
+      },
+      1);
+}
+
+/// count_inversions over the whole log, shard by shard over `pool`.
+std::size_t count_flow_inversions(util::ThreadPool& pool,
+                                  const flow::FlowLog& flows) {
+  std::vector<std::size_t> counts(row_shard_count(flows.size()));
+  for_row_shards(pool, flows.size(),
+                 [&](std::size_t k, std::size_t begin, std::size_t end) {
+                   counts[k] = count_inversions(flows, begin, end);
+                 });
+  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
 }
 
 bool flow_records_equal(const flow::FlowRecord& a, const flow::FlowRecord& b) {
@@ -90,6 +134,10 @@ bool flow_records_equal(const flow::FlowRecord& a, const flow::FlowRecord& b) {
          a.proto == b.proto && a.src_port == b.src_port &&
          a.dst_port == b.dst_port && a.src_mac == b.src_mac &&
          a.dst_mac == b.dst_mac && a.packets == b.packets && a.bytes == b.bytes;
+}
+
+bool flow_time_less(const flow::FlowRecord& a, const flow::FlowRecord& b) {
+  return a.time < b.time;
 }
 
 /// Total order over every FlowRecord field, so exact duplicates sort
@@ -109,9 +157,9 @@ bool flow_record_less(const flow::FlowRecord& a, const flow::FlowRecord& b) {
 
 }  // namespace
 
-void Dataset::sanitize(const BuildOptions& options) {
+void Dataset::sanitize(const BuildOptions& options, util::ThreadPool& pool) {
   quality_.reordered_updates = count_inversions(control_);
-  quality_.reordered_flows = count_inversions(data_);
+  quality_.reordered_flows = count_flow_inversions(pool, data_);
 
   if (options.quarantine_out_of_period) {
     const util::TimeMs lo = period_.begin - options.period_slack;
@@ -131,8 +179,7 @@ void Dataset::sanitize(const BuildOptions& options) {
   if (options.dedupe_flows && !data_.empty()) {
     // Full-key sort makes exact duplicates adjacent; build_indices re-sorts
     // by time afterwards, so the record order analyses see is unchanged.
-    util::parallel_sort(util::ThreadPool::global(), data_.begin(), data_.end(),
-                        flow_record_less);
+    util::parallel_sort(pool, data_.begin(), data_.end(), flow_record_less);
     const std::size_t before = data_.size();
     data_.erase(std::unique(data_.begin(), data_.end(), flow_records_equal),
                 data_.end());
@@ -142,12 +189,24 @@ void Dataset::sanitize(const BuildOptions& options) {
   // Unattributable MACs (e.g. a damaged MAC table): flows whose handover
   // port — or egress port, blackhole MAC aside — has no member mapping.
   const net::Mac blackhole = net::Mac::blackhole();
-  for (const auto& r : data_) {
-    const bool src_unknown = mac_to_asn_.find(r.src_mac) == mac_to_asn_.end();
-    const bool dst_unknown = r.dst_mac != blackhole &&
-                             mac_to_asn_.find(r.dst_mac) == mac_to_asn_.end();
-    if (src_unknown || dst_unknown) ++quality_.unknown_mac_flows;
-  }
+  std::vector<std::size_t> unknown(row_shard_count(data_.size()));
+  for_row_shards(
+      pool, data_.size(),
+      [&](std::size_t k, std::size_t begin, std::size_t end) {
+        std::size_t count = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const flow::FlowRecord& r = data_[i];
+          const bool src_unknown =
+              mac_to_asn_.find(r.src_mac) == mac_to_asn_.end();
+          const bool dst_unknown =
+              r.dst_mac != blackhole &&
+              mac_to_asn_.find(r.dst_mac) == mac_to_asn_.end();
+          if (src_unknown || dst_unknown) ++count;
+        }
+        unknown[k] = count;
+      });
+  quality_.unknown_mac_flows =
+      std::accumulate(unknown.begin(), unknown.end(), std::size_t{0});
 }
 
 namespace {
@@ -209,20 +268,82 @@ std::unordered_map<net::Mac, std::uint32_t> Dataset::build_control_indices() {
   return member_id_map();
 }
 
-void Dataset::build_indices() {
-  util::ThreadPool& pool = util::ThreadPool::global();
+namespace {
 
-  // Sort the two raw corpora concurrently; each sort is itself parallel.
-  // Both comparators, with parallel_sort's stability, yield an order that
-  // is independent of the thread count.
+/// Sort `keys` into (address, row) order for rows [0, keys.size()), where
+/// `addr(i)` is row i's 32-bit address: a stable LSD radix sort of
+/// (address << 32 | row) keys on their address half, one parallel counting
+/// pass and one parallel scatter per address byte, skipping a byte every
+/// key shares. The keys end as bare row positions. Over a time-sorted log
+/// this is the (address, time, row) order; the keys are unique, so the
+/// result does not depend on the shard split. `scratch` is the scatter
+/// buffer, of the same size; neither needs initializing, so their pages
+/// are first touched by the parallel passes.
+template <typename Addr>
+void address_order(util::ThreadPool& pool, const Addr& addr,
+                   std::span<std::size_t> keys,
+                   std::span<std::size_t> scratch) {
+  static_assert(sizeof(std::size_t) == 8, "keys pack two 32-bit halves");
+  const std::size_t n = keys.size();
+  for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      keys[i] = static_cast<std::size_t>(addr(i)) << 32 | i;
+    }
+  });
+  std::span<std::size_t> from = keys;
+  std::span<std::size_t> to = scratch;
+  std::vector<std::array<std::size_t, 256>> slot(row_shard_count(n));
+  for (unsigned shift = 32; shift < 64; shift += 8) {
+    for_row_shards(pool, n,
+                   [&](std::size_t k, std::size_t begin, std::size_t end) {
+                     slot[k].fill(0);
+                     for (std::size_t i = begin; i < end; ++i) {
+                       ++slot[k][(from[i] >> shift) & 0xFF];
+                     }
+                   });
+    // Exclusive prefix over (digit, shard): shard k's rows with digit d go
+    // after every smaller digit and after earlier shards' rows with d.
+    bool shared = false;
+    std::size_t sum = 0;
+    for (std::size_t d = 0; d < 256; ++d) {
+      const std::size_t digit_begin = sum;
+      for (auto& counts : slot) {
+        const std::size_t c = counts[d];
+        counts[d] = sum;
+        sum += c;
+      }
+      shared = shared || sum - digit_begin == n;
+    }
+    if (shared) continue;  // the scatter would be the identity
+    for_row_shards(pool, n,
+                   [&](std::size_t k, std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       to[slot[k][(from[i] >> shift) & 0xFF]++] = from[i];
+                     }
+                   });
+    std::swap(from, to);
+  }
+  for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) keys[i] = from[i] & 0xFFFFFFFFu;
+  });
+}
+
+}  // namespace
+
+void Dataset::build_indices(util::ThreadPool& pool) {
+  // Sort the control log concurrently with the flow-log order check.
   auto control_sorted = pool.submit([&] {
     util::parallel_sort(pool, control_.begin(), control_.end(),
                         control_update_less);
   });
-  util::parallel_sort(pool, data_.begin(), data_.end(),
-                      [](const flow::FlowRecord& a, const flow::FlowRecord& b) {
-                        return a.time < b.time;
-                      });
+  // A generated log arrives time-sorted (Platform::finish merges its slices
+  // stably), and a stable sort of a sorted log is the identity, so only a
+  // log sanitize found out of order takes the stable sort. Neither
+  // sanitize pass adds an inversion: the quarantine erase keeps row order
+  // and the dedupe sort orders by time first.
+  if (quality_.reordered_flows != 0) {
+    util::parallel_sort(pool, data_.begin(), data_.end(), flow_time_less);
+  }
   control_sorted.get();
 
   // The route-server replay is inherently sequential (open/close state),
@@ -235,40 +356,36 @@ void Dataset::build_indices() {
     origin_lpm_ = net::FlatLpm<bgp::Asn>(origin_prefixes_);
   });
 
-  by_dst_.resize(data_.size());
-  std::vector<std::size_t> by_src(data_.size());
-  for (std::size_t i = 0; i < data_.size(); ++i) by_dst_[i] = by_src[i] = i;
-  // Tie-break on the flow index so the comparators induce a total order:
-  // the sorted indices are then unique, i.e. identical at any thread count.
-  auto by_dst_done = pool.submit([&] {
-    util::parallel_sort(pool, by_dst_.begin(), by_dst_.end(),
-                        [this](std::size_t a, std::size_t b) {
-                          if (data_[a].dst_ip != data_[b].dst_ip) {
-                            return data_[a].dst_ip < data_[b].dst_ip;
-                          }
-                          if (data_[a].time != data_[b].time) {
-                            return data_[a].time < data_[b].time;
-                          }
-                          return a < b;
-                        });
-  });
-  util::parallel_sort(pool, by_src.begin(), by_src.end(),
-                      [this](std::size_t a, std::size_t b) {
-                        if (data_[a].src_ip != data_[b].src_ip) {
-                          return data_[a].src_ip < data_[b].src_ip;
-                        }
-                        if (data_[a].time != data_[b].time) {
-                          return data_[a].time < data_[b].time;
-                        }
-                        return a < b;
-                      });
+  // The log is time-sorted now, so ordering row positions by address alone
+  // gives the (address, time, flow index) total order, identical at any
+  // thread count. Rows must fit the sort keys' 32-bit position half.
+  const std::size_t n = data_.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Dataset: flow count exceeds 2^32 rows");
+  }
+  // by_src and the scatter buffer are never zero-filled: the sort's
+  // parallel passes touch their pages first. by_dst_ is reserved here, for
+  // the reason FlowColumns::build gives, and zero-filled beside the src
+  // sort.
+  const auto by_src = std::make_unique_for_overwrite<std::size_t[]>(n);
+  {
+    const auto scratch = std::make_unique_for_overwrite<std::size_t[]>(n);
+    by_dst_.reserve(n);
+    auto dst_sized = pool.submit([&] { by_dst_.resize(n); });
+    address_order(
+        pool, [&](std::size_t i) { return data_[i].src_ip.value(); },
+        std::span(by_src.get(), n), std::span(scratch.get(), n));
+    dst_sized.get();
+    address_order(
+        pool, [&](std::size_t i) { return data_[i].dst_ip.value(); },
+        std::span(by_dst_), std::span(scratch.get(), n));
+  }
 
   const std::unordered_map<net::Mac, std::uint32_t> member_ids =
       member_id_map();
-
-  by_dst_done.get();
-  columns_ = flow::FlowColumns::build(data_, by_dst_, by_src, member_ids,
-                                      pool);
+  columns_ = flow::FlowColumns::build(
+      data_, by_dst_, std::span<const std::size_t>(by_src.get(), n),
+      member_ids, pool);
   blackholes_done.get();
   lpm_done.get();
 }
@@ -466,9 +583,113 @@ void write_table_sections(
   put_table(w, kSecOrigins, origins);
 }
 
+/// dataset.save.{dict,encode,write}_us: where a save spends its wall time
+/// (see docs/observability.md).
+struct SavePhaseMetrics {
+  obs::Counter& dict_us;
+  obs::Counter& encode_us;
+  obs::Counter& write_us;
+};
+
+const SavePhaseMetrics& save_phase_metrics() {
+  auto& reg = obs::Registry::global();
+  static const SavePhaseMetrics m{reg.counter("dataset.save.dict_us"),
+                                  reg.counter("dataset.save.encode_us"),
+                                  reg.counter("dataset.save.write_us")};
+  return m;
+}
+
+/// Every distinct MAC in `flows`, ascending: the MAC dictionary chunk rows
+/// store indexes into, so 6-byte MACs cost one or two varint bytes per row.
+std::vector<std::uint64_t> mac_dictionary(util::ThreadPool& pool,
+                                          const flow::FlowLog& flows) {
+  std::vector<std::unordered_set<std::uint64_t>> seen(
+      row_shard_count(flows.size()));
+  for_row_shards(pool, flows.size(),
+                 [&](std::size_t k, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     seen[k].insert(flows[i].src_mac.value());
+                     seen[k].insert(flows[i].dst_mac.value());
+                   }
+                 });
+  std::unordered_set<std::uint64_t> all;
+  for (const auto& macs : seen) all.insert(macs.begin(), macs.end());
+  std::vector<std::uint64_t> dict(all.begin(), all.end());
+  std::sort(dict.begin(), dict.end());
+  return dict;
+}
+
+/// What one in-flight chunk encodes into: its payload, the payload's CRC32C
+/// and its zone map, plus the MAC-id and log-position columns a dst chunk
+/// derives. Slots are reused from chunk to chunk, so the encoder allocates
+/// only while their buffers first grow.
+struct ChunkSlot {
+  std::vector<std::uint8_t> payload;
+  std::uint32_t crc{0};
+  store::ChunkMeta meta;
+  std::vector<std::uint32_t> src_mac_id;
+  std::vector<std::uint32_t> dst_mac_id;
+  std::vector<std::uint32_t> orig_pos;
+};
+
+/// Write `count` chunk sections of kind `section`, then their zone maps
+/// as the `index_section`. `encode(k, slot)` fills chunk k's payload and
+/// returns its zone map. Chunk k encodes and checksums on the pool into
+/// slots[k % slots.size()] while this thread writes the chunks before it;
+/// it is submitted only once chunk k - slots.size() is written, so at most
+/// that many chunks are in flight and they land in chunk order: the bytes
+/// do not depend on the pool. The time this thread spends getting encoded
+/// chunks (waiting, or encoding inline on a serial pool) is added to
+/// `encode_us`.
+template <typename Encode>
+void write_chunks(util::container::Writer& w, util::ThreadPool& pool,
+                  std::span<ChunkSlot> slots, std::size_t count,
+                  std::uint32_t section, std::uint32_t index_section,
+                  const Encode& encode, std::uint64_t& encode_us) {
+  std::deque<std::future<void>> window;
+  std::size_t next = 0;
+  const auto fill_window = [&] {
+    const obs::StopWatch watch;
+    while (next < count && window.size() < slots.size()) {
+      ChunkSlot& slot = slots[next % slots.size()];
+      window.push_back(pool.submit([&encode, &slot, k = next++] {
+        slot.meta = encode(k, slot);
+        slot.crc = util::crc32c(slot.payload.data(), slot.payload.size());
+      }));
+    }
+    encode_us += watch.elapsed_us();
+  };
+  std::vector<std::uint8_t> index;
+  try {
+    fill_window();
+    for (std::size_t k = 0; k < count; ++k) {
+      const obs::StopWatch wait;
+      window.front().get();
+      encode_us += wait.elapsed_us();
+      window.pop_front();
+      const ChunkSlot& slot = slots[k % slots.size()];
+      w.write_section(section, slot.payload.data(), slot.payload.size(),
+                      slot.crc);
+      store::append_meta(index, slot.meta);
+      fill_window();
+    }
+  } catch (...) {
+    // The queued encodes reference `encode` and the slots: let them finish.
+    for (auto& f : window) {
+      if (f.valid()) f.wait();
+    }
+    throw;
+  }
+  w.begin_section(index_section);
+  put_u64(w, count);
+  w.write(index.data(), index.size());
+  w.end_section();
+}
+
 }  // namespace
 
-util::Status Dataset::try_save(const std::string& path) const {
+util::Status Dataset::try_save(const std::string& path,
+                               util::ThreadPool* pool_opt) const {
   const obs::TraceSpan span("dataset.try_save", "io");
   const obs::StopWatch wall;
   util::Status st = [&]() -> util::Status {
@@ -483,127 +704,97 @@ util::Status Dataset::try_save(const std::string& path) const {
                                     ": flow count exceeds the v3 row-position "
                                     "range");
     }
+    util::ThreadPool& pool = util::pool_or_global(pool_opt);
+    const SavePhaseMetrics& phase = save_phase_metrics();
+    obs::StopWatch watch;
 
-    // MAC dictionary: every distinct MAC in the corpus, ascending. Chunk
-    // rows store indexes into it, so 6-byte MACs cost one or two varint
-    // bytes per row.
-    std::vector<std::uint64_t> dict;
-    {
-      std::unordered_set<std::uint64_t> seen;
-      seen.reserve(mac_to_asn_.size() * 2 + 16);
-      for (const auto& r : data_) {
-        seen.insert(r.src_mac.value());
-        seen.insert(r.dst_mac.value());
-      }
-      dict.assign(seen.begin(), seen.end());
-      std::sort(dict.begin(), dict.end());
-    }
+    const std::vector<std::uint64_t> dict = mac_dictionary(pool, data_);
     std::unordered_map<std::uint64_t, std::uint32_t> dict_id;
     dict_id.reserve(dict.size());
     for (std::size_t i = 0; i < dict.size(); ++i) {
       dict_id[dict[i]] = static_cast<std::uint32_t>(i);
     }
+    lap(phase.dict_us, watch);
 
     const std::size_t rows_per_chunk = store::chunk_rows();
     const std::size_t n = data_.size();
+    const std::size_t n_chunks = (n + rows_per_chunk - 1) / rows_per_chunk;
+
+    // Dst-ordered chunks read the dst columns in place; the MAC ids and log
+    // positions are not columns, so each chunk derives its own.
+    const auto encode_dst = [&](std::size_t k, ChunkSlot& slot) {
+      const std::size_t base = k * rows_per_chunk;
+      const std::size_t rows = std::min(rows_per_chunk, n - base);
+      slot.src_mac_id.resize(rows);
+      slot.dst_mac_id.resize(rows);
+      slot.orig_pos.resize(rows);
+      for (std::size_t g = 0; g < rows; ++g) {
+        const std::size_t pos = by_dst_[base + g];
+        const flow::FlowRecord& r = data_[pos];
+        slot.src_mac_id[g] = dict_id.find(r.src_mac.value())->second;
+        slot.dst_mac_id[g] = dict_id.find(r.dst_mac.value())->second;
+        slot.orig_pos[g] = static_cast<std::uint32_t>(pos);
+      }
+      const store::DstChunkRows chunk =
+          store::dst_rows(columns_, base, rows, slot.src_mac_id,
+                          slot.dst_mac_id, slot.orig_pos);
+      store::encode_dst_chunk(chunk, slot.payload);
+      return store::make_dst_meta(chunk, base);
+    };
+    const auto encode_src = [&](std::size_t k, ChunkSlot& slot) {
+      const std::size_t base = k * rows_per_chunk;
+      const store::SrcChunkRows chunk = store::src_rows(
+          columns_, base, std::min(rows_per_chunk, n - base));
+      store::encode_src_chunk(chunk, slot.payload);
+      return store::make_src_meta(chunk, base);
+    };
+    // The slots' buffers are allocated here, at their largest, so no pool
+    // thread reallocates them and they leave no garbage in its heap.
+    const std::size_t slot_rows = std::min(rows_per_chunk, n);
+    std::vector<ChunkSlot> slots(std::min(pool.concurrency(), n_chunks));
+    for (ChunkSlot& slot : slots) {
+      slot.payload.reserve(store::max_dst_chunk_bytes(slot_rows));
+      slot.src_mac_id.reserve(slot_rows);
+      slot.dst_mac_id.reserve(slot_rows);
+      slot.orig_pos.reserve(slot_rows);
+    }
 
     // Atomic commit: the container streams into `<path>.tmp`, which is
     // fsync'd and renamed over `path` only once complete — a crash mid-save
-    // leaves the previous file (or nothing), never a torn one. Chunks are
-    // encoded one at a time into a reused buffer, so peak writer memory is
-    // one chunk regardless of corpus size.
-    return util::atomic_write_file(path, [&](std::ostream& os) -> util::Status {
-      util::container::Writer w(os);
-      write_table_sections(w, period_, control_, mac_to_asn_,
-                           origin_prefixes_);
+    // leaves the previous file (or nothing), never a torn one. At most the
+    // pool's concurrency of chunk payloads is in memory at a time,
+    // regardless of corpus size.
+    std::uint64_t encode_us = 0;
+    const util::Status written =
+        util::atomic_write_file(path, [&](std::ostream& os) -> util::Status {
+          util::container::Writer w(os);
+          write_table_sections(w, period_, control_, mac_to_asn_,
+                               origin_prefixes_);
 
-      w.begin_section(store::kSecStoreMeta);
-      put_u64(w, n);
-      put_u64(w, quality_.unknown_mac_flows);
-      put_u64(w, rows_per_chunk);
-      put_u64(w, 0);  // reserved
-      w.end_section();
+          w.begin_section(store::kSecStoreMeta);
+          put_u64(w, n);
+          put_u64(w, quality_.unknown_mac_flows);
+          put_u64(w, rows_per_chunk);
+          put_u64(w, 0);  // reserved
+          w.end_section();
 
-      w.begin_section(store::kSecMacDict);
-      put_u64(w, dict.size());
-      for (const std::uint64_t mac : dict) put_u64(w, mac);
-      w.end_section();
+          w.begin_section(store::kSecMacDict);
+          put_u64(w, dict.size());
+          for (const std::uint64_t mac : dict) put_u64(w, mac);
+          w.end_section();
 
-      // Dst-ordered chunks + their zone-map index.
-      std::vector<std::uint8_t> payload;
-      std::vector<std::uint8_t> index;
-      std::size_t n_chunks = 0;
-      for (std::size_t base = 0; base < n; base += rows_per_chunk) {
-        const std::size_t end = std::min(n, base + rows_per_chunk);
-        const std::size_t rows = end - base;
-        store::ChunkData chunk;
-        auto slice = [&](auto& dst, const auto& src) {
-          dst.assign(src.begin() + static_cast<std::ptrdiff_t>(base),
-                     src.begin() + static_cast<std::ptrdiff_t>(end));
-        };
-        slice(chunk.cols.time, columns_.time);
-        slice(chunk.cols.src_ip, columns_.src_ip);
-        slice(chunk.cols.dst_ip, columns_.dst_ip);
-        slice(chunk.cols.proto, columns_.proto);
-        slice(chunk.cols.src_port, columns_.src_port);
-        slice(chunk.cols.dst_port, columns_.dst_port);
-        slice(chunk.cols.packets, columns_.packets);
-        slice(chunk.cols.bytes, columns_.bytes);
-        slice(chunk.cols.src_member, columns_.src_member);
-        chunk.cols.dropped_words.assign((rows + 63) / 64, 0);
-        chunk.src_mac_id.resize(rows);
-        chunk.dst_mac_id.resize(rows);
-        chunk.orig_pos.resize(rows);
-        for (std::size_t g = 0; g < rows; ++g) {
-          if (columns_.dropped(base + g)) {
-            chunk.cols.dropped_words[g >> 6] |= std::uint64_t{1} << (g & 63);
-          }
-          const std::size_t pos = by_dst_[base + g];
-          const flow::FlowRecord& r = data_[pos];
-          chunk.src_mac_id[g] = dict_id.find(r.src_mac.value())->second;
-          chunk.dst_mac_id[g] = dict_id.find(r.dst_mac.value())->second;
-          chunk.orig_pos[g] = static_cast<std::uint32_t>(pos);
-        }
-        store::encode_dst_chunk(chunk, payload);
-        w.begin_section(store::kSecChunk);
-        w.write(payload.data(), payload.size());
-        w.end_section();
-        store::append_meta(index, store::make_dst_meta(chunk, base));
-        ++n_chunks;
-      }
-      w.begin_section(store::kSecChunkIndex);
-      put_u64(w, n_chunks);
-      w.write(index.data(), index.size());
-      w.end_section();
-
-      // Src-ordered chunks (the four s_* columns) + their index.
-      index.clear();
-      n_chunks = 0;
-      for (std::size_t base = 0; base < n; base += rows_per_chunk) {
-        const std::size_t end = std::min(n, base + rows_per_chunk);
-        store::ChunkData chunk;
-        auto slice = [&](auto& dst, const auto& src) {
-          dst.assign(src.begin() + static_cast<std::ptrdiff_t>(base),
-                     src.begin() + static_cast<std::ptrdiff_t>(end));
-        };
-        slice(chunk.cols.s_src_ip, columns_.s_src_ip);
-        slice(chunk.cols.s_time, columns_.s_time);
-        slice(chunk.cols.s_src_port, columns_.s_src_port);
-        slice(chunk.cols.s_dst_port, columns_.s_dst_port);
-        store::encode_src_chunk(chunk, payload);
-        w.begin_section(store::kSecSrcChunk);
-        w.write(payload.data(), payload.size());
-        w.end_section();
-        store::append_meta(index, store::make_src_meta(chunk, base));
-        ++n_chunks;
-      }
-      w.begin_section(store::kSecSrcIndex);
-      put_u64(w, n_chunks);
-      w.write(index.data(), index.size());
-      w.end_section();
-
-      return w.finish().with_context("Dataset::try_save: " + path);
-    });
+          write_chunks(w, pool, slots, n_chunks, store::kSecChunk,
+                       store::kSecChunkIndex, encode_dst, encode_us);
+          write_chunks(w, pool, slots, n_chunks, store::kSecSrcChunk,
+                       store::kSecSrcIndex, encode_src, encode_us);
+          return w.finish().with_context("Dataset::try_save: " + path);
+        });
+    // Encodes overlap the writes: encode_us is what they add to the
+    // writing thread, and write_us the rest (tables, payload writes, fsync,
+    // rename).
+    phase.encode_us.add(encode_us);
+    phase.write_us.add(watch.elapsed_us() - encode_us);
+    return written;
   }();
   record_io(io_metrics("save"), st.ok(), wall);
   return st;
@@ -741,12 +932,6 @@ const LoadPhaseMetrics& load_phase_metrics() {
       reg.counter("dataset.load.decode_us"),
       reg.counter("dataset.load.columns_us")};
   return m;
-}
-
-/// Add the watch's elapsed time to `counter` and restart it.
-void lap(obs::Counter& counter, obs::StopWatch& watch) {
-  counter.add(watch.elapsed_us());
-  watch.restart();
 }
 
 std::uint64_t mix64(std::uint64_t x) {

@@ -76,14 +76,18 @@ class Dataset {
 
   /// Build from a platform replay. Copies the MAC table and origin table
   /// out of the platform so the Dataset is self-contained afterwards.
-  static Dataset from_run(ixp::RunResult run, const ixp::Platform& platform);
+  /// `pool` (null: the global pool) runs the index build.
+  static Dataset from_run(ixp::RunResult run, const ixp::Platform& platform,
+                          util::ThreadPool* pool = nullptr);
 
   /// Build from raw corpora (e.g. deserialised from disk). Sanitation is
-  /// applied per `options` before the indices are built.
+  /// applied per `options` before the indices are built, over `pool`
+  /// (null: the global pool); the result is identical at any thread count.
   Dataset(bgp::UpdateLog control, flow::FlowLog data,
           std::unordered_map<net::Mac, bgp::Asn> mac_to_asn,
           std::vector<std::pair<net::Prefix, bgp::Asn>> origin_prefixes,
-          util::TimeRange period, const BuildOptions& options);
+          util::TimeRange period, const BuildOptions& options,
+          util::ThreadPool* pool = nullptr);
   /// Pass-through build (no sanitation) — the trusting default.
   Dataset(bgp::UpdateLog control, flow::FlowLog data,
           std::unordered_map<net::Mac, bgp::Asn> mac_to_asn,
@@ -139,12 +143,13 @@ class Dataset {
   }
 
   /// The structure-of-arrays flow view (see flow/columns.hpp for the
-  /// layout invariants). The raw-log constructor builds it by sorting
-  /// (build_indices); try_load decodes it straight from the file's
-  /// dst- and src-ordered chunks, which already hold these columns in
-  /// these orders, so no sort runs. Empty in chunked mode; kernels should
-  /// go through view() instead, which serves both modes with identical
-  /// visit order. Source-address scans use the s_* columns (src_run).
+  /// layout invariants). The raw-log constructor builds it by radix-sorting
+  /// row positions by address (build_indices); try_load decodes it
+  /// straight from the file's dst- and src-ordered chunks, which already
+  /// hold these columns in these orders, so no sort runs. Empty in chunked
+  /// mode; kernels should go through view() instead, which serves both
+  /// modes with identical visit order. Source-address scans use the s_*
+  /// columns (src_run).
   [[nodiscard]] const flow::FlowColumns& columns() const noexcept {
     return columns_;
   }
@@ -162,16 +167,19 @@ class Dataset {
   // --- persistence (binary .bwds v3) ---
   /// The Status carries what failed and where (path, magic, truncation
   /// point). try_save writes the chunked .bwds v3 format (column chunks +
-  /// zone maps, streamed one chunk at a time); its bytes depend only on the
-  /// corpus and the chunk size, so try_save(try_load(f)) reproduces f at
-  /// the chunk size f was written with. try_load materializes
+  /// zone maps); `pool` (null: the global pool) encodes at most its
+  /// concurrency of chunks at a time, straight from the columns, and they
+  /// are written in order. Its bytes depend only on the corpus and the
+  /// chunk size — never on the pool — so try_save(try_load(f)) reproduces
+  /// f at the chunk size f was written with. try_load materializes
   /// a v3 file back into RAM — decoding every chunk in parallel straight
   /// into the final columns, with no sort — and refuses v1/v2 and unknown
   /// versions with data_loss. Its result equals the raw-log constructor's
   /// over the same logs; every structural invariant the constructor's sorts
   /// would establish is checked instead and a violation fails with
   /// data_loss naming the section.
-  [[nodiscard]] util::Status try_save(const std::string& path) const;
+  [[nodiscard]] util::Status try_save(const std::string& path,
+                                      util::ThreadPool* pool = nullptr) const;
   /// `pool` (null: the global pool) runs the chunk decode; the result is
   /// identical at any thread count.
   [[nodiscard]] static util::Result<Dataset> try_load(
@@ -212,11 +220,12 @@ class Dataset {
       const std::string& path, const char* op,
       std::shared_ptr<const store::FlowStore>& store);
 
-  void sanitize(const BuildOptions& options);
-  /// Raw-log build: sort the control log and the flow log by time, sort the
-  /// dst and src permutations, and materialize the columns through them.
-  /// The src permutation is local: only the s_* columns outlive it.
-  void build_indices();
+  void sanitize(const BuildOptions& options, util::ThreadPool& pool);
+  /// Raw-log build: sort the control log by time, stable-sort the flow log
+  /// by time unless it already is, radix-sort the dst and src permutations
+  /// by address, and materialize the columns through them. The src
+  /// permutation is local: only the s_* columns outlive it.
+  void build_indices(util::ThreadPool& pool);
   /// try_load's build after the tables: the control-plane indices, then
   /// every CHNK/SCHK chunk of `store` decoded over `pool` into columns_,
   /// by_dst_ and data_, validating as it goes.

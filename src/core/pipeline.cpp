@@ -62,6 +62,25 @@ obs::Counter& cache_counter(const char* what) {
   return reg.counter(std::string("scenario.cache.") + what);
 }
 
+/// generate.{prepare,plan,slices,merge,build}_us: where a generating
+/// run_scenario spends its wall time (see docs/observability.md).
+struct GeneratePhaseMetrics {
+  obs::Counter& prepare_us;
+  obs::Counter& plan_us;
+  obs::Counter& slices_us;
+  obs::Counter& merge_us;
+  obs::Counter& build_us;
+};
+
+const GeneratePhaseMetrics& generate_phase_metrics() {
+  auto& reg = obs::Registry::global();
+  static const GeneratePhaseMetrics m{
+      reg.counter("generate.prepare_us"), reg.counter("generate.plan_us"),
+      reg.counter("generate.slices_us"), reg.counter("generate.merge_us"),
+      reg.counter("generate.build_us")};
+  return m;
+}
+
 }  // namespace
 
 AnalysisReport run_pipeline(const Dataset& dataset,
@@ -232,9 +251,12 @@ ScenarioRun run_scenario(const gen::ScenarioConfig& config,
                          util::ThreadPool* pool,
                          const util::Deadline* deadline) {
   const obs::TraceSpan run_span("run_scenario", "generate");
+  util::ThreadPool& workers = util::pool_or_global(pool);
+  obs::StopWatch watch;
   gen::Scenario scenario(config);
   ixp::Platform platform(gen::Scenario::platform_config(config));
   scenario.install(platform);
+  const std::uint64_t install_us = watch.elapsed_us();
 
   std::string cache_path;
   if (!cache_dir.has_value()) {
@@ -256,7 +278,7 @@ ScenarioRun run_scenario(const gen::ScenarioConfig& config,
 
   if (!cache_path.empty() && std::filesystem::exists(cache_path)) {
     const obs::TraceSpan load_span("scenario.cache.load", "generate");
-    auto loaded = Dataset::try_load(cache_path);
+    auto loaded = Dataset::try_load(cache_path, &workers);
     if (loaded.ok()) {
       cache_counter("hit").add();
       return finish(std::move(loaded).value());
@@ -288,12 +310,17 @@ ScenarioRun run_scenario(const gen::ScenarioConfig& config,
   // against the prepared platform. Every per-unit and per-burst draw is
   // content-keyed, and the slice outputs merge in shard order, so the
   // corpus bytes are invariant to the shard count (and thus BW_THREADS).
-  util::ThreadPool& workers = util::pool_or_global(pool);
+  // The pool also runs the merge, the index build and the cache save.
+  const GeneratePhaseMetrics& phase = generate_phase_metrics();
+  watch.restart();
   const std::vector<gen::EmissionUnit> plan = scenario.emission_plan();
   const std::vector<gen::ShardRange> shards =
       gen::plan_shards(plan, generation_shards(workers.concurrency()));
-
+  lap(phase.plan_us, watch);
   platform.prepare(scenario.control());
+  phase.prepare_us.add(install_us);
+  lap(phase.prepare_us, watch);
+
   std::vector<ixp::Platform::SliceResult> slices = util::parallel_map(
       workers, shards.size(),
       [&](std::size_t i) {
@@ -305,15 +332,18 @@ ScenarioRun run_scenario(const gen::ScenarioConfig& config,
             scenario.traffic_source(std::move(units), deadline));
       },
       0, deadline);
-  ixp::RunResult result = platform.finish(std::move(slices));
-  Dataset dataset = Dataset::from_run(std::move(result), platform);
+  lap(phase.slices_us, watch);
+  ixp::RunResult result = platform.finish(std::move(slices), &workers);
+  lap(phase.merge_us, watch);
+  Dataset dataset = Dataset::from_run(std::move(result), platform, &workers);
+  lap(phase.build_us, watch);
   if (!cache_path.empty()) {
     // Cache writes are an optimisation: a save that still fails after the
     // bounded retry is recorded as an incident, never fatal. Only transient
     // (kUnavailable) errors are retried; a permanent error aborts at once.
     const obs::TraceSpan save_span("scenario.cache.save", "generate");
     const util::Status saved = util::retry_with_backoff(
-        3, 10, [&] { return dataset.try_save(cache_path); });
+        3, 10, [&] { return dataset.try_save(cache_path, &workers); });
     if (!saved.ok()) {
       cache_counter("save_failure").add();
       CacheIncident incident;

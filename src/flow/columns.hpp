@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -67,11 +68,11 @@ class FlowColumns {
 
   /// Materialise the columns from `flows` under the two permutations.
   /// `member_ids` maps a handover MAC to its dense member id (records with
-  /// unmapped MACs get kNoMember). The fill shards over `pool` and the
-  /// result is identical at any thread count.
+  /// unmapped MACs get kNoMember). The sizing and the fill shard over
+  /// `pool`, and the result is identical at any thread count.
   [[nodiscard]] static FlowColumns build(
-      const FlowLog& flows, const std::vector<std::size_t>& by_dst,
-      const std::vector<std::size_t>& by_src,
+      const FlowLog& flows, std::span<const std::size_t> by_dst,
+      std::span<const std::size_t> by_src,
       const std::unordered_map<net::Mac, std::uint32_t>& member_ids,
       util::ThreadPool& pool);
 

@@ -16,6 +16,10 @@
 #include "net/ports.hpp"
 #include "util/time.hpp"
 
+namespace bw::util {
+class ThreadPool;
+}
+
 namespace bw::flow {
 
 /// Identifier of an IXP member (dense index assigned by the platform).
@@ -69,7 +73,11 @@ void sort_flows(FlowLog& flows);
 
 /// Stable ordered merge of individually time-sorted logs: equal timestamps
 /// resolve in favour of the earlier part, i.e. the result is byte-identical
-/// to concatenating `parts` in order and calling sort_flows once.
-[[nodiscard]] FlowLog merge_sorted_flows(std::vector<FlowLog> parts);
+/// to concatenating `parts` in order and calling sort_flows once. One
+/// k-way pass over `pool`: the output is cut into time ranges, and each
+/// range merges its share of every part into its prefix-sum offset, so the
+/// result is the same at any thread count.
+[[nodiscard]] FlowLog merge_sorted_flows(std::vector<FlowLog> parts,
+                                         util::ThreadPool& pool);
 
 }  // namespace bw::flow

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/parallel.hpp"
+
 namespace bw::ixp {
 
 Platform::Platform(PlatformConfig cfg)
@@ -90,7 +92,8 @@ RunResult Platform::run(bgp::UpdateLog control, const TrafficSource& traffic) {
   prepare(std::move(control));
   std::vector<SliceResult> slices;
   slices.push_back(run_slice(traffic));
-  return finish(std::move(slices));
+  util::ThreadPool serial(0);
+  return finish(std::move(slices), &serial);
 }
 
 void Platform::prepare(bgp::UpdateLog control) {
@@ -132,7 +135,8 @@ Platform::SliceResult Platform::run_slice(const TrafficSource& traffic) const {
   return slice;
 }
 
-RunResult Platform::finish(std::vector<SliceResult> slices) {
+RunResult Platform::finish(std::vector<SliceResult> slices,
+                           util::ThreadPool* pool) {
   if (!prepared_) throw std::logic_error("Platform: finish() before prepare()");
   if (finished_) throw std::logic_error("Platform: finish() already called");
   finished_ = true;
@@ -151,7 +155,8 @@ RunResult Platform::finish(std::vector<SliceResult> slices) {
         s.accounting.sampled_dropped_private;
     result.accounting.unroutable_bursts += s.accounting.unroutable_bursts;
   }
-  result.data = flow::merge_sorted_flows(std::move(parts));
+  result.data =
+      flow::merge_sorted_flows(std::move(parts), util::pool_or_global(pool));
 
   // IXP-internal monitoring records (Section 3.1's 0.01%) never survive
   // preprocessing — the collector filters and counts them — so the merged

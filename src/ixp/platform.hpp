@@ -116,10 +116,12 @@ class Platform {
   [[nodiscard]] SliceResult run_slice(const TrafficSource& traffic) const;
 
   /// Phase 3: stitch slice outputs (in slice order) into the corpus with a
-  /// stable ordered merge, sum the accounting, and add the IXP-internal
-  /// flow bookkeeping. Byte-identical for any partition of the same burst
-  /// stream into slices.
-  [[nodiscard]] RunResult finish(std::vector<SliceResult> slices);
+  /// stable ordered merge over `pool` (null: the global pool), sum the
+  /// accounting, and add the IXP-internal flow bookkeeping. Byte-identical
+  /// for any partition of the same burst stream into slices and at any
+  /// thread count.
+  [[nodiscard]] RunResult finish(std::vector<SliceResult> slices,
+                                 util::ThreadPool* pool = nullptr);
 
  private:
   PlatformConfig cfg_;

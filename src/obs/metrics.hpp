@@ -195,6 +195,14 @@ class StopWatch {
   std::uint64_t start_ns_{0};
 };
 
+/// Add the watch's elapsed time, in µs, to `counter` and restart the
+/// watch: one sub-phase of a phase-split counter family such as
+/// dataset.load.*_us.
+inline void lap(Counter& counter, StopWatch& watch) {
+  counter.add(watch.elapsed_us());
+  watch.restart();
+}
+
 /// CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
 /// Measures the stage-guard thread only — parallel kernels fan work out to
 /// pool workers whose cycles are not attributed here.

@@ -1,6 +1,7 @@
 #include "store/chunk.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -25,11 +26,24 @@ T read_raw(const std::uint8_t*& p) {
   return v;
 }
 
-/// Append one length-prefixed column block.
-void put_block(std::vector<std::uint8_t>& out,
-               const std::vector<std::uint8_t>& block) {
-  put_varint(out, block.size());
-  out.insert(out.end(), block.begin(), block.end());
+/// Append one length-prefixed column block: `fill(out)` appends the block
+/// bytes, and their varint length is then slid in front of them, so no
+/// block is staged in a buffer of its own. The length is encoded on the
+/// stack; inside a buffer reserved to the chunk's byte bound, the slide
+/// allocates nothing.
+template <typename Fill>
+void put_block(std::vector<std::uint8_t>& out, const Fill& fill) {
+  const std::size_t begin = out.size();
+  fill(out);
+  std::array<std::uint8_t, 10> prefix;
+  std::size_t len = 0;
+  for (std::uint64_t v = out.size() - begin;; v >>= 7) {
+    const bool more = v >= 0x80;
+    prefix[len++] = static_cast<std::uint8_t>(v) | (more ? 0x80u : 0u);
+    if (!more) break;
+  }
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(begin), prefix.begin(),
+             prefix.begin() + static_cast<std::ptrdiff_t>(len));
 }
 
 /// Resolve the next block's [begin, end) window.
@@ -53,9 +67,8 @@ util::Status column_error(const char* what, const char* column) {
 // --- per-column codecs (each block decodes to exactly `rows` values) ---
 
 template <typename T>
-void encode_delta_sorted(const std::vector<T>& col,
+void encode_delta_sorted(std::span<const T> col,
                          std::vector<std::uint8_t>& block) {
-  block.clear();
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < col.size(); ++i) {
     const auto v = static_cast<std::uint64_t>(col[i]);
@@ -77,9 +90,8 @@ bool decode_delta_sorted(const std::uint8_t* p, const std::uint8_t* end,
   return p == end;
 }
 
-void encode_zigzag_delta(const std::vector<util::TimeMs>& col,
+void encode_zigzag_delta(std::span<const util::TimeMs> col,
                          std::vector<std::uint8_t>& block) {
-  block.clear();
   std::int64_t prev = 0;
   for (std::size_t i = 0; i < col.size(); ++i) {
     put_varint(block, zigzag(i == 0 ? col[i] : col[i] - prev));
@@ -100,9 +112,8 @@ bool decode_zigzag_delta(const std::uint8_t* p, const std::uint8_t* end,
 }
 
 template <typename T>
-void encode_varints(const std::vector<T>& col,
+void encode_varints(std::span<const T> col,
                     std::vector<std::uint8_t>& block) {
-  block.clear();
   for (const T v : col) put_varint(block, static_cast<std::uint64_t>(v));
 }
 
@@ -172,56 +183,96 @@ ChunkMeta parse_meta(const std::uint8_t* p) {
   return m;
 }
 
-void encode_dst_chunk(const ChunkData& chunk,
-                      std::vector<std::uint8_t>& out) {
-  const flow::FlowColumns& c = chunk.cols;
-  const std::size_t rows = c.time.size();
+DstChunkRows dst_rows(const flow::FlowColumns& cols, std::size_t begin,
+                      std::size_t rows,
+                      std::span<const std::uint32_t> src_mac_id,
+                      std::span<const std::uint32_t> dst_mac_id,
+                      std::span<const std::uint32_t> orig_pos) {
+  const auto at = [&](const auto& column) {
+    return std::span(column).subspan(begin, rows);
+  };
+  return {.time = at(cols.time),
+          .src_ip = at(cols.src_ip),
+          .dst_ip = at(cols.dst_ip),
+          .proto = at(cols.proto),
+          .src_port = at(cols.src_port),
+          .dst_port = at(cols.dst_port),
+          .packets = at(cols.packets),
+          .bytes = at(cols.bytes),
+          .src_mac_id = src_mac_id,
+          .dst_mac_id = dst_mac_id,
+          .src_member = at(cols.src_member),
+          .dropped_words = cols.dropped_words,
+          .dropped_bit0 = begin,
+          .orig_pos = orig_pos};
+}
+
+SrcChunkRows src_rows(const flow::FlowColumns& cols, std::size_t begin,
+                      std::size_t rows) {
+  const auto at = [&](const auto& column) {
+    return std::span(column).subspan(begin, rows);
+  };
+  return {at(cols.s_src_ip), at(cols.s_time), at(cols.s_src_port),
+          at(cols.s_dst_port)};
+}
+
+DstChunkRows dst_rows(const ChunkData& chunk) {
+  return dst_rows(chunk.cols, 0, chunk.cols.time.size(), chunk.src_mac_id,
+                  chunk.dst_mac_id, chunk.orig_pos);
+}
+
+SrcChunkRows src_rows(const ChunkData& chunk) {
+  return src_rows(chunk.cols, 0, chunk.cols.s_time.size());
+}
+
+void encode_dst_chunk(const DstChunkRows& c, std::vector<std::uint8_t>& out) {
+  const std::size_t rows = c.rows();
   out.clear();
   append_raw(out, static_cast<std::uint32_t>(rows));
 
-  std::vector<std::uint8_t> block;
-  encode_delta_sorted(c.dst_ip, block);
-  put_block(out, block);
-  encode_zigzag_delta(c.time, block);
-  put_block(out, block);
-  encode_varints(c.src_ip, block);
-  put_block(out, block);
+  using Bytes = std::vector<std::uint8_t>;
+  put_block(out, [&](Bytes& b) { encode_delta_sorted(c.dst_ip, b); });
+  put_block(out, [&](Bytes& b) { encode_zigzag_delta(c.time, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.src_ip, b); });
   // proto: raw byte per row.
-  block.assign(c.proto.begin(), c.proto.end());
-  put_block(out, block);
-  encode_varints(c.src_port, block);
-  put_block(out, block);
-  encode_varints(c.dst_port, block);
-  put_block(out, block);
-  encode_varints(c.packets, block);
-  put_block(out, block);
-  encode_varints(c.bytes, block);
-  put_block(out, block);
-  encode_varints(chunk.src_mac_id, block);
-  put_block(out, block);
-  encode_varints(chunk.dst_mac_id, block);
-  put_block(out, block);
+  put_block(out, [&](Bytes& b) {
+    b.insert(b.end(), c.proto.begin(), c.proto.end());
+  });
+  put_block(out, [&](Bytes& b) { encode_varints(c.src_port, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.dst_port, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.packets, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.bytes, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.src_mac_id, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.dst_mac_id, b); });
   // src_member: kNoMember -> 0, member m -> m + 1 (keeps the varint short).
-  block.clear();
-  for (const std::uint32_t m : c.src_member) {
-    put_varint(block, m == flow::FlowColumns::kNoMember
-                          ? 0
-                          : static_cast<std::uint64_t>(m) + 1);
-  }
-  put_block(out, block);
+  put_block(out, [&](Bytes& b) {
+    for (const std::uint32_t m : c.src_member) {
+      put_varint(b, m == flow::FlowColumns::kNoMember
+                        ? 0
+                        : static_cast<std::uint64_t>(m) + 1);
+    }
+  });
   // dropped: packed bitmap, one bit per row.
-  block.clear();
-  const std::size_t nbytes = (rows + 7) / 8;
-  block.resize(nbytes, 0);
-  for (std::size_t j = 0; j < nbytes; ++j) {
-    block[j] = static_cast<std::uint8_t>(
-        (c.dropped_words[j >> 3] >> (8 * (j & 7))) & 0xFFu);
-  }
-  put_block(out, block);
+  put_block(out, [&](Bytes& b) {
+    const std::size_t first = b.size();
+    b.resize(first + (rows + 7) / 8, 0);
+    for (std::size_t g = 0; g < rows; ++g) {
+      if (c.dropped(g)) {
+        b[first + (g >> 3)] |= static_cast<std::uint8_t>(1u << (g & 7));
+      }
+    }
+  });
   // orig_pos: raw u32 per row (random values; varint would not help).
-  block.clear();
-  for (const std::uint32_t v : chunk.orig_pos) append_raw(block, v);
-  put_block(out, block);
+  put_block(out, [&](Bytes& b) {
+    for (const std::uint32_t v : c.orig_pos) append_raw(b, v);
+  });
+}
+
+std::size_t max_dst_chunk_bytes(std::size_t rows) {
+  // Per row: dst_ip delta 5, time 10, src_ip 5, proto 1, ports 3 + 3,
+  // packets 5, bytes 10, MAC ids 5 + 5, member 5, orig_pos 4; plus the
+  // dropped bitmap, the row-count header and 13 block-length varints.
+  return 61 * rows + (rows + 7) / 8 + sizeof(std::uint32_t) + 13 * 10;
 }
 
 DstChunkSpans dst_spans(ChunkData& chunk, std::size_t rows) {
@@ -366,20 +417,14 @@ util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
   return decode_dst_chunk(p, len, dst_spans(out, *rows));
 }
 
-void encode_src_chunk(const ChunkData& chunk,
-                      std::vector<std::uint8_t>& out) {
-  const flow::FlowColumns& c = chunk.cols;
+void encode_src_chunk(const SrcChunkRows& c, std::vector<std::uint8_t>& out) {
+  using Bytes = std::vector<std::uint8_t>;
   out.clear();
-  append_raw(out, static_cast<std::uint32_t>(c.s_time.size()));
-  std::vector<std::uint8_t> block;
-  encode_delta_sorted(c.s_src_ip, block);
-  put_block(out, block);
-  encode_zigzag_delta(c.s_time, block);
-  put_block(out, block);
-  encode_varints(c.s_src_port, block);
-  put_block(out, block);
-  encode_varints(c.s_dst_port, block);
-  put_block(out, block);
+  append_raw(out, static_cast<std::uint32_t>(c.rows()));
+  put_block(out, [&](Bytes& b) { encode_delta_sorted(c.s_src_ip, b); });
+  put_block(out, [&](Bytes& b) { encode_zigzag_delta(c.s_time, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.s_src_port, b); });
+  put_block(out, [&](Bytes& b) { encode_varints(c.s_dst_port, b); });
 }
 
 util::Status decode_src_chunk(const std::uint8_t* p, std::size_t len,
@@ -422,17 +467,16 @@ util::Status decode_src_chunk(const std::uint8_t* p, std::size_t len,
   return decode_src_chunk(p, len, src_spans(out, *rows));
 }
 
-ChunkMeta make_dst_meta(const ChunkData& chunk, std::uint64_t row_begin) {
-  const flow::FlowColumns& c = chunk.cols;
+ChunkMeta make_dst_meta(const DstChunkRows& c, std::uint64_t row_begin) {
   ChunkMeta m;
   m.row_begin = row_begin;
-  m.row_count = static_cast<std::uint32_t>(c.time.size());
+  m.row_count = static_cast<std::uint32_t>(c.rows());
   if (m.row_count == 0) return m;
   m.min_ip = c.dst_ip.front();  // sorted by dst_ip
   m.max_ip = c.dst_ip.back();
   m.min_time = c.time.front();
   m.max_time = c.time.front();
-  for (std::size_t i = 0; i < c.time.size(); ++i) {
+  for (std::size_t i = 0; i < c.rows(); ++i) {
     m.min_time = std::min(m.min_time, c.time[i]);
     m.max_time = std::max(m.max_time, c.time[i]);
     m.proto_mask |= proto_bit(c.proto[i]);
@@ -441,11 +485,10 @@ ChunkMeta make_dst_meta(const ChunkData& chunk, std::uint64_t row_begin) {
   return m;
 }
 
-ChunkMeta make_src_meta(const ChunkData& chunk, std::uint64_t row_begin) {
-  const flow::FlowColumns& c = chunk.cols;
+ChunkMeta make_src_meta(const SrcChunkRows& c, std::uint64_t row_begin) {
   ChunkMeta m;
   m.row_begin = row_begin;
-  m.row_count = static_cast<std::uint32_t>(c.s_time.size());
+  m.row_count = static_cast<std::uint32_t>(c.rows());
   if (m.row_count == 0) return m;
   m.min_ip = c.s_src_ip.front();  // sorted by src_ip
   m.max_ip = c.s_src_ip.back();

@@ -143,11 +143,66 @@ struct SrcChunkSpans {
 [[nodiscard]] DstChunkSpans dst_spans(ChunkData& chunk, std::size_t rows);
 [[nodiscard]] SrcChunkSpans src_spans(ChunkData& chunk, std::size_t rows);
 
+/// What one dst chunk encodes from: read-only spans of exactly the chunk's
+/// row count, e.g. a row slice of a whole-corpus FlowColumns plus the
+/// caller's MAC-id and orig_pos columns, so an encoder reads the columns in
+/// place. Row g's dropped flag is bit `dropped_bit0 + g` of
+/// `dropped_words` (row 0 of a corpus at bit 0 of word 0).
+struct DstChunkRows {
+  std::span<const util::TimeMs> time;
+  std::span<const std::uint32_t> src_ip;
+  std::span<const std::uint32_t> dst_ip;
+  std::span<const std::uint8_t> proto;
+  std::span<const std::uint16_t> src_port;
+  std::span<const std::uint16_t> dst_port;
+  std::span<const std::uint32_t> packets;
+  std::span<const std::uint64_t> bytes;
+  std::span<const std::uint32_t> src_mac_id;
+  std::span<const std::uint32_t> dst_mac_id;
+  std::span<const std::uint32_t> src_member;
+  std::span<const std::uint64_t> dropped_words;
+  std::size_t dropped_bit0{0};
+  std::span<const std::uint32_t> orig_pos;
+
+  [[nodiscard]] std::size_t rows() const noexcept { return time.size(); }
+  [[nodiscard]] bool dropped(std::size_t g) const noexcept {
+    const std::size_t bit = dropped_bit0 + g;
+    return ((dropped_words[bit >> 6] >> (bit & 63)) & 1u) != 0;
+  }
+};
+
+/// What one src chunk encodes from (the four s_* columns).
+struct SrcChunkRows {
+  std::span<const std::uint32_t> s_src_ip;
+  std::span<const util::TimeMs> s_time;
+  std::span<const std::uint16_t> s_src_port;
+  std::span<const std::uint16_t> s_dst_port;
+
+  [[nodiscard]] std::size_t rows() const noexcept { return s_time.size(); }
+};
+
+/// The encoder's view of rows [begin, begin + rows) of `cols`, with the
+/// caller's MAC-id and orig_pos columns for those rows (dst side).
+[[nodiscard]] DstChunkRows dst_rows(const flow::FlowColumns& cols,
+                                    std::size_t begin, std::size_t rows,
+                                    std::span<const std::uint32_t> src_mac_id,
+                                    std::span<const std::uint32_t> dst_mac_id,
+                                    std::span<const std::uint32_t> orig_pos);
+[[nodiscard]] SrcChunkRows src_rows(const flow::FlowColumns& cols,
+                                    std::size_t begin, std::size_t rows);
+/// The encoder's view of a decoded (or hand-built) chunk.
+[[nodiscard]] DstChunkRows dst_rows(const ChunkData& chunk);
+[[nodiscard]] SrcChunkRows src_rows(const ChunkData& chunk);
+
 /// Serialize one dst-ordered chunk (13 length-prefixed column blocks:
 /// delta-varint dst_ip, zigzag-delta time, varint src_ip/ports/packets/
 /// bytes/mac-ids/member, raw proto bytes, packed dropped bitmap, raw
 /// orig_pos). `out` is cleared first; reuse the buffer across chunks.
-void encode_dst_chunk(const ChunkData& chunk, std::vector<std::uint8_t>& out);
+void encode_dst_chunk(const DstChunkRows& rows, std::vector<std::uint8_t>& out);
+/// The most bytes encode_dst_chunk can write for `rows` rows (every varint
+/// at its widest); a src chunk of as many rows is smaller. A buffer that
+/// reserves it never reallocates while a chunk encodes into it.
+[[nodiscard]] std::size_t max_dst_chunk_bytes(std::size_t rows);
 /// Decode into `out`, whose row count must equal the header's.
 [[nodiscard]] util::Status decode_dst_chunk(const std::uint8_t* p,
                                             std::size_t len,
@@ -158,7 +213,7 @@ void encode_dst_chunk(const ChunkData& chunk, std::vector<std::uint8_t>& out);
 
 /// Serialize one src-ordered chunk (4 blocks: delta-varint src_ip,
 /// zigzag-delta time, varint ports).
-void encode_src_chunk(const ChunkData& chunk, std::vector<std::uint8_t>& out);
+void encode_src_chunk(const SrcChunkRows& rows, std::vector<std::uint8_t>& out);
 [[nodiscard]] util::Status decode_src_chunk(const std::uint8_t* p,
                                             std::size_t len,
                                             const SrcChunkSpans& out);
@@ -167,9 +222,9 @@ void encode_src_chunk(const ChunkData& chunk, std::vector<std::uint8_t>& out);
 
 /// Zone maps + bloom for a dst (sorted by dst_ip) / src (sorted by s_src_ip)
 /// chunk.
-[[nodiscard]] ChunkMeta make_dst_meta(const ChunkData& chunk,
+[[nodiscard]] ChunkMeta make_dst_meta(const DstChunkRows& rows,
                                       std::uint64_t row_begin);
-[[nodiscard]] ChunkMeta make_src_meta(const ChunkData& chunk,
+[[nodiscard]] ChunkMeta make_src_meta(const SrcChunkRows& rows,
                                       std::uint64_t row_begin);
 
 }  // namespace bw::store

@@ -69,6 +69,7 @@ Writer::Writer(std::ostream& os) : os_(os) {
 }
 
 void Writer::begin_section(std::uint32_t id) {
+  flush_pending();
   Section s;
   s.id = id;
   s.offset = written_;
@@ -78,16 +79,38 @@ void Writer::begin_section(std::uint32_t id) {
 }
 
 void Writer::write(const void* data, std::size_t n) {
+  constexpr std::size_t kGather = 64 * 1024;
+  written_ += n;
+  if (pending_.size() + n <= kGather) {
+    pending_.append(static_cast<const char*>(data), n);
+    return;
+  }
+  flush_pending();
   os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
   section_crc_.update(data, n);
-  written_ += n;
+}
+
+void Writer::flush_pending() {
+  os_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+  section_crc_.update(pending_.data(), pending_.size());
+  pending_.clear();
 }
 
 void Writer::end_section() {
+  flush_pending();
   Section& s = sections_.back();
   s.length = written_ - s.offset;
   s.crc = section_crc_.value();
   in_section_ = false;
+}
+
+void Writer::write_section(std::uint32_t id, const void* data, std::size_t n,
+                           std::uint32_t crc) {
+  begin_section(id);
+  os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+  written_ += n;
+  end_section();
+  sections_.back().crc = crc;
 }
 
 Status Writer::finish() {
@@ -95,6 +118,7 @@ Status Writer::finish() {
     return internal_error("container::Writer: finish() out of sequence");
   }
   finished_ = true;
+  flush_pending();
   std::string toc;
   for (const auto& s : sections_) toc += toc_entry_bytes(s);
   meta_crc_.update(toc.data(), toc.size());

@@ -69,6 +69,8 @@ struct Toc {
 
 /// Streaming container writer over a caller-owned ostream. Payload bytes
 /// go through write() so lengths and CRCs accumulate without seeking.
+/// Small writes are gathered into one buffer, so a section serialized field
+/// by field costs one stream write and one CRC pass per 64 KiB.
 class Writer {
  public:
   /// Emits the file header immediately.
@@ -78,14 +80,23 @@ class Writer {
   void write(const void* data, std::size_t n);
   void end_section();
 
+  /// One whole section whose payload CRC32C the caller already computed,
+  /// e.g. on the thread that encoded the payload.
+  void write_section(std::uint32_t id, const void* data, std::size_t n,
+                     std::uint32_t crc);
+
   /// Writes the TOC and footer. Returns the stream's verdict.
   [[nodiscard]] Status finish();
 
  private:
+  /// Stream and checksum the gathered small writes.
+  void flush_pending();
+
   std::ostream& os_;
   std::vector<Section> sections_;
   Crc32c meta_crc_;     ///< header ‖ TOC, folded as bytes are emitted
   Crc32c section_crc_;  ///< current section payload
+  std::string pending_;  ///< small writes not yet streamed or checksummed
   std::uint64_t written_{0};
   bool in_section_{false};
   bool finished_{false};

@@ -4,10 +4,14 @@
 // contract that lets bw-generate parallelize without changing a single
 // analysis result. Verified here over the saved .bwds content hash for
 // thread counts {1, 2, 8} and three seeds, plus the legacy single-slice
-// Platform::run path and the shard-planner invariants.
+// Platform::run path and the shard-planner invariants. The save itself
+// encodes chunks on a pool, so its bytes are checked across save pools of
+// 1, 2 and 8 too, at the default chunk size and at a ragged one; and a
+// one-thread pool must keep the whole run on the calling thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -27,12 +31,13 @@ gen::ScenarioConfig test_config(std::uint64_t seed) {
   return cfg;
 }
 
-/// FNV-1a over the saved .bwds bytes: the corpus identity the acceptance
-/// contract is stated in.
-std::uint64_t corpus_hash(const core::Dataset& dataset, const std::string& tag) {
+/// FNV-1a over the bytes `dataset` saves with `pool` (null: the global
+/// pool): the corpus identity the acceptance contract is stated in.
+std::uint64_t corpus_hash(const core::Dataset& dataset, const std::string& tag,
+                          util::ThreadPool* pool = nullptr) {
   const std::string path =
       testing::TempDir() + "/bw_shard_determinism_" + tag + ".bwds";
-  const util::Status saved = dataset.try_save(path);
+  const util::Status saved = dataset.try_save(path, pool);
   EXPECT_TRUE(saved.ok()) << saved.to_string();
   std::ifstream is(path, std::ios::binary);
   EXPECT_TRUE(is.good());
@@ -51,7 +56,19 @@ std::uint64_t generate_hash(std::uint64_t seed, std::size_t threads) {
   const core::ScenarioRun run =
       core::run_scenario(test_config(seed), std::string{}, &pool);
   return corpus_hash(run.dataset,
-                     std::to_string(seed) + "_" + std::to_string(threads));
+                     std::to_string(seed) + "_" + std::to_string(threads),
+                     &pool);
+}
+
+/// Threads of this process.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(task);
+    ++n;
+  }
+  return n;
 }
 
 TEST(ShardDeterminismTest, CorpusHashInvariantAcrossThreadCounts) {
@@ -68,6 +85,49 @@ TEST(ShardDeterminismTest, CorpusHashInvariantAcrossThreadCounts) {
   EXPECT_NE(serial_hashes[0], serial_hashes[1]);
   EXPECT_NE(serial_hashes[0], serial_hashes[2]);
   EXPECT_NE(serial_hashes[1], serial_hashes[2]);
+}
+
+TEST(ShardDeterminismTest, SavedBytesInvariantAcrossSavePools) {
+  util::ThreadPool generate_pool(1);
+  const core::ScenarioRun run =
+      core::run_scenario(test_config(7), std::string{}, &generate_pool);
+  // 1000-row chunks leave a ragged last chunk and split bitmap words.
+  std::vector<std::uint64_t> per_chunk_size;
+  for (const char* rows : {"", "1000"}) {
+    if (*rows != '\0') ::setenv("BW_STORE_CHUNK_ROWS", rows, 1);
+    std::vector<std::uint64_t> hashes;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      util::ThreadPool pool(threads - 1);
+      hashes.push_back(
+          corpus_hash(run.dataset, "save_t" + std::to_string(threads), &pool));
+    }
+    ::unsetenv("BW_STORE_CHUNK_ROWS");
+    EXPECT_EQ(hashes[0], hashes[1]) << "chunk rows '" << rows << "'";
+    EXPECT_EQ(hashes[0], hashes[2]) << "chunk rows '" << rows << "'";
+    per_chunk_size.push_back(hashes[0]);
+  }
+  EXPECT_NE(per_chunk_size[0], per_chunk_size[1]);
+}
+
+TEST(ShardDeterminismTest, OneThreadPoolRunsOnOneThread) {
+  // bw-generate --threads 1 hands a workerless pool to generation, merge,
+  // index build and save, so the process must never start a thread. The
+  // threadsafe death-test style runs the body in a fresh process, where no
+  // earlier test has started the global pool.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        util::ThreadPool pool(0);
+        const core::ScenarioRun run =
+            core::run_scenario(test_config(7), std::string{}, &pool);
+        const std::string path =
+            testing::TempDir() + "/bw_shard_determinism_one_thread.bwds";
+        const bool saved = run.dataset.try_save(path, &pool).ok();
+        static_cast<void>(run.dataset.summary(&pool));
+        std::filesystem::remove(path);
+        std::exit(saved && thread_count() == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ShardDeterminismTest, LegacySingleSliceRunMatchesShardedScenario) {

@@ -71,7 +71,7 @@ TEST(ChunkCodec, DstRoundTripIsBitExact) {
   util::Rng rng(17);
   const ChunkData chunk = make_dst_chunk(rng, 403);  // odd: partial bitmap byte
   std::vector<std::uint8_t> buf;
-  encode_dst_chunk(chunk, buf);
+  encode_dst_chunk(dst_rows(chunk), buf);
 
   ChunkData back;
   ASSERT_TRUE(decode_dst_chunk(buf.data(), buf.size(), back).ok());
@@ -94,7 +94,7 @@ TEST(ChunkCodec, SrcRoundTripIsBitExact) {
   util::Rng rng(23);
   const ChunkData chunk = make_src_chunk(rng, 257);
   std::vector<std::uint8_t> buf;
-  encode_src_chunk(chunk, buf);
+  encode_src_chunk(src_rows(chunk), buf);
 
   ChunkData back;
   ASSERT_TRUE(decode_src_chunk(buf.data(), buf.size(), back).ok());
@@ -107,12 +107,12 @@ TEST(ChunkCodec, SrcRoundTripIsBitExact) {
 TEST(ChunkCodec, EmptyChunkRoundTrips) {
   const ChunkData chunk;
   std::vector<std::uint8_t> buf;
-  encode_dst_chunk(chunk, buf);
+  encode_dst_chunk(dst_rows(chunk), buf);
   ChunkData back;
   ASSERT_TRUE(decode_dst_chunk(buf.data(), buf.size(), back).ok());
   EXPECT_EQ(back.rows(), 0u);
 
-  encode_src_chunk(chunk, buf);
+  encode_src_chunk(src_rows(chunk), buf);
   ChunkData sback;
   ASSERT_TRUE(decode_src_chunk(buf.data(), buf.size(), sback).ok());
   EXPECT_EQ(sback.rows(), 0u);
@@ -121,7 +121,7 @@ TEST(ChunkCodec, EmptyChunkRoundTrips) {
 TEST(ChunkCodec, DstMetaBoundsAreExactAndBloomHasNoFalseNegatives) {
   util::Rng rng(31);
   const ChunkData chunk = make_dst_chunk(rng, 500);
-  const ChunkMeta m = make_dst_meta(chunk, 1000);
+  const ChunkMeta m = make_dst_meta(dst_rows(chunk), 1000);
 
   EXPECT_EQ(m.row_begin, 1000u);
   EXPECT_EQ(m.row_count, 500u);
@@ -152,7 +152,7 @@ TEST(ChunkCodec, DstMetaBoundsAreExactAndBloomHasNoFalseNegatives) {
 
 TEST(ChunkCodec, MetaSerializationRoundTrips) {
   util::Rng rng(41);
-  const ChunkMeta m = make_dst_meta(make_dst_chunk(rng, 77), 4242);
+  const ChunkMeta m = make_dst_meta(dst_rows(make_dst_chunk(rng, 77)), 4242);
   std::vector<std::uint8_t> buf;
   append_meta(buf, m);
   ASSERT_EQ(buf.size(), kChunkMetaBytes);
@@ -175,7 +175,7 @@ TEST(ChunkCodec, EveryTruncationIsRejected) {
   util::Rng rng(53);
   const ChunkData chunk = make_dst_chunk(rng, 48);
   std::vector<std::uint8_t> buf;
-  encode_dst_chunk(chunk, buf);
+  encode_dst_chunk(dst_rows(chunk), buf);
   ASSERT_GT(buf.size(), 100u);
   for (std::size_t len = 0; len < buf.size(); ++len) {
     ChunkData out;
@@ -184,7 +184,7 @@ TEST(ChunkCodec, EveryTruncationIsRejected) {
     EXPECT_FALSE(s.to_string().empty());
   }
 
-  encode_src_chunk(make_src_chunk(rng, 48), buf);
+  encode_src_chunk(src_rows(make_src_chunk(rng, 48)), buf);
   for (std::size_t len = 0; len < buf.size(); ++len) {
     ChunkData out;
     EXPECT_FALSE(decode_src_chunk(buf.data(), len, out).ok())
@@ -201,7 +201,7 @@ TEST(ChunkCodec, BitFlipsNeverCrashAndStayConsistent) {
   util::Rng rng(67);
   const ChunkData chunk = make_dst_chunk(rng, 96);
   std::vector<std::uint8_t> clean;
-  encode_dst_chunk(chunk, clean);
+  encode_dst_chunk(dst_rows(chunk), clean);
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     util::Rng flip(seed);
     std::vector<std::uint8_t> buf = clean;

@@ -116,9 +116,9 @@ class StoreFaultTest : public ::testing::Test {
     edit(chunk);
     std::vector<std::uint8_t> payload;
     if (src) {
-      encode_src_chunk(chunk, payload);
+      encode_src_chunk(src_rows(chunk), payload);
     } else {
-      encode_dst_chunk(chunk, payload);
+      encode_dst_chunk(dst_rows(chunk), payload);
     }
     return payload;
   }

@@ -42,9 +42,10 @@ void usage() {
                "into a .bwds dataset instead of generating one.\n"
                "\n"
                "  --scale S    population/event scale, 0 < S <= 4\n"
-               "  --threads N  generation worker threads (default:\n"
-               "               $BW_THREADS or hardware concurrency); the\n"
-               "               corpus is byte-identical at any N\n"
+               "  --threads N  worker threads for generation, index build\n"
+               "               and save (default: $BW_THREADS or hardware\n"
+               "               concurrency); the corpus is byte-identical\n"
+               "               at any N\n"
                "  --stage-timeout-s S  cancel generation past S seconds\n"
                "               (cooperative watchdog; exits 3, no corpus)\n"
             << bw::tools::kObsUsage;
@@ -141,6 +142,11 @@ int main(int argc, char** argv) {
   };
 
   try {
+    // One pool for every parallel step: generation, merge, index build and
+    // save all honour --threads.
+    const std::size_t n_threads =
+        threads.value_or(util::ThreadPool::configured_concurrency());
+    util::ThreadPool pool(n_threads - 1);
     if (!from_csv.empty()) {
       core::IngestReport ingest;
       auto loaded = core::load_dataset_csv(from_csv, load_options, &ingest);
@@ -151,7 +157,7 @@ int main(int argc, char** argv) {
         std::cerr << "bw-generate: " << loaded.status().to_string() << "\n";
         return tools::kExitData;
       }
-      if (const auto st = loaded.value().try_save(out); !st.ok()) {
+      if (const auto st = loaded.value().try_save(out, &pool); !st.ok()) {
         std::cerr << "bw-generate: " << st.to_string() << "\n";
         return tools::kExitData;
       }
@@ -160,14 +166,11 @@ int main(int argc, char** argv) {
       return tools::kExitOk;
     }
 
-    const std::size_t n_threads =
-        threads.value_or(util::ThreadPool::configured_concurrency());
     std::cout << "Generating scenario: scale " << cfg.scale << ", seed "
               << cfg.seed << ", "
               << util::format_duration(cfg.period.length()) << ", 1:"
               << cfg.sampling_rate << " sampling, " << n_threads
               << " thread(s)...\n";
-    util::ThreadPool pool(n_threads - 1);
     const util::Deadline deadline = stage_timeout > 0
                                         ? util::Deadline::after(stage_timeout)
                                         : util::Deadline::never();
@@ -177,12 +180,12 @@ int main(int argc, char** argv) {
     const core::ScenarioRun run =
         core::run_scenario(cfg, std::string{}, &pool, &deadline);
     const double secs = watch.elapsed_seconds();
-    if (const auto st = run.dataset.try_save(out); !st.ok()) {
+    if (const auto st = run.dataset.try_save(out, &pool); !st.ok()) {
       std::cerr << "bw-generate: " << st.to_string() << "\n";
       return tools::kExitData;
     }
 
-    const auto s = run.dataset.summary();
+    const auto s = run.dataset.summary(&pool);
     util::TextTable table({"corpus", "value"});
     table.add_row({"BGP updates", util::fmt_count(static_cast<std::int64_t>(
                                       s.control_updates))});
