@@ -63,13 +63,16 @@ obs::Counter& cache_counter(const char* what) {
 }
 
 /// generate.{prepare,plan,slices,merge,build}_us: where a generating
-/// run_scenario spends its wall time (see docs/observability.md).
+/// run_scenario spends its wall time, and generate.{bursts,sampled_packets}:
+/// the work its slices did (see docs/observability.md).
 struct GeneratePhaseMetrics {
   obs::Counter& prepare_us;
   obs::Counter& plan_us;
   obs::Counter& slices_us;
   obs::Counter& merge_us;
   obs::Counter& build_us;
+  obs::Counter& bursts;
+  obs::Counter& sampled_packets;
 };
 
 const GeneratePhaseMetrics& generate_phase_metrics() {
@@ -77,7 +80,8 @@ const GeneratePhaseMetrics& generate_phase_metrics() {
   static const GeneratePhaseMetrics m{
       reg.counter("generate.prepare_us"), reg.counter("generate.plan_us"),
       reg.counter("generate.slices_us"), reg.counter("generate.merge_us"),
-      reg.counter("generate.build_us")};
+      reg.counter("generate.build_us"), reg.counter("generate.bursts"),
+      reg.counter("generate.sampled_packets")};
   return m;
 }
 
@@ -335,6 +339,8 @@ ScenarioRun run_scenario(const gen::ScenarioConfig& config,
   lap(phase.slices_us, watch);
   ixp::RunResult result = platform.finish(std::move(slices), &workers);
   lap(phase.merge_us, watch);
+  phase.bursts.add(result.accounting.bursts);
+  phase.sampled_packets.add(result.accounting.sampled_packets);
   Dataset dataset = Dataset::from_run(std::move(result), platform, &workers);
   lap(phase.build_us, watch);
   if (!cache_path.empty()) {

@@ -6,12 +6,58 @@
 // adding draws to one generator never perturbs another.
 #pragma once
 
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
 
 namespace bw::util {
+
+/// std::mt19937_64, seeded lazily. It yields exactly the standard engine's
+/// output sequence, but its first block seeds and twists only the state
+/// words that the outputs drawn so far depend on: output k < 156 needs the
+/// seeding recurrence through word k + 156 and the in-place twist of word
+/// k. An engine that draws one word thus seeds 157 words and twists one,
+/// where the standard engine seeds 312 and twists 312. From output 156 on
+/// it runs the ordinary twist.
+/// It is a UniformRandomBitGenerator, so std::shuffle and every
+/// std::*_distribution draw the same values from it as from the standard
+/// engine with the same seed.
+class LazyMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit LazyMt19937_64(result_type seed) noexcept { x_[0] = seed; }
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (next_ == ready_) [[unlikely]] refill();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kWords = 312;  // n: state words per block
+  static constexpr std::size_t kShift = 156;  // m: the twist's middle word
+
+  /// Makes output next_ ready (next_ == ready_ on entry).
+  void refill() noexcept;
+
+  // Value-initialised, so a copy never reads an indeterminate word.
+  std::array<result_type, kWords> x_{};
+  std::size_t next_ = 0;    // the word the next output tempers
+  std::size_t ready_ = 0;   // words [0, ready_) of this block are twisted
+  std::size_t seeded_ = 1;  // words [0, seeded_) hold the seeding recurrence
+};
 
 class Rng {
  public:
@@ -56,16 +102,9 @@ class Rng {
   }
 
   /// Binomial(n, p) — used by the IPFIX sampler to thin packet bursts.
-  std::int64_t binomial(std::int64_t n, double p) {
-    if (n <= 0 || p <= 0.0) return 0;
-    if (p >= 1.0) return n;
-    return std::binomial_distribution<std::int64_t>(n, p)(engine_);
-  }
+  std::int64_t binomial(std::int64_t n, double p);
 
-  std::int64_t poisson(double mean) {
-    if (mean <= 0.0) return 0;
-    return std::poisson_distribution<std::int64_t>(mean)(engine_);
-  }
+  std::int64_t poisson(double mean);
 
   double exponential(double rate) {
     return std::exponential_distribution<double>(rate)(engine_);
@@ -99,10 +138,10 @@ class Rng {
   /// Sample k distinct indices out of [0, n) (k clamped to n).
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
-  std::mt19937_64& engine() noexcept { return engine_; }
+  LazyMt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  LazyMt19937_64 engine_;
   std::uint64_t seed_;
 };
 

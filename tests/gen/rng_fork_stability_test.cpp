@@ -5,7 +5,9 @@
 // contract) silently changes with it — bump the dataset cache fingerprint
 // and regenerate the goldens deliberately, never casually.
 //
-// mt19937_64 and splitmix64 are fully specified, so these values are
+// util::Rng draws through util::LazyMt19937_64, which yields exactly the
+// sequence of the fully specified mt19937_64 (rng_engine_test holds the two
+// side by side), and splitmix64 is fully specified too, so these values are
 // platform-independent.
 #include <gtest/gtest.h>
 
