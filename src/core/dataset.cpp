@@ -74,30 +74,15 @@ Dataset::Dataset(bgp::UpdateLog control, flow::FlowLog data,
                  util::TimeRange period, const BuildOptions& options,
                  util::ThreadPool* pool)
     : control_(std::move(control)),
-      data_(std::move(data)),
       mac_to_asn_(std::move(mac_to_asn)),
       origin_prefixes_(std::move(origin_prefixes)),
       period_(period) {
   util::ThreadPool& workers = util::pool_or_global(pool);
-  sanitize(options, workers);
-  build_indices(workers);
+  sanitize(data, options, workers);
+  build_indices(std::move(data), workers);
 }
 
 namespace {
-
-/// Adjacent input-order time inversions — what an out-of-order feed looks
-/// like before the build sorts it — among rows [begin, end), each compared
-/// with its predecessor.
-template <typename Records>
-std::size_t count_inversions(const Records& records, std::size_t begin = 0,
-                             std::size_t end = SIZE_MAX) {
-  std::size_t n = 0;
-  end = std::min(end, records.size());
-  for (std::size_t i = std::max<std::size_t>(begin, 1); i < end; ++i) {
-    if (records[i].time < records[i - 1].time) ++n;
-  }
-  return n;
-}
 
 /// Row shards of [0, n): about 64Ki rows each and at most 64, a split that
 /// depends on n only.
@@ -118,48 +103,34 @@ void for_row_shards(util::ThreadPool& pool, std::size_t n, const Fn& fn) {
       1);
 }
 
-/// count_inversions over the whole log, shard by shard over `pool`.
-std::size_t count_flow_inversions(util::ThreadPool& pool,
-                                  const flow::FlowLog& flows) {
-  std::vector<std::size_t> counts(row_shard_count(flows.size()));
-  for_row_shards(pool, flows.size(),
-                 [&](std::size_t k, std::size_t begin, std::size_t end) {
-                   counts[k] = count_inversions(flows, begin, end);
-                 });
+/// Adjacent time inversions among rows [0, n), where `time_at(i)` is row
+/// i's time, each compared with its predecessor, shard by shard over
+/// `pool`: what an out-of-order feed looks like before the build sorts it.
+template <typename TimeAt>
+std::size_t count_inversions(util::ThreadPool& pool, std::size_t n,
+                             const TimeAt& time_at) {
+  std::vector<std::size_t> counts(row_shard_count(n));
+  for_row_shards(pool, n, [&](std::size_t k, std::size_t begin, std::size_t end) {
+    for (std::size_t i = std::max<std::size_t>(begin, 1); i < end; ++i) {
+      if (time_at(i) < time_at(i - 1)) ++counts[k];
+    }
+  });
   return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
 }
 
-bool flow_records_equal(const flow::FlowRecord& a, const flow::FlowRecord& b) {
-  return a.time == b.time && a.src_ip == b.src_ip && a.dst_ip == b.dst_ip &&
-         a.proto == b.proto && a.src_port == b.src_port &&
-         a.dst_port == b.dst_port && a.src_mac == b.src_mac &&
-         a.dst_mac == b.dst_mac && a.packets == b.packets && a.bytes == b.bytes;
-}
-
-bool flow_time_less(const flow::FlowRecord& a, const flow::FlowRecord& b) {
-  return a.time < b.time;
-}
-
-/// Total order over every FlowRecord field, so exact duplicates sort
-/// adjacent and the dedupe pass is thread-count independent.
-bool flow_record_less(const flow::FlowRecord& a, const flow::FlowRecord& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.src_ip != b.src_ip) return a.src_ip < b.src_ip;
-  if (a.dst_ip != b.dst_ip) return a.dst_ip < b.dst_ip;
-  if (a.proto != b.proto) return a.proto < b.proto;
-  if (a.src_port != b.src_port) return a.src_port < b.src_port;
-  if (a.dst_port != b.dst_port) return a.dst_port < b.dst_port;
-  if (a.src_mac != b.src_mac) return a.src_mac < b.src_mac;
-  if (a.dst_mac != b.dst_mac) return a.dst_mac < b.dst_mac;
-  if (a.packets != b.packets) return a.packets < b.packets;
-  return a.bytes < b.bytes;
+/// count_inversions over a log of records with a `time` field.
+template <typename Log>
+std::size_t count_inversions(util::ThreadPool& pool, const Log& log) {
+  return count_inversions(pool, log.size(),
+                          [&](std::size_t i) { return log[i].time; });
 }
 
 }  // namespace
 
-void Dataset::sanitize(const BuildOptions& options, util::ThreadPool& pool) {
-  quality_.reordered_updates = count_inversions(control_);
-  quality_.reordered_flows = count_flow_inversions(pool, data_);
+void Dataset::sanitize(flow::FlowLog& data, const BuildOptions& options,
+                       util::ThreadPool& pool) {
+  quality_.reordered_updates = count_inversions(pool, control_);
+  quality_.reordered_flows = count_inversions(pool, data);
 
   if (options.quarantine_out_of_period) {
     const util::TimeMs lo = period_.begin - options.period_slack;
@@ -169,44 +140,22 @@ void Dataset::sanitize(const BuildOptions& options, util::ThreadPool& pool) {
     std::erase_if(control_,
                   [&](const bgp::Update& u) { return out_of_period(u.time); });
     quality_.out_of_period_updates = control_before - control_.size();
-    const std::size_t flows_before = data_.size();
-    std::erase_if(data_, [&](const flow::FlowRecord& r) {
+    const std::size_t flows_before = data.size();
+    std::erase_if(data, [&](const flow::FlowRecord& r) {
       return out_of_period(r.time);
     });
-    quality_.out_of_period_flows = flows_before - data_.size();
+    quality_.out_of_period_flows = flows_before - data.size();
   }
 
-  if (options.dedupe_flows && !data_.empty()) {
-    // Full-key sort makes exact duplicates adjacent; build_indices re-sorts
-    // by time afterwards, so the record order analyses see is unchanged.
-    util::parallel_sort(pool, data_.begin(), data_.end(), flow_record_less);
-    const std::size_t before = data_.size();
-    data_.erase(std::unique(data_.begin(), data_.end(), flow_records_equal),
-                data_.end());
-    quality_.duplicate_flows = before - data_.size();
+  if (options.dedupe_flows && !data.empty()) {
+    // Full-key sort makes exact duplicates adjacent, identical at any thread
+    // count; build_indices re-sorts by time afterwards, so the record order
+    // analyses see is unchanged.
+    util::parallel_sort(pool, data.begin(), data.end());
+    const std::size_t before = data.size();
+    data.erase(std::unique(data.begin(), data.end()), data.end());
+    quality_.duplicate_flows = before - data.size();
   }
-
-  // Unattributable MACs (e.g. a damaged MAC table): flows whose handover
-  // port — or egress port, blackhole MAC aside — has no member mapping.
-  const net::Mac blackhole = net::Mac::blackhole();
-  std::vector<std::size_t> unknown(row_shard_count(data_.size()));
-  for_row_shards(
-      pool, data_.size(),
-      [&](std::size_t k, std::size_t begin, std::size_t end) {
-        std::size_t count = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const flow::FlowRecord& r = data_[i];
-          const bool src_unknown =
-              mac_to_asn_.find(r.src_mac) == mac_to_asn_.end();
-          const bool dst_unknown =
-              r.dst_mac != blackhole &&
-              mac_to_asn_.find(r.dst_mac) == mac_to_asn_.end();
-          if (src_unknown || dst_unknown) ++count;
-        }
-        unknown[k] = count;
-      });
-  quality_.unknown_mac_flows =
-      std::accumulate(unknown.begin(), unknown.end(), std::size_t{0});
 }
 
 namespace {
@@ -236,28 +185,31 @@ void Dataset::replay_blackholes() {
   rs_index_.finalize(period_.end);
 }
 
-std::unordered_map<net::Mac, std::uint32_t> Dataset::member_id_map() {
-  // Dense member-source table: ascending unique source ASes, plus the
-  // MAC -> dense id map the column build resolves handover MACs through.
-  // Iterating a flat per-id array then visits ASes in ascending-ASN order,
-  // i.e. exactly the order a std::map<Asn, ...> accumulation produces.
+std::vector<std::uint32_t> Dataset::member_tables() {
+  // Dense member-source table: ascending unique source ASes, and the dense
+  // id of every MAC dictionary entry, so the column build resolves a
+  // row's handover MAC with one array read. Iterating a flat per-id array
+  // then visits ASes in ascending-ASN order, i.e. exactly the order a
+  // std::map<Asn, ...> accumulation produces.
   source_as_.clear();
   source_as_.reserve(mac_to_asn_.size());
   for (const auto& [mac, asn] : mac_to_asn_) source_as_.push_back(asn);
   std::sort(source_as_.begin(), source_as_.end());
   source_as_.erase(std::unique(source_as_.begin(), source_as_.end()),
                    source_as_.end());
-  std::unordered_map<net::Mac, std::uint32_t> member_ids;
-  member_ids.reserve(mac_to_asn_.size());
-  for (const auto& [mac, asn] : mac_to_asn_) {
-    member_ids[mac] = static_cast<std::uint32_t>(
-        std::lower_bound(source_as_.begin(), source_as_.end(), asn) -
+  std::vector<std::uint32_t> member_of(mac_dict_.size(),
+                                       flow::FlowColumns::kNoMember);
+  for (std::size_t id = 0; id < mac_dict_.size(); ++id) {
+    const auto it = mac_to_asn_.find(net::Mac(mac_dict_[id]));
+    if (it == mac_to_asn_.end()) continue;
+    member_of[id] = static_cast<std::uint32_t>(
+        std::lower_bound(source_as_.begin(), source_as_.end(), it->second) -
         source_as_.begin());
   }
-  return member_ids;
+  return member_of;
 }
 
-std::unordered_map<net::Mac, std::uint32_t> Dataset::build_control_indices() {
+std::vector<std::uint32_t> Dataset::build_control_indices() {
   util::ThreadPool& pool = util::ThreadPool::global();
   util::parallel_sort(pool, control_.begin(), control_.end(),
                       control_update_less);
@@ -265,26 +217,26 @@ std::unordered_map<net::Mac, std::uint32_t> Dataset::build_control_indices() {
   // FlatLpm freezes the origin table with last-wins dedupe — exactly the
   // overwrite semantics the trie's insert loop had.
   origin_lpm_ = net::FlatLpm<bgp::Asn>(origin_prefixes_);
-  return member_id_map();
+  return member_tables();
 }
 
 namespace {
 
-/// Sort `keys` into (address, row) order for rows [0, keys.size()), where
-/// `addr(i)` is row i's 32-bit address: a stable LSD radix sort of
-/// (address << 32 | row) keys on their address half, one parallel counting
-/// pass and one parallel scatter per address byte, skipping a byte every
-/// key shares. The keys end as bare row positions. Over a time-sorted log
-/// this is the (address, time, row) order; the keys are unique, so the
-/// result does not depend on the shard split. `scratch` is the scatter
-/// buffer, of the same size; neither needs initializing, so their pages
-/// are first touched by the parallel passes.
+/// Sort rows [0, out.size()) into (address, row) order, where `addr(i)` is
+/// row i's 32-bit address, and write the row positions to `out`: a stable
+/// LSD radix sort of (address << 32 | row) keys on their address half, one
+/// parallel counting pass and one parallel scatter per address byte,
+/// skipping a byte every key shares. Over a time-sorted log this is the
+/// (address, time, row) order; the keys are unique, so the result does not
+/// depend on the shard split. `keys` and `scratch` are the key and scatter
+/// buffers, at least as long as `out`; none of the three needs
+/// initializing, so their pages are first touched by the parallel passes.
 template <typename Addr>
 void address_order(util::ThreadPool& pool, const Addr& addr,
-                   std::span<std::size_t> keys,
-                   std::span<std::size_t> scratch) {
+                   std::span<std::size_t> keys, std::span<std::size_t> scratch,
+                   std::span<std::uint32_t> out) {
   static_assert(sizeof(std::size_t) == 8, "keys pack two 32-bit halves");
-  const std::size_t n = keys.size();
+  const std::size_t n = out.size();
   for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       keys[i] = static_cast<std::size_t>(addr(i)) << 32 | i;
@@ -324,13 +276,84 @@ void address_order(util::ThreadPool& pool, const Addr& addr,
     std::swap(from, to);
   }
   for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) keys[i] = from[i] & 0xFFFFFFFFu;
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = static_cast<std::uint32_t>(from[i]);
+    }
   });
+}
+
+/// Every distinct MAC in `flows`, ascending: the dictionary the columns'
+/// MAC ids index and chunk rows store, so 6-byte MACs cost one or two
+/// varint bytes per row.
+std::vector<std::uint64_t> mac_dictionary(util::ThreadPool& pool,
+                                          const flow::FlowLog& flows) {
+  std::vector<std::unordered_set<std::uint64_t>> seen(
+      row_shard_count(flows.size()));
+  for_row_shards(pool, flows.size(),
+                 [&](std::size_t k, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     seen[k].insert(flows[i].src_mac.value());
+                     seen[k].insert(flows[i].dst_mac.value());
+                   }
+                 });
+  std::unordered_set<std::uint64_t> all;
+  for (const auto& macs : seen) all.insert(macs.begin(), macs.end());
+  std::vector<std::uint64_t> dict(all.begin(), all.end());
+  std::sort(dict.begin(), dict.end());
+  return dict;
+}
+
+/// Derive rows [begin, end)'s src_member and dropped bit from their MAC
+/// ids, given the dense member id of every `dict` entry (`member_of`,
+/// FlowColumns::kNoMember for none). A bitmap word at the range's edge may
+/// be shared with the neighbouring range, so words are set with atomic
+/// ORs. Returns how many rows have an unattributable MAC (e.g. from a
+/// damaged MAC table): the handover port — or the egress port, blackhole
+/// MAC aside — has no member.
+std::uint64_t derive_member_columns(flow::FlowColumns& c,
+                                    const std::vector<std::uint64_t>& dict,
+                                    const std::vector<std::uint32_t>& member_of,
+                                    std::size_t begin, std::size_t end) {
+  constexpr std::uint32_t kNoMember = flow::FlowColumns::kNoMember;
+  const std::uint64_t blackhole = net::Mac::blackhole().value();
+  std::uint64_t unknown = 0;
+  std::uint64_t word = 0;
+  for (std::size_t row = begin; row < end; ++row) {
+    const std::uint32_t member = member_of[c.src_mac_id[row]];
+    const bool dropped = dict[c.dst_mac_id[row]] == blackhole;
+    c.src_member[row] = member;
+    if (member == kNoMember ||
+        (!dropped && member_of[c.dst_mac_id[row]] == kNoMember)) {
+      ++unknown;
+    }
+    if (dropped) word |= std::uint64_t{1} << (row & 63);
+    if ((row & 63) == 63 || row + 1 == end) {
+      if (word != 0) {
+        std::atomic_ref<std::uint64_t>(c.dropped_words[row >> 6]).fetch_or(word);
+      }
+      word = 0;
+    }
+  }
+  return unknown;
+}
+
+/// Size each of `columns` to `n` rows, one task per column over `pool`:
+/// zero-filling is page-fault bound. The memory is reserved on this
+/// thread: allocated on a pool thread, it would stay in that thread's heap
+/// after the columns are freed, where a later load on other threads cannot
+/// reuse it.
+template <typename... Columns>
+void size_columns(util::ThreadPool& pool, std::size_t n,
+                  Columns&... columns) {
+  (columns.reserve(n), ...);
+  const std::function<void()> jobs[] = {[&columns, n] { columns.resize(n); }...};
+  util::parallel_for(
+      pool, sizeof...(Columns), [&](std::size_t j) { jobs[j](); }, 1);
 }
 
 }  // namespace
 
-void Dataset::build_indices(util::ThreadPool& pool) {
+void Dataset::build_indices(flow::FlowLog data, util::ThreadPool& pool) {
   // Sort the control log concurrently with the flow-log order check.
   auto control_sorted = pool.submit([&] {
     util::parallel_sort(pool, control_.begin(), control_.end(),
@@ -342,13 +365,16 @@ void Dataset::build_indices(util::ThreadPool& pool) {
   // sanitize pass adds an inversion: the quarantine erase keeps row order
   // and the dedupe sort orders by time first.
   if (quality_.reordered_flows != 0) {
-    util::parallel_sort(pool, data_.begin(), data_.end(), flow_time_less);
+    util::parallel_sort(pool, data.begin(), data.end(),
+                        [](const flow::FlowRecord& a, const flow::FlowRecord& b) {
+                          return a.time < b.time;
+                        });
   }
   control_sorted.get();
 
   // The route-server replay is inherently sequential (open/close state),
   // but it only walks the control plane — overlap it with the trie build
-  // and the flow-index sorts below.
+  // and the column build below.
   auto blackholes_done = pool.submit([&] { replay_blackholes(); });
   auto lpm_done = pool.submit([&] {
     // FlatLpm freezes the origin table with last-wins dedupe — exactly the
@@ -359,33 +385,77 @@ void Dataset::build_indices(util::ThreadPool& pool) {
   // The log is time-sorted now, so ordering row positions by address alone
   // gives the (address, time, flow index) total order, identical at any
   // thread count. Rows must fit the sort keys' 32-bit position half.
-  const std::size_t n = data_.size();
+  const std::size_t n = data.size();
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("Dataset: flow count exceeds 2^32 rows");
   }
-  // by_src and the scatter buffer are never zero-filled: the sort's
-  // parallel passes touch their pages first. by_dst_ is reserved here, for
-  // the reason FlowColumns::build gives, and zero-filled beside the src
-  // sort.
-  const auto by_src = std::make_unique_for_overwrite<std::size_t[]>(n);
+  mac_dict_ = mac_dictionary(pool, data);
+  std::unordered_map<std::uint64_t, std::uint32_t> dict_id;
+  dict_id.reserve(mac_dict_.size());
+  for (std::size_t i = 0; i < mac_dict_.size(); ++i) {
+    dict_id[mac_dict_[i]] = static_cast<std::uint32_t>(i);
+  }
+  const std::vector<std::uint32_t> member_of = member_tables();
+
+  // One order buffer serves the src sort and then the dst sort, and each
+  // side's columns are gathered right after its sort, so the log, both
+  // sides' columns and the sort buffers are never resident at once.
+  flow::FlowColumns& c = columns_;
+  const auto order = std::make_unique_for_overwrite<std::uint32_t[]>(n);
   {
+    const auto keys = std::make_unique_for_overwrite<std::size_t[]>(n);
     const auto scratch = std::make_unique_for_overwrite<std::size_t[]>(n);
-    by_dst_.reserve(n);
-    auto dst_sized = pool.submit([&] { by_dst_.resize(n); });
     address_order(
-        pool, [&](std::size_t i) { return data_[i].src_ip.value(); },
-        std::span(by_src.get(), n), std::span(scratch.get(), n));
-    dst_sized.get();
+        pool, [&](std::size_t i) { return data[i].src_ip.value(); },
+        std::span(keys.get(), n), std::span(scratch.get(), n),
+        std::span(order.get(), n));
+    size_columns(pool, n, c.s_time, c.s_src_ip, c.s_src_port, c.s_dst_port);
+    for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const flow::FlowRecord& r = data[order[k]];
+        c.s_src_ip[k] = r.src_ip.value();
+        c.s_time[k] = r.time;
+        c.s_src_port[k] = r.src_port;
+        c.s_dst_port[k] = r.dst_port;
+      }
+    });
     address_order(
-        pool, [&](std::size_t i) { return data_[i].dst_ip.value(); },
-        std::span(by_dst_), std::span(scratch.get(), n));
+        pool, [&](std::size_t i) { return data[i].dst_ip.value(); },
+        std::span(keys.get(), n), std::span(scratch.get(), n),
+        std::span(order.get(), n));
   }
 
-  const std::unordered_map<net::Mac, std::uint32_t> member_ids =
-      member_id_map();
-  columns_ = flow::FlowColumns::build(
-      data_, by_dst_, std::span<const std::size_t>(by_src.get(), n),
-      member_ids, pool);
+  size_columns(pool, n, c.time, c.bytes, c.src_ip, c.dst_ip, c.packets,
+               c.src_member, c.src_mac_id, c.dst_mac_id, c.src_port,
+               c.dst_port, c.proto);
+  c.dropped_words.assign((n + 63) / 64, 0);
+  std::vector<std::uint64_t> unknown(row_shard_count(n));
+  for_row_shards(pool, n, [&](std::size_t s, std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const flow::FlowRecord& r = data[order[k]];
+      c.time[k] = r.time;
+      c.src_ip[k] = r.src_ip.value();
+      c.dst_ip[k] = r.dst_ip.value();
+      c.proto[k] = static_cast<std::uint8_t>(r.proto);
+      c.src_port[k] = r.src_port;
+      c.dst_port[k] = r.dst_port;
+      c.packets[k] = r.packets;
+      c.bytes[k] = r.bytes;
+      c.src_mac_id[k] = dict_id.find(r.src_mac.value())->second;
+      c.dst_mac_id[k] = dict_id.find(r.dst_mac.value())->second;
+    }
+    unknown[s] = derive_member_columns(c, mac_dict_, member_of, begin, end);
+  });
+  quality_.unknown_mac_flows =
+      std::accumulate(unknown.begin(), unknown.end(), std::size_t{0});
+  flow::FlowLog().swap(data);  // the columns hold every field now
+
+  size_columns(pool, n, time_order_);
+  for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      time_order_[order[k]] = static_cast<std::uint32_t>(k);
+    }
+  });
   blackholes_done.get();
   lpm_done.get();
 }
@@ -410,7 +480,7 @@ Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
   s.blackholed_prefixes = rs_index_.prefix_count();
   s.flow_records = store_ != nullptr
                        ? static_cast<std::size_t>(store_->flow_count())
-                       : data_.size();
+                       : columns_.size();
 
   // Shard the volume sums over the pool; integer addition is associative,
   // so the merged totals are exact at any thread count and in either
@@ -443,15 +513,11 @@ Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
       return v;
     });
   } else {
-    const std::size_t n = columns_.size();
-    const std::size_t shards = std::clamp<std::size_t>(n / 65536, 1, 64);
-    const std::size_t shard_len = (n + shards - 1) / shards;
-    sums = util::parallel_map(pool, shards, [&](std::size_t k) {
-      Volume v;
-      add_rows(v, columns_, std::min(n, k * shard_len),
-               std::min(n, (k + 1) * shard_len));
-      return v;
-    });
+    sums.resize(row_shard_count(columns_.size()));
+    for_row_shards(pool, columns_.size(),
+                   [&](std::size_t k, std::size_t begin, std::size_t end) {
+                     add_rows(sums[k], columns_, begin, end);
+                   });
   }
   metrics.rows->add(s.flow_records);
   metrics.ns->add(watch.elapsed_ns());
@@ -584,7 +650,8 @@ void write_table_sections(
 }
 
 /// dataset.save.{dict,encode,write}_us: where a save spends its wall time
-/// (see docs/observability.md).
+/// (see docs/observability.md). dict_us is the dictionary-side prep: the
+/// rows' time positions chunks store beside their MAC ids.
 struct SavePhaseMetrics {
   obs::Counter& dict_us;
   obs::Counter& encode_us;
@@ -599,37 +666,13 @@ const SavePhaseMetrics& save_phase_metrics() {
   return m;
 }
 
-/// Every distinct MAC in `flows`, ascending: the MAC dictionary chunk rows
-/// store indexes into, so 6-byte MACs cost one or two varint bytes per row.
-std::vector<std::uint64_t> mac_dictionary(util::ThreadPool& pool,
-                                          const flow::FlowLog& flows) {
-  std::vector<std::unordered_set<std::uint64_t>> seen(
-      row_shard_count(flows.size()));
-  for_row_shards(pool, flows.size(),
-                 [&](std::size_t k, std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     seen[k].insert(flows[i].src_mac.value());
-                     seen[k].insert(flows[i].dst_mac.value());
-                   }
-                 });
-  std::unordered_set<std::uint64_t> all;
-  for (const auto& macs : seen) all.insert(macs.begin(), macs.end());
-  std::vector<std::uint64_t> dict(all.begin(), all.end());
-  std::sort(dict.begin(), dict.end());
-  return dict;
-}
-
 /// What one in-flight chunk encodes into: its payload, the payload's CRC32C
-/// and its zone map, plus the MAC-id and log-position columns a dst chunk
-/// derives. Slots are reused from chunk to chunk, so the encoder allocates
-/// only while their buffers first grow.
+/// and its zone map. Slots are reused from chunk to chunk, so the encoder
+/// allocates only while their buffers first grow.
 struct ChunkSlot {
   std::vector<std::uint8_t> payload;
   std::uint32_t crc{0};
   store::ChunkMeta meta;
-  std::vector<std::uint32_t> src_mac_id;
-  std::vector<std::uint32_t> dst_mac_id;
-  std::vector<std::uint32_t> orig_pos;
 };
 
 /// Write `count` chunk sections of kind `section`, then their zone maps
@@ -699,7 +742,8 @@ util::Status Dataset::try_save(const std::string& path,
           ": chunked dataset holds no materialized flows to rewrite; load it "
           "with Dataset::try_load first");
     }
-    if (data_.size() >= std::numeric_limits<std::uint32_t>::max()) {
+    const std::size_t n = columns_.size();
+    if (n >= std::numeric_limits<std::uint32_t>::max()) {
       return util::invalid_argument("Dataset::try_save: " + path +
                                     ": flow count exceeds the v3 row-position "
                                     "range");
@@ -708,36 +752,24 @@ util::Status Dataset::try_save(const std::string& path,
     const SavePhaseMetrics& phase = save_phase_metrics();
     obs::StopWatch watch;
 
-    const std::vector<std::uint64_t> dict = mac_dictionary(pool, data_);
-    std::unordered_map<std::uint64_t, std::uint32_t> dict_id;
-    dict_id.reserve(dict.size());
-    for (std::size_t i = 0; i < dict.size(); ++i) {
-      dict_id[dict[i]] = static_cast<std::uint32_t>(i);
-    }
+    // Every dst row's time position, the inverse of time_order_.
+    const auto orig_pos = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    for_row_shards(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t p = begin; p < end; ++p) {
+        orig_pos[time_order_[p]] = static_cast<std::uint32_t>(p);
+      }
+    });
     lap(phase.dict_us, watch);
 
     const std::size_t rows_per_chunk = store::chunk_rows();
-    const std::size_t n = data_.size();
     const std::size_t n_chunks = (n + rows_per_chunk - 1) / rows_per_chunk;
 
-    // Dst-ordered chunks read the dst columns in place; the MAC ids and log
-    // positions are not columns, so each chunk derives its own.
+    // Both chunk families read the columns in place.
     const auto encode_dst = [&](std::size_t k, ChunkSlot& slot) {
       const std::size_t base = k * rows_per_chunk;
       const std::size_t rows = std::min(rows_per_chunk, n - base);
-      slot.src_mac_id.resize(rows);
-      slot.dst_mac_id.resize(rows);
-      slot.orig_pos.resize(rows);
-      for (std::size_t g = 0; g < rows; ++g) {
-        const std::size_t pos = by_dst_[base + g];
-        const flow::FlowRecord& r = data_[pos];
-        slot.src_mac_id[g] = dict_id.find(r.src_mac.value())->second;
-        slot.dst_mac_id[g] = dict_id.find(r.dst_mac.value())->second;
-        slot.orig_pos[g] = static_cast<std::uint32_t>(pos);
-      }
-      const store::DstChunkRows chunk =
-          store::dst_rows(columns_, base, rows, slot.src_mac_id,
-                          slot.dst_mac_id, slot.orig_pos);
+      store::DstChunkRows chunk = store::dst_rows(columns_, base, rows);
+      chunk.orig_pos = std::span<const std::uint32_t>(orig_pos.get() + base, rows);
       store::encode_dst_chunk(chunk, slot.payload);
       return store::make_dst_meta(chunk, base);
     };
@@ -754,9 +786,6 @@ util::Status Dataset::try_save(const std::string& path,
     std::vector<ChunkSlot> slots(std::min(pool.concurrency(), n_chunks));
     for (ChunkSlot& slot : slots) {
       slot.payload.reserve(store::max_dst_chunk_bytes(slot_rows));
-      slot.src_mac_id.reserve(slot_rows);
-      slot.dst_mac_id.reserve(slot_rows);
-      slot.orig_pos.reserve(slot_rows);
     }
 
     // Atomic commit: the container streams into `<path>.tmp`, which is
@@ -779,8 +808,8 @@ util::Status Dataset::try_save(const std::string& path,
           w.end_section();
 
           w.begin_section(store::kSecMacDict);
-          put_u64(w, dict.size());
-          for (const std::uint64_t mac : dict) put_u64(w, mac);
+          put_u64(w, mac_dict_.size());
+          for (const std::uint64_t mac : mac_dict_) put_u64(w, mac);
           w.end_section();
 
           write_chunks(w, pool, slots, n_chunks, store::kSecChunk,
@@ -1001,60 +1030,30 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
     return util::data_loss(
         "section SMET: flow count exceeds the v3 row-position range");
   }
-  constexpr std::uint32_t kNoMember = flow::FlowColumns::kNoMember;
   flow::FlowColumns& c = columns_;
+  mac_dict_ = store.mac_dict();
 
-  // Size the flow state while the control-plane indices build. Zero-filling
-  // ~110 B/flow is page-fault bound, so each vector is sized by its own
-  // task, largest first, and the index build is one more task beside them.
-  std::unordered_map<net::Mac, std::uint32_t> member_ids;
-  std::vector<std::uint64_t> seen;
-  const auto sized = [n](auto& v) { return [&v, n] { v.resize(n); }; };
-  const std::vector<std::function<void()>> jobs = {
-      [&] { member_ids = build_control_indices(); },
-      sized(data_),
-      sized(c.time),
-      sized(c.s_time),
-      sized(c.bytes),
-      sized(by_dst_),
-      sized(c.src_ip),
-      sized(c.dst_ip),
-      sized(c.packets),
-      sized(c.src_member),
-      sized(c.s_src_ip),
-      sized(c.src_port),
-      sized(c.dst_port),
-      sized(c.s_src_port),
-      sized(c.s_dst_port),
-      sized(c.proto),
-      [&] {
-        c.dropped_words.assign((n + 63) / 64, 0);
-        seen.assign((n + 63) / 64, 0);
-      },
-  };
-  util::parallel_for(pool, jobs.size(), [&](std::size_t j) { jobs[j](); }, 1);
+  // Size the flow state while the control-plane indices build, which also
+  // resolves every dictionary MAC to its dense member id (kNoMember for an
+  // unmapped MAC).
+  std::vector<std::uint32_t> member_of;
+  auto control_done = pool.submit([&] { member_of = build_control_indices(); });
+  size_columns(pool, n, c.time, c.s_time, c.bytes, c.src_ip, c.dst_ip,
+               c.packets, c.src_member, c.src_mac_id, c.dst_mac_id,
+               c.s_src_ip, time_order_, c.src_port, c.dst_port, c.s_src_port,
+               c.s_dst_port, c.proto);
+  c.dropped_words.assign((n + 63) / 64, 0);
+  std::vector<std::uint64_t> seen((n + 63) / 64, 0);
+  control_done.get();
   lap(phase.index_us, watch);
 
-  // What sanitize and FlowColumns::build resolve per record from its MACs,
-  // resolved once per dictionary entry: the dense member id (kNoMember for
-  // an unmapped MAC; member_ids has exactly mac_to_asn_'s keys) and
-  // whether the MAC is the blackhole's.
-  const std::vector<std::uint64_t>& dict = store.mac_dict();
-  const std::uint64_t blackhole = net::Mac::blackhole().value();
-  std::vector<std::uint32_t> member_of(dict.size(), kNoMember);
-  std::vector<std::uint8_t> is_blackhole(dict.size(), 0);
-  for (std::size_t id = 0; id < dict.size(); ++id) {
-    const auto it = member_ids.find(net::Mac(dict[id]));
-    if (it != member_ids.end()) member_of[id] = it->second;
-    is_blackhole[id] = dict[id] == blackhole ? 1 : 0;
-  }
-
-  // (dst_ip, time, row position) strictly ascending: the order the
-  // constructor's by_dst sort produces, with its index tie-break.
-  const auto dst_ordered = [&](std::size_t a, std::size_t b) {
+  // (dst_ip, time, time position) strictly ascending: the order the
+  // constructor's dst sort produces, with its position tie-break.
+  const auto dst_ordered = [&](std::size_t a, std::uint32_t pos_a,
+                               std::size_t b, std::uint32_t pos_b) {
     if (c.dst_ip[a] != c.dst_ip[b]) return c.dst_ip[a] < c.dst_ip[b];
     if (c.time[a] != c.time[b]) return c.time[a] < c.time[b];
-    return by_dst_[a] < by_dst_[b];
+    return pos_a < pos_b;
   };
   const auto src_ordered = [&](std::size_t a, std::size_t b) {
     if (c.s_src_ip[a] != c.s_src_ip[b]) return c.s_src_ip[a] < c.s_src_ip[b];
@@ -1065,22 +1064,21 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
     util::Status status;
     std::uint64_t unknown_macs{0};
     std::uint64_t fingerprint{0};
+    std::uint32_t first_pos{0};  ///< time position of the chunk's first row
+    std::uint32_t last_pos{0};   ///< and of its last
   };
   const std::vector<store::ChunkMeta>& dst_metas = store.dst_metas();
   const std::vector<store::ChunkMeta>& src_metas = store.src_metas();
 
-  // One task per dst chunk: decode into its row slice of the columns, then
-  // derive the MAC-based columns, invert orig_pos into by_dst_, and
-  // scatter the records into data_. Row counts need not be multiples of
-  // 64, so dropped-bitmap words and seen-bitset words at chunk edges are
-  // shared between tasks and set with atomic ORs.
+  // One task per dst chunk: decode into its row slice of the columns,
+  // invert the row positions into time_order_, and derive the member and
+  // dropped columns. Row counts need not be multiples of 64, so seen-bitset
+  // words at chunk edges are shared between tasks and set with atomic ORs.
   const auto fill_dst = [&](std::size_t k) {
     ChunkTally tally;
     const std::size_t b = dst_metas[k].row_begin;
     const std::size_t rows = dst_metas[k].row_count;
     const auto slice = [&](auto& col) { return std::span(col).subspan(b, rows); };
-    std::vector<std::uint32_t> src_mac(rows);
-    std::vector<std::uint32_t> dst_mac(rows);
     std::vector<std::uint32_t> pos(rows);
     // src_member and dropped_words stay empty: both are derived below.
     const store::DstChunkSpans out{.time = slice(c.time),
@@ -1091,14 +1089,13 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
                                    .dst_port = slice(c.dst_port),
                                    .packets = slice(c.packets),
                                    .bytes = slice(c.bytes),
-                                   .src_mac_id = src_mac,
-                                   .dst_mac_id = dst_mac,
+                                   .src_mac_id = slice(c.src_mac_id),
+                                   .dst_mac_id = slice(c.dst_mac_id),
                                    .src_member = {},
                                    .dropped_words = {},
                                    .orig_pos = pos};
     tally.status = store.try_decode(k, out);
     if (!tally.status.ok()) return tally;
-    std::uint64_t word = 0;
     for (std::size_t i = 0; i < rows; ++i) {
       const std::size_t row = b + i;
       const std::uint32_t p = pos[i];
@@ -1110,30 +1107,20 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
                                    "duplicate or out-of-range row position");
         return tally;
       }
-      by_dst_[row] = p;
-      if (i > 0 && !dst_ordered(row - 1, row)) {
+      time_order_[p] = static_cast<std::uint32_t>(row);
+      if (i > 0 && !dst_ordered(row - 1, pos[i - 1], row, p)) {
         tally.status = chunk_error(
             "CHNK", k, "rows are not in (dst_ip, time, position) order");
         return tally;
       }
-      const std::uint32_t member = member_of[src_mac[i]];
-      const bool dropped = is_blackhole[dst_mac[i]] != 0;
-      c.src_member[row] = member;
-      if (member == kNoMember || (!dropped && member_of[dst_mac[i]] == kNoMember)) {
-        ++tally.unknown_macs;
-      }
-      if (dropped) word |= std::uint64_t{1} << (row & 63);
-      if ((row & 63) == 63 || i + 1 == rows) {
-        if (word != 0) {
-          std::atomic_ref<std::uint64_t>(c.dropped_words[row >> 6])
-              .fetch_or(word);
-        }
-        word = 0;
-      }
-      data_[p] = store.record_at(out, i);
       tally.fingerprint += row_fingerprint(c.src_ip[row], c.time[row],
                                            c.src_port[row], c.dst_port[row]);
     }
+    if (rows > 0) {
+      tally.first_pos = pos.front();
+      tally.last_pos = pos.back();
+    }
+    tally.unknown_macs = derive_member_columns(c, mac_dict_, member_of, b, b + rows);
     return tally;
   };
   // One task per src chunk: decode into its slice of the s_* columns.
@@ -1176,13 +1163,18 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
     (dst ? dst_fingerprint : src_fingerprint) += tallies[t].fingerprint;
     quality_.unknown_mac_flows += tallies[t].unknown_macs;
   }
+  // Row b - 1 is the last row of the nearest non-empty chunk before k.
+  std::size_t prev = dst_metas.size();
   for (std::size_t k = 0; k < dst_metas.size(); ++k) {
+    if (dst_metas[k].row_count == 0) continue;
     const std::size_t b = dst_metas[k].row_begin;
-    if (b > 0 && dst_metas[k].row_count > 0 && !dst_ordered(b - 1, b)) {
+    if (prev < k && !dst_ordered(b - 1, tallies[prev].last_pos, b,
+                                 tallies[k].first_pos)) {
       return chunk_error("CHNK", k,
                          "rows are not in (dst_ip, time, position) order "
                          "across the chunk boundary");
     }
+    prev = k;
   }
   for (std::size_t k = 0; k < src_metas.size(); ++k) {
     const std::size_t b = src_metas[k].row_begin;
@@ -1197,12 +1189,11 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
         "section SCHK: rows are not the source-ordered permutation of the "
         "CHNK rows");
   }
-  for (std::size_t i = 1; i < n; ++i) {
-    if (data_[i].time < data_[i - 1].time) {
-      return util::data_loss(
-          "section CHNK: row positions do not put the flow log in time "
-          "order");
-    }
+  if (count_inversions(pool, n, [&](std::size_t p) {
+        return c.time[time_order_[p]];
+      }) != 0) {
+    return util::data_loss(
+        "section CHNK: row positions do not put the flow log in time order");
   }
   lap(phase.columns_us, watch);
   return util::ok_status();
@@ -1224,9 +1215,9 @@ util::Result<Dataset> Dataset::try_load(const std::string& path,
     // flow log's time order, so of the constructor's sanitation counts
     // only the control-plane input order and the unknown-MAC flows (which
     // the fill re-derives) can be non-zero.
-    d.quality_.reordered_updates = count_inversions(d.control_);
-    if (util::Status st = d.fill_from_store(*store, util::pool_or_global(pool));
-        !st.ok()) {
+    util::ThreadPool& workers = util::pool_or_global(pool);
+    d.quality_.reordered_updates = count_inversions(workers, d.control_);
+    if (util::Status st = d.fill_from_store(*store, workers); !st.ok()) {
       return std::move(st).with_context("Dataset::try_load: " + path);
     }
     return d;
@@ -1244,8 +1235,8 @@ util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
         open_shell(path, "Dataset::try_open_chunked", store);
     if (!shell.ok()) return shell.status();
     // Shell construction: control-plane state and indices as usual, flows
-    // left on disk behind the pruned chunk reader. data_/columns_/by_dst_
-    // stay empty — every flow access goes through store_.
+    // left on disk behind the pruned chunk reader. columns_ and
+    // time_order_ stay empty — every flow access goes through store_.
     Dataset d = std::move(shell).value();
     d.store_ = std::move(store);
     // Sanitation ran before the file was written; the only quality signal

@@ -5,8 +5,10 @@
 // member-AS mapping of the switching fabric, and a BGP-derived source-IP ->
 // origin-AS resolver. It additionally builds the indices every analysis
 // module needs: the route-server blackhole activity index and the columnar
-// flow view (flow/columns.hpp), whose dst-ordered rows serve destination
-// scans and whose src-ordered columns serve source-address scans.
+// flow table (flow/columns.hpp), whose dst-ordered rows serve destination
+// scans and whose src-ordered columns serve source-address scans. The
+// columns are the only resident copy of the flows: flows() rebuilds the
+// time-ordered log from them on access.
 #pragma once
 
 #include <functional>
@@ -83,6 +85,7 @@ class Dataset {
   /// Build from raw corpora (e.g. deserialised from disk). Sanitation is
   /// applied per `options` before the indices are built, over `pool`
   /// (null: the global pool); the result is identical at any thread count.
+  /// `data` is released once the columns hold it.
   Dataset(bgp::UpdateLog control, flow::FlowLog data,
           std::unordered_map<net::Mac, bgp::Asn> mac_to_asn,
           std::vector<std::pair<net::Prefix, bgp::Asn>> origin_prefixes,
@@ -100,10 +103,14 @@ class Dataset {
   [[nodiscard]] const bgp::UpdateLog& control() const noexcept {
     return control_;
   }
-  /// The materialized flow log, in time order. Empty in chunked
+  /// The flow log in time order, rebuilt record by record from the
+  /// columns (ties keep their input order). A by-value view valid while
+  /// this Dataset is neither moved nor destroyed. Empty in chunked
   /// (out-of-core) mode; the analysis kernels read view() instead, and the
   /// record walkers (replay, CSV export) require a materializing load.
-  [[nodiscard]] const flow::FlowLog& flows() const noexcept { return data_; }
+  [[nodiscard]] flow::TimeOrderView flows() const noexcept {
+    return {columns_, mac_dict_, time_order_};
+  }
   [[nodiscard]] util::TimeRange period() const noexcept { return period_; }
 
   /// Only the RTBH-related updates, in time order.
@@ -142,8 +149,9 @@ class Dataset {
     return source_as_[id];
   }
 
-  /// The structure-of-arrays flow view (see flow/columns.hpp for the
-  /// layout invariants). The raw-log constructor builds it by radix-sorting
+  /// The structure-of-arrays flow table (see flow/columns.hpp for the
+  /// layout invariants); its MAC ids index the sorted MAC dictionary this
+  /// Dataset keeps. The raw-log constructor builds it by radix-sorting
   /// row positions by address (build_indices); try_load decodes it
   /// straight from the file's dst- and src-ordered chunks, which already
   /// hold these columns in these orders, so no sort runs. Empty in chunked
@@ -158,7 +166,7 @@ class Dataset {
   [[nodiscard]] FlowView view() const;
 
   /// True when the flows live in a .bwds v3 store on disk and are decoded
-  /// chunk-at-a-time instead of being materialized in data_/columns_.
+  /// chunk-at-a-time instead of being materialized in columns_.
   [[nodiscard]] bool chunked() const noexcept { return store_ != nullptr; }
   [[nodiscard]] const store::FlowStore* store() const noexcept {
     return store_.get();
@@ -169,9 +177,10 @@ class Dataset {
   /// point). try_save writes the chunked .bwds v3 format (column chunks +
   /// zone maps); `pool` (null: the global pool) encodes at most its
   /// concurrency of chunks at a time, straight from the columns, and they
-  /// are written in order. Its bytes depend only on the corpus and the
-  /// chunk size — never on the pool — so try_save(try_load(f)) reproduces
-  /// f at the chunk size f was written with. try_load materializes
+  /// are written in order; the rows' time positions are time_order_
+  /// inverted. Its bytes depend only on the corpus and the chunk size —
+  /// never on the pool — so try_save(try_load(f)) reproduces f at the
+  /// chunk size f was written with. try_load materializes
   /// a v3 file back into RAM — decoding every chunk in parallel straight
   /// into the final columns, with no sort — and refuses v1/v2 and unknown
   /// versions with data_loss. Its result equals the raw-log constructor's
@@ -220,26 +229,29 @@ class Dataset {
       const std::string& path, const char* op,
       std::shared_ptr<const store::FlowStore>& store);
 
-  void sanitize(const BuildOptions& options, util::ThreadPool& pool);
+  void sanitize(flow::FlowLog& data, const BuildOptions& options,
+                util::ThreadPool& pool);
   /// Raw-log build: sort the control log by time, stable-sort the flow log
-  /// by time unless it already is, radix-sort the dst and src permutations
-  /// by address, and materialize the columns through them. The src
-  /// permutation is local: only the s_* columns outlive it.
-  void build_indices(util::ThreadPool& pool);
+  /// by time unless it already is, collect its MAC dictionary, radix-sort
+  /// the src and then the dst permutation by address, and gather the
+  /// columns through each. `data` is released as soon as the columns hold
+  /// it; time_order_ is the inverse of the dst permutation.
+  void build_indices(flow::FlowLog data, util::ThreadPool& pool);
   /// try_load's build after the tables: the control-plane indices, then
-  /// every CHNK/SCHK chunk of `store` decoded over `pool` into columns_,
-  /// by_dst_ and data_, validating as it goes.
+  /// every CHNK/SCHK chunk of `store` decoded over `pool` into columns_
+  /// and time_order_, validating as it goes.
   util::Status fill_from_store(const store::FlowStore& store,
                                util::ThreadPool& pool);
   /// Control-plane half of build_indices (sorting, blackhole replay, LPM,
   /// member tables) — everything a chunked dataset needs besides flows.
-  /// Returns the MAC -> dense member id map the column build consumes.
-  std::unordered_map<net::Mac, std::uint32_t> build_control_indices();
+  /// Returns member_tables().
+  std::vector<std::uint32_t> build_control_indices();
   void replay_blackholes();
-  std::unordered_map<net::Mac, std::uint32_t> member_id_map();
+  /// Fill source_as_ and return the dense member id of every mac_dict_
+  /// entry (FlowColumns::kNoMember for a MAC without a member).
+  std::vector<std::uint32_t> member_tables();
 
   bgp::UpdateLog control_;
-  flow::FlowLog data_;
   std::unordered_map<net::Mac, bgp::Asn> mac_to_asn_;
   std::vector<std::pair<net::Prefix, bgp::Asn>> origin_prefixes_;
   util::TimeRange period_;
@@ -248,11 +260,12 @@ class Dataset {
   bgp::UpdateLog blackhole_updates_;
   bgp::BlackholeIndex rs_index_;
   net::FlatLpm<bgp::Asn> origin_lpm_;
-  /// flows() positions in dst-row order; try_save reads the MAC ids and
-  /// orig_pos of each dst row through it.
-  std::vector<std::size_t> by_dst_;
   std::vector<bgp::Asn> source_as_;  ///< ascending unique member source ASes
-  flow::FlowColumns columns_;  ///< SoA view in (dst, time) / (src, time) order
+  flow::FlowColumns columns_;  ///< SoA table in (dst, time) / (src, time) order
+  /// Every distinct flow MAC, ascending: what the columns' MAC ids index.
+  std::vector<std::uint64_t> mac_dict_;
+  /// Time position -> dst row: flows()[p] is columns_ row time_order_[p].
+  std::vector<std::uint32_t> time_order_;
   /// Non-null in chunked mode: the on-disk v3 store flows are read from.
   std::shared_ptr<const store::FlowStore> store_;
 };

@@ -156,7 +156,7 @@ void write_control_csv(std::ostream& os, const bgp::UpdateLog& log) {
   }
 }
 
-void write_flows_csv(std::ostream& os, const flow::FlowLog& flows) {
+void write_flows_csv(std::ostream& os, const flow::TimeOrderView& flows) {
   os << "time_ms,src_ip,dst_ip,proto,src_port,dst_port,src_mac,dst_mac,"
         "packets,bytes\n";
   for (const auto& r : flows) {

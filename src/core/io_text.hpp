@@ -37,7 +37,7 @@ namespace bw::core {
 
 // --- writers ---
 void write_control_csv(std::ostream& os, const bgp::UpdateLog& log);
-void write_flows_csv(std::ostream& os, const flow::FlowLog& flows);
+void write_flows_csv(std::ostream& os, const flow::TimeOrderView& flows);
 void write_macs_csv(std::ostream& os,
                     const std::unordered_map<net::Mac, bgp::Asn>& macs);
 void write_origins_csv(

@@ -11,10 +11,12 @@ OffsetEstimate estimate_offset(const Dataset& dataset,
   const auto bins = static_cast<std::size_t>(
       (config.max_offset - config.min_offset) / step + 1);
 
-  // Gather dropped samples (optionally uniformly subsampled).
+  // Gather dropped samples in time order (optionally uniformly
+  // subsampled).
+  const flow::TimeOrderView flows = dataset.flows();
   std::vector<std::size_t> dropped;
-  for (std::size_t i = 0; i < dataset.flows().size(); ++i) {
-    if (dataset.flows()[i].dropped()) dropped.push_back(i);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (flows[i].dropped()) dropped.push_back(i);
   }
   est.dropped_samples = dropped.size();
   std::size_t stride = 1;
@@ -28,7 +30,7 @@ OffsetEstimate estimate_offset(const Dataset& dataset,
   std::vector<double> diff(bins + 1, 0.0);
   std::size_t used = 0;
   for (std::size_t k = 0; k < dropped.size(); k += stride) {
-    const auto& rec = dataset.flows()[dropped[k]];
+    const flow::FlowRecord rec = flows[dropped[k]];
     ++used;
     for (const auto& range : dataset.rs_index().announced_ranges(rec.dst_ip)) {
       const util::DurationMs lo = range.begin - rec.time;

@@ -61,6 +61,10 @@ struct FlowRecord {
   /// True when the packet was redirected to the non-forwarding blackhole
   /// MAC, i.e. dropped by the RTBH service (Section 3.1).
   [[nodiscard]] bool dropped() const { return dst_mac == net::Mac::blackhole(); }
+
+  /// Field by field in declaration order, time first: a total order in
+  /// which exact duplicates sort adjacent.
+  friend auto operator<=>(const FlowRecord&, const FlowRecord&) = default;
 };
 
 using FlowLog = std::vector<FlowRecord>;

@@ -156,7 +156,7 @@ std::size_t ChunkData::footprint_bytes() const noexcept {
                     cols.src_port, cols.dst_port, cols.packets, cols.bytes,
                     cols.dropped_words, cols.src_member, cols.s_src_ip,
                     cols.s_time, cols.s_src_port, cols.s_dst_port,
-                    src_mac_id, dst_mac_id, orig_pos);
+                    cols.src_mac_id, cols.dst_mac_id, orig_pos);
 }
 
 void append_meta(std::vector<std::uint8_t>& out, const ChunkMeta& meta) {
@@ -184,10 +184,7 @@ ChunkMeta parse_meta(const std::uint8_t* p) {
 }
 
 DstChunkRows dst_rows(const flow::FlowColumns& cols, std::size_t begin,
-                      std::size_t rows,
-                      std::span<const std::uint32_t> src_mac_id,
-                      std::span<const std::uint32_t> dst_mac_id,
-                      std::span<const std::uint32_t> orig_pos) {
+                      std::size_t rows) {
   const auto at = [&](const auto& column) {
     return std::span(column).subspan(begin, rows);
   };
@@ -199,12 +196,12 @@ DstChunkRows dst_rows(const flow::FlowColumns& cols, std::size_t begin,
           .dst_port = at(cols.dst_port),
           .packets = at(cols.packets),
           .bytes = at(cols.bytes),
-          .src_mac_id = src_mac_id,
-          .dst_mac_id = dst_mac_id,
+          .src_mac_id = at(cols.src_mac_id),
+          .dst_mac_id = at(cols.dst_mac_id),
           .src_member = at(cols.src_member),
           .dropped_words = cols.dropped_words,
           .dropped_bit0 = begin,
-          .orig_pos = orig_pos};
+          .orig_pos = {}};
 }
 
 SrcChunkRows src_rows(const flow::FlowColumns& cols, std::size_t begin,
@@ -217,8 +214,9 @@ SrcChunkRows src_rows(const flow::FlowColumns& cols, std::size_t begin,
 }
 
 DstChunkRows dst_rows(const ChunkData& chunk) {
-  return dst_rows(chunk.cols, 0, chunk.cols.time.size(), chunk.src_mac_id,
-                  chunk.dst_mac_id, chunk.orig_pos);
+  DstChunkRows rows = dst_rows(chunk.cols, 0, chunk.cols.time.size());
+  rows.orig_pos = chunk.orig_pos;
+  return rows;
 }
 
 SrcChunkRows src_rows(const ChunkData& chunk) {
@@ -287,8 +285,8 @@ DstChunkSpans dst_spans(ChunkData& chunk, std::size_t rows) {
   c.bytes.resize(rows);
   c.src_member.resize(rows);
   c.dropped_words.resize((rows + 63) / 64);
-  chunk.src_mac_id.resize(rows);
-  chunk.dst_mac_id.resize(rows);
+  c.src_mac_id.resize(rows);
+  c.dst_mac_id.resize(rows);
   chunk.orig_pos.resize(rows);
   return {.time = c.time,
           .src_ip = c.src_ip,
@@ -298,8 +296,8 @@ DstChunkSpans dst_spans(ChunkData& chunk, std::size_t rows) {
           .dst_port = c.dst_port,
           .packets = c.packets,
           .bytes = c.bytes,
-          .src_mac_id = chunk.src_mac_id,
-          .dst_mac_id = chunk.dst_mac_id,
+          .src_mac_id = c.src_mac_id,
+          .dst_mac_id = c.dst_mac_id,
           .src_member = c.src_member,
           .dropped_words = c.dropped_words,
           .orig_pos = chunk.orig_pos};

@@ -2,8 +2,8 @@
 // that makes predicate pushdown possible.
 //
 // A v3 file stores flows twice, mirroring the two FlowColumns orders:
-//   CHNK  dst-ordered chunks (row k of the whole sequence is by_dst[k])
-//   SCHK  src-ordered chunks (row k is by_src[k])
+//   CHNK  dst-ordered chunks (row k of the whole sequence is dst row k)
+//   SCHK  src-ordered chunks (row k is s_* row k)
 // Each chunk is one container section, so the per-section CRC32C gives
 // chunk-precise corruption errors for free. Alongside the payloads, the
 // CIDX/SIDX sections carry one fixed-width ChunkMeta per chunk: row range,
@@ -87,13 +87,11 @@ void append_meta(std::vector<std::uint8_t>& out, const ChunkMeta& meta);
 [[nodiscard]] ChunkMeta parse_meta(const std::uint8_t* p);
 
 /// A decoded chunk. For dst chunks the dst-side FlowColumns fields are
-/// populated plus the sidecar columns a materializing load needs (dict MAC
-/// ids and the original time-sorted position of every row); for src chunks
-/// only the cols.s_* fields are populated.
+/// populated, MAC ids included, plus the time position of every row (the
+/// inverse of a materialized Dataset's time order); for src chunks only
+/// the cols.s_* fields are populated.
 struct ChunkData {
   flow::FlowColumns cols;
-  std::vector<std::uint32_t> src_mac_id;
-  std::vector<std::uint32_t> dst_mac_id;
   std::vector<std::uint32_t> orig_pos;
 
   [[nodiscard]] std::size_t rows() const noexcept {
@@ -145,8 +143,8 @@ struct SrcChunkSpans {
 
 /// What one dst chunk encodes from: read-only spans of exactly the chunk's
 /// row count, e.g. a row slice of a whole-corpus FlowColumns plus the
-/// caller's MAC-id and orig_pos columns, so an encoder reads the columns in
-/// place. Row g's dropped flag is bit `dropped_bit0 + g` of
+/// caller's time positions of those rows, so an encoder reads the columns
+/// in place. Row g's dropped flag is bit `dropped_bit0 + g` of
 /// `dropped_words` (row 0 of a corpus at bit 0 of word 0).
 struct DstChunkRows {
   std::span<const util::TimeMs> time;
@@ -181,13 +179,11 @@ struct SrcChunkRows {
   [[nodiscard]] std::size_t rows() const noexcept { return s_time.size(); }
 };
 
-/// The encoder's view of rows [begin, begin + rows) of `cols`, with the
-/// caller's MAC-id and orig_pos columns for those rows (dst side).
+/// The encoder's view of rows [begin, begin + rows) of `cols`. The dst
+/// side leaves `orig_pos` empty for the caller to point at the rows' time
+/// positions.
 [[nodiscard]] DstChunkRows dst_rows(const flow::FlowColumns& cols,
-                                    std::size_t begin, std::size_t rows,
-                                    std::span<const std::uint32_t> src_mac_id,
-                                    std::span<const std::uint32_t> dst_mac_id,
-                                    std::span<const std::uint32_t> orig_pos);
+                                    std::size_t begin, std::size_t rows);
 [[nodiscard]] SrcChunkRows src_rows(const flow::FlowColumns& cols,
                                     std::size_t begin, std::size_t rows);
 /// The encoder's view of a decoded (or hand-built) chunk.

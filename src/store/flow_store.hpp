@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "flow/record.hpp"
 #include "net/prefix.hpp"
 #include "store/chunk.hpp"
 #include "util/container.hpp"
@@ -154,24 +153,6 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   /// The same decode into `out`'s own vectors, reusing their capacity.
   [[nodiscard]] util::Status try_decode(std::size_t k, bool src,
                                         ChunkData& out) const;
-
-  /// Reassemble the AoS record of row `i` of a decoded dst chunk (MAC ids
-  /// resolved through the dictionary).
-  [[nodiscard]] flow::FlowRecord record_at(const DstChunkSpans& chunk,
-                                           std::size_t i) const {
-    flow::FlowRecord rec;
-    rec.time = chunk.time[i];
-    rec.src_ip = net::Ipv4(chunk.src_ip[i]);
-    rec.dst_ip = net::Ipv4(chunk.dst_ip[i]);
-    rec.proto = static_cast<net::Proto>(chunk.proto[i]);
-    rec.src_port = chunk.src_port[i];
-    rec.dst_port = chunk.dst_port[i];
-    rec.src_mac = net::Mac(mac_dict_[chunk.src_mac_id[i]]);
-    rec.dst_mac = net::Mac(mac_dict_[chunk.dst_mac_id[i]]);
-    rec.packets = chunk.packets[i];
-    rec.bytes = chunk.bytes[i];
-    return rec;
-  }
 
   /// Pruned scan over rows destined to `prefix` within `range`, visiting
   /// chunks in dst order — the exact row order and scanned-row count of

@@ -134,13 +134,13 @@ template <typename OnUpdate, typename OnFlow>
 bool for_each_in_merge_order(const core::Dataset& dataset,
                              OnUpdate&& on_update, OnFlow&& on_flow) {
   const auto& updates = dataset.blackhole_updates();
-  const auto& flows = dataset.flows();
+  const flow::TimeOrderView flows = dataset.flows();
   std::size_t ui = 0;
   std::size_t fi = 0;
   while (ui < updates.size() || fi < flows.size()) {
     const bool take_update =
         fi >= flows.size() ||
-        (ui < updates.size() && updates[ui].time <= flows[fi].time);
+        (ui < updates.size() && updates[ui].time <= flows.time(fi));
     if (!(take_update ? on_update(updates[ui++]) : on_flow(flows[fi++]))) {
       return false;
     }

@@ -207,8 +207,8 @@ TEST_F(DatasetTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.control().size(), dataset_->control().size());
   ASSERT_EQ(loaded.flows().size(), dataset_->flows().size());
   for (std::size_t i = 0; i < loaded.flows().size(); ++i) {
-    const auto& a = loaded.flows()[i];
-    const auto& b = dataset_->flows()[i];
+    const flow::FlowRecord a = loaded.flows()[i];
+    const flow::FlowRecord b = dataset_->flows()[i];
     EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.src_ip, b.src_ip);
     EXPECT_EQ(a.dst_ip, b.dst_ip);

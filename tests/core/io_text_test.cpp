@@ -61,7 +61,7 @@ TEST(IoTextTest, FlowsRoundTrip) {
   ASSERT_EQ(parsed->size(), ds.flows().size());
   for (std::size_t i = 0; i < parsed->size(); ++i) {
     const auto& a = (*parsed)[i];
-    const auto& b = ds.flows()[i];
+    const flow::FlowRecord b = ds.flows()[i];
     EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.src_ip, b.src_ip);
     EXPECT_EQ(a.dst_ip, b.dst_ip);

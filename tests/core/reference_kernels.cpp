@@ -11,15 +11,23 @@ namespace bw::core::reference {
 
 namespace {
 
+/// The dataset's flow log, copied once out of flows() into records the
+/// reference owns, so the pointers below stay valid.
+flow::FlowLog owned_log(const Dataset& dataset) {
+  const flow::TimeOrderView flows = dataset.flows();
+  return flow::FlowLog(flows.begin(), flows.end());
+}
+
 /// Per event: every record of the log destined to the event's prefix, at
 /// any time, in log order. Each kernel filters these by its own window.
+/// The pointers point into `log`.
 using EventFlows = std::vector<std::vector<const flow::FlowRecord*>>;
 
-EventFlows flows_per_event(const Dataset& dataset,
+EventFlows flows_per_event(const flow::FlowLog& log,
                            const std::vector<RtbhEvent>& events) {
   EventFlows out(events.size());
   for (std::size_t e = 0; e < events.size(); ++e) {
-    for (const flow::FlowRecord& rec : dataset.flows()) {
+    for (const flow::FlowRecord& rec : log) {
       if (events[e].prefix.contains(rec.dst_ip)) out[e].push_back(&rec);
     }
   }
@@ -35,13 +43,13 @@ bool is_amplification(const flow::FlowRecord& rec) {
          net::is_amplification_port(rec.src_port);
 }
 
-Dataset::Summary summary(const Dataset& dataset) {
+Dataset::Summary summary(const Dataset& dataset, const flow::FlowLog& log) {
   Dataset::Summary s;
   s.control_updates = dataset.control().size();
   s.blackhole_updates = dataset.blackhole_updates().size();
   s.blackholed_prefixes = dataset.rs_index().prefix_count();
-  s.flow_records = dataset.flows().size();
-  for (const flow::FlowRecord& rec : dataset.flows()) {
+  s.flow_records = log.size();
+  for (const flow::FlowRecord& rec : log) {
     s.sampled_packets += rec.packets;
     s.sampled_bytes += rec.bytes;
     if (rec.dropped()) {
@@ -308,7 +316,7 @@ ParticipationReport participation(const Dataset& dataset,
   return report;
 }
 
-PortStatsReport port_stats(const Dataset& dataset,
+PortStatsReport port_stats(const Dataset& dataset, const flow::FlowLog& log,
                            const std::vector<RtbhEvent>& events,
                            const PortStatsConfig& config) {
   // Host universe: every /32 event address, with its exclusion windows and
@@ -330,7 +338,7 @@ PortStatsReport port_stats(const Dataset& dataset,
   };
   std::map<net::Ipv4, PortAccumulator> acc;
   const util::TimeMs epoch = dataset.period().begin;
-  for (const flow::FlowRecord& rec : dataset.flows()) {
+  for (const flow::FlowRecord& rec : log) {
     const std::int64_t day = util::slot_index(rec.time - epoch, util::kDay);
     if (counts(rec.dst_ip, rec.time)) {
       acc[rec.dst_ip].add_inbound(day, rec.src_port, rec.proto, rec.dst_port,
@@ -492,16 +500,17 @@ AnalysisReport run_pipeline(const Dataset& dataset,
                             const AnalysisConfig& config) {
   AnalysisReport r;
   r.data_quality.dataset = dataset.quality();
-  r.summary = summary(dataset);
+  const flow::FlowLog log = owned_log(dataset);
+  r.summary = summary(dataset, log);
   r.events = merge_events(dataset.blackhole_updates(), dataset.period().end,
                           config.merge_delta);
-  const EventFlows flows = flows_per_event(dataset, r.events);
+  const EventFlows flows = flows_per_event(log, r.events);
   r.pre = pre_rtbh(dataset, r.events, flows, config.pre);
   r.drop = drop_rates(dataset, r.events, flows, config.drop);
   r.protocols = protocol_mix(r.events, flows, r.pre, config.protocols);
   r.filtering = filtering(r.events, flows, r.pre, 0.95);
   r.participation = participation(dataset, r.events, flows, r.pre);
-  r.ports = port_stats(dataset, r.events, config.ports);
+  r.ports = port_stats(dataset, log, r.events, config.ports);
   r.radviz = radviz_projection(r.ports, config.ports.min_days);
   r.collateral = collateral(r.events, flows, r.ports, config.sampling_rate);
   r.classes = classify(dataset, r.events, flows, r.pre, config.classify);
@@ -516,13 +525,15 @@ AnalysisReport run_pipeline(const Dataset& dataset,
 ParticipationReport participation(const Dataset& dataset,
                                   const std::vector<RtbhEvent>& events,
                                   const PreRtbhReport& pre) {
-  return participation(dataset, events, flows_per_event(dataset, events), pre);
+  const flow::FlowLog log = owned_log(dataset);
+  return participation(dataset, events, flows_per_event(log, events), pre);
 }
 
 WhatIfReport whatif(const Dataset& dataset,
                     const std::vector<RtbhEvent>& events,
                     const PreRtbhReport& pre) {
-  return whatif(dataset, events, flows_per_event(dataset, events), pre);
+  const flow::FlowLog log = owned_log(dataset);
+  return whatif(dataset, events, flows_per_event(log, events), pre);
 }
 
 }  // namespace bw::core::reference

@@ -1,11 +1,12 @@
 // Naive reference kernels: the test oracle for the production analyses.
 //
-// Each function recomputes one batch analysis the slow, obvious way: every
-// event is answered by a linear filter over the materialized record log
-// (Dataset::flows()), O(events x flows), with ordered sets and maps where
-// the production kernels use dense ids, arenas and sort-unique. Nothing
-// here touches core::FlowView, flow::FlowColumns or store::FlowStore, so a
-// scan bug in those cannot hide in both sides.
+// Each function recomputes one batch analysis the slow, obvious way: the
+// record log is copied once out of Dataset::flows() into an owned
+// flow::FlowLog, and every event is answered by a linear filter over it,
+// O(events x flows), with ordered sets and maps where the production
+// kernels use dense ids, arenas and sort-unique. Nothing here scans
+// core::FlowView, flow::FlowColumns or store::FlowStore, so a scan bug in
+// those cannot hide in both sides.
 //
 // The reference does feed the same shared finalisers the production and
 // streaming kernels use (DropEventTally, assemble_drop_rate_report,
@@ -21,7 +22,7 @@
 namespace bw::core::reference {
 
 /// What run_pipeline returns for `dataset`, which must be materialized
-/// (flows() holds every record). No stage is degraded.
+/// (flows() serves every record). No stage is degraded.
 [[nodiscard]] AnalysisReport run_pipeline(const Dataset& dataset,
                                           const AnalysisConfig& config = {});
 

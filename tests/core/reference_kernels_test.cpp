@@ -7,9 +7,9 @@
 //     edges many times;
 //   - threads: a serial pool and an 8-way pool;
 //   - seeds: 7, 42 and 20191021 at scale 0.02.
-// The reference walks Dataset::flows() and shares no scan code with the
-// kernels, so agreement here means the FlowView scans visit exactly the
-// records the paper's definitions select.
+// The reference walks an owned copy of Dataset::flows() and shares no scan
+// code with the kernels, so agreement here means the FlowView scans visit
+// exactly the records the paper's definitions select.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

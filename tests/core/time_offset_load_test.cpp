@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/load.hpp"
 #include "core/time_offset.hpp"
 #include "corpus.hpp"
@@ -80,6 +83,31 @@ TEST(TimeOffsetTest, SubsamplingKeepsPeak) {
   cfg.max_samples = 20000;  // force stride > 1 but keep boundary samples
   const auto est = estimate_offset(dataset, cfg);
   EXPECT_NEAR(static_cast<double>(est.best_offset), 40.0, 30.0);
+}
+
+// With fewer allowed samples than dropped flows, estimate_offset takes
+// every stride-th dropped flow in time order. The counts, the peak and a
+// digest of the whole curve are pinned, so a change in which samples the
+// estimator takes, or in their order, shows.
+TEST(TimeOffsetTest, StridedSamplesArePinned) {
+  const Dataset dataset = make_skewed_dataset(-40);
+  OffsetConfig cfg;
+  cfg.min_offset = -300;
+  cfg.max_offset = 300;
+  cfg.step = 5;
+  cfg.max_samples = 700;
+  const auto est = estimate_offset(dataset, cfg);
+  ASSERT_GT(est.dropped_samples, cfg.max_samples);
+  std::uint64_t digest = 1469598103934665603ULL;
+  for (const OffsetPoint& p : est.curve) {
+    digest = (digest ^ std::bit_cast<std::uint64_t>(p.overlap) ^
+              static_cast<std::uint64_t>(p.offset)) *
+             1099511628211ULL;
+  }
+  EXPECT_EQ(est.dropped_samples, 400252u);
+  EXPECT_EQ(est.best_offset, -75);
+  EXPECT_EQ(est.best_overlap, 1.0);
+  EXPECT_EQ(digest, 5544333746732142501ULL);
 }
 
 TEST(LoadTest, ActivePrefixesAndMessages) {

@@ -2,10 +2,13 @@
 // into its columns, with no sort, so it must reproduce exactly what the
 // raw-log constructor builds by sorting. The oracle is the constructor run
 // over the same logs the file was written from; every FlowColumns vector,
-// the flow log, the sanitation counts, the member-source table, the
-// FlowView destination-scan visit order and the rendered report must
-// match, for several corpora, chunk sizes that do and do not divide into
-// 64-row bitmap words, and serial and 4-way decode pools.
+// the sanitation counts, the member-source table, the FlowView
+// destination-scan visit order and the rendered report must match, for
+// several corpora, chunk sizes that do and do not divide into 64-row
+// bitmap words, and serial and 8-way pools. The flows() view of both the
+// constructed and the loaded dataset must give back the input flow log
+// record for record, including rows with unknown MACs, blackhole rows and
+// equal-time rows.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +22,7 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace bw::core {
 namespace {
@@ -39,13 +43,6 @@ struct Row {
   friend bool operator==(const Row&, const Row&) = default;
 };
 
-bool same_record(const flow::FlowRecord& a, const flow::FlowRecord& b) {
-  return a.time == b.time && a.src_ip == b.src_ip && a.dst_ip == b.dst_ip &&
-         a.proto == b.proto && a.src_port == b.src_port &&
-         a.dst_port == b.dst_port && a.src_mac == b.src_mac &&
-         a.dst_mac == b.dst_mac && a.packets == b.packets && a.bytes == b.bytes;
-}
-
 void expect_same_columns(const flow::FlowColumns& a,
                          const flow::FlowColumns& b, const std::string& what) {
   EXPECT_EQ(a.time, b.time) << what;
@@ -58,6 +55,8 @@ void expect_same_columns(const flow::FlowColumns& a,
   EXPECT_EQ(a.bytes, b.bytes) << what;
   EXPECT_EQ(a.dropped_words, b.dropped_words) << what;
   EXPECT_EQ(a.src_member, b.src_member) << what;
+  EXPECT_EQ(a.src_mac_id, b.src_mac_id) << what;
+  EXPECT_EQ(a.dst_mac_id, b.dst_mac_id) << what;
   EXPECT_EQ(a.s_src_ip, b.s_src_ip) << what;
   EXPECT_EQ(a.s_time, b.s_time) << what;
   EXPECT_EQ(a.s_src_port, b.s_src_port) << what;
@@ -77,6 +76,45 @@ std::vector<Row> visit(const Dataset& d, const net::Prefix& p,
   return out;
 }
 
+/// Every record of `d.flows()` equals the time-sorted input `log`, in
+/// order.
+void expect_flows_are(const Dataset& d, const flow::FlowLog& log,
+                      const std::string& what) {
+  const flow::TimeOrderView flows = d.flows();
+  ASSERT_EQ(flows.size(), log.size()) << what;
+  std::size_t i = 0;
+  for (const flow::FlowRecord& rec : flows) {
+    ASSERT_EQ(flows.time(i), log[i].time) << what << ": flow " << i;
+    ASSERT_TRUE(rec == log[i]) << what << ": flow " << i;
+    ++i;
+  }
+}
+
+/// The generated flow log of `source`, with about one row in 16 followed
+/// by a copy at the same time whose handover MAC, egress MAC, or both
+/// (beside a blackhole egress) have no member: still time-sorted, with
+/// equal-time runs whose order only the input order decides.
+flow::FlowLog input_log(const Dataset& source, std::uint64_t seed) {
+  const net::Mac unknown(0x02000000BEEFULL);
+  util::Rng rng(seed);
+  flow::FlowLog log;
+  for (const flow::FlowRecord& rec : source.flows()) {
+    log.push_back(rec);
+    if (!rng.chance(1.0 / 16)) continue;
+    flow::FlowRecord odd = rec;
+    odd.src_port = static_cast<net::Port>(rng.uniform_int(1, 65535));
+    switch (rng.uniform_int(0, 2)) {
+      case 0: odd.src_mac = unknown; break;
+      case 1: odd.dst_mac = unknown; break;
+      default:
+        odd.src_mac = unknown;
+        odd.dst_mac = net::Mac::blackhole();
+    }
+    log.push_back(odd);
+  }
+  return log;
+}
+
 std::string report_of(const Dataset& d) {
   util::ThreadPool serial(0);
   AnalysisConfig cfg;
@@ -90,10 +128,10 @@ TEST(LoadEquivalenceProperty, TryLoadEqualsTheRawLogConstructor) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  // Pools of one and four threads: what BW_THREADS=1 and =4 give the
+  // Pools of one and eight threads: what BW_THREADS=1 and =8 give the
   // global pool.
   util::ThreadPool one(0);
-  util::ThreadPool four(3);
+  util::ThreadPool eight(7);
 
   for (const std::uint64_t seed : {5u, 17u, 3001u}) {
     gen::ScenarioConfig cfg;
@@ -102,10 +140,19 @@ TEST(LoadEquivalenceProperty, TryLoadEqualsTheRawLogConstructor) {
     cfg.period = {0, util::days(2)};
     const ScenarioRun run = run_scenario(cfg, std::string{});
     const Dataset& source = run.dataset;
+    const flow::FlowLog log = input_log(source, seed);
 
     // The oracle: the sorting constructor over the logs being saved.
-    const Dataset oracle(source.control(), source.flows(), source.mac_table(),
-                         source.origin_prefixes(), source.period());
+    const auto build = [&](util::ThreadPool* pool) {
+      return Dataset(source.control(), log, source.mac_table(),
+                     source.origin_prefixes(), source.period(),
+                     Dataset::BuildOptions(), pool);
+    };
+    const Dataset oracle = build(&one);
+    expect_flows_are(oracle, log, "constructed, 1 thread");
+    expect_flows_are(build(&eight), log, "constructed, 8 threads");
+    ASSERT_GT(oracle.quality().unknown_mac_flows, 0u);
+    ASSERT_GT(oracle.summary().dropped_packets, 0u);
     const std::string oracle_md = report_of(oracle);
     ASSERT_GT(oracle_md.size(), 1000u);
 
@@ -129,10 +176,10 @@ TEST(LoadEquivalenceProperty, TryLoadEqualsTheRawLogConstructor) {
                                        "_" + rows + ".bwds"))
                                    .string();
       ::setenv("BW_STORE_CHUNK_ROWS", rows, 1);
-      ASSERT_TRUE(source.try_save(path).ok());
+      ASSERT_TRUE(oracle.try_save(path).ok());
       ::unsetenv("BW_STORE_CHUNK_ROWS");
 
-      for (util::ThreadPool* pool : {&one, &four}) {
+      for (util::ThreadPool* pool : {&one, &eight}) {
         const std::string what = "seed " + std::to_string(seed) +
                                  ", chunk rows '" + rows + "', " +
                                  std::to_string(pool->concurrency()) +
@@ -141,11 +188,7 @@ TEST(LoadEquivalenceProperty, TryLoadEqualsTheRawLogConstructor) {
         ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().to_string();
 
         expect_same_columns(loaded->columns(), oracle.columns(), what);
-        ASSERT_EQ(loaded->flows().size(), oracle.flows().size()) << what;
-        for (std::size_t i = 0; i < oracle.flows().size(); ++i) {
-          ASSERT_TRUE(same_record(loaded->flows()[i], oracle.flows()[i]))
-              << what << ": flow " << i;
-        }
+        expect_flows_are(*loaded, log, "loaded, " + what);
         EXPECT_EQ(loaded->quality(), oracle.quality()) << what;
         ASSERT_EQ(loaded->source_as_count(), oracle.source_as_count()) << what;
         for (std::uint32_t id = 0; id < oracle.source_as_count(); ++id) {

@@ -108,8 +108,8 @@ TEST(PipelineDeterminismTest, IdenticalRunsProduceIdenticalReports) {
   ASSERT_EQ(a.dataset.flows().size(), b.dataset.flows().size());
   ASSERT_EQ(a.dataset.control().size(), b.dataset.control().size());
   for (std::size_t i = 0; i < a.dataset.flows().size(); i += 97) {
-    const auto& ra = a.dataset.flows()[i];
-    const auto& rb = b.dataset.flows()[i];
+    const flow::FlowRecord ra = a.dataset.flows()[i];
+    const flow::FlowRecord rb = b.dataset.flows()[i];
     ASSERT_EQ(ra.time, rb.time) << i;
     ASSERT_EQ(ra.src_ip, rb.src_ip) << i;
     ASSERT_EQ(ra.dst_mac, rb.dst_mac) << i;

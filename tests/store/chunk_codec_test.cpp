@@ -39,9 +39,9 @@ ChunkData make_dst_chunk(util::Rng& rng, std::size_t rows) {
                                ? flow::FlowColumns::kNoMember
                                : static_cast<std::uint32_t>(
                                      rng.uniform_int(0, 500)));
-    chunk.src_mac_id.push_back(
+    chunk.cols.src_mac_id.push_back(
         static_cast<std::uint32_t>(rng.uniform_int(0, 40)));
-    chunk.dst_mac_id.push_back(
+    chunk.cols.dst_mac_id.push_back(
         static_cast<std::uint32_t>(rng.uniform_int(0, 40)));
     chunk.orig_pos.push_back(
         static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 24)));
@@ -85,8 +85,8 @@ TEST(ChunkCodec, DstRoundTripIsBitExact) {
   EXPECT_EQ(back.cols.bytes, chunk.cols.bytes);
   EXPECT_EQ(back.cols.src_member, chunk.cols.src_member);
   EXPECT_EQ(back.cols.dropped_words, chunk.cols.dropped_words);
-  EXPECT_EQ(back.src_mac_id, chunk.src_mac_id);
-  EXPECT_EQ(back.dst_mac_id, chunk.dst_mac_id);
+  EXPECT_EQ(back.cols.src_mac_id, chunk.cols.src_mac_id);
+  EXPECT_EQ(back.cols.dst_mac_id, chunk.cols.dst_mac_id);
   EXPECT_EQ(back.orig_pos, chunk.orig_pos);
 }
 
@@ -217,7 +217,7 @@ TEST(ChunkCodec, BitFlipsNeverCrashAndStayConsistent) {
     EXPECT_EQ(out.cols.src_ip.size(), rows);
     EXPECT_EQ(out.cols.proto.size(), rows);
     EXPECT_EQ(out.cols.packets.size(), rows);
-    EXPECT_EQ(out.src_mac_id.size(), rows);
+    EXPECT_EQ(out.cols.src_mac_id.size(), rows);
     EXPECT_EQ(out.orig_pos.size(), rows);
     EXPECT_EQ(out.cols.dropped_words.size(), (rows + 63) / 64);
   }

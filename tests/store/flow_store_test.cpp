@@ -194,17 +194,16 @@ TEST_F(FlowStoreTest, BloomPrunesAbsentSlash24) {
 TEST_F(FlowStoreTest, RecordAtReassemblesTheOriginalFlow) {
   auto store = FlowStore::open(*path_);
   ASSERT_TRUE(store.ok()) << store.status().to_string();
-  const flow::FlowLog& flows = dataset_->flows();
-  // A materializing load decodes each dst chunk into spans of its final
-  // columns and reassembles the records from them.
+  const flow::TimeOrderView flows = dataset_->flows();
+  // A decoded dst chunk holds every field of its rows: record_at rebuilds
+  // each through the store's MAC dictionary, and orig_pos names the
+  // flow's time position.
   ChunkData chunk;
-  const DstChunkSpans spans =
-      dst_spans(chunk, (*store)->dst_metas()[0].row_count);
-  ASSERT_TRUE((*store)->try_decode(0, spans).ok());
-  ASSERT_GT(spans.rows(), 0u);
-  for (std::size_t i = 0; i < spans.rows(); ++i) {
-    const flow::FlowRecord rec = (*store)->record_at(spans, i);
-    const flow::FlowRecord& orig = flows[spans.orig_pos[i]];
+  ASSERT_TRUE((*store)->try_decode(0, /*src=*/false, chunk).ok());
+  ASSERT_GT(chunk.rows(), 0u);
+  for (std::size_t i = 0; i < chunk.rows(); ++i) {
+    const flow::FlowRecord rec = chunk.cols.record_at(i, (*store)->mac_dict());
+    const flow::FlowRecord orig = flows[chunk.orig_pos[i]];
     EXPECT_EQ(rec.time, orig.time);
     EXPECT_EQ(rec.src_ip, orig.src_ip);
     EXPECT_EQ(rec.dst_ip, orig.dst_ip);
@@ -251,8 +250,8 @@ TEST_F(FlowStoreTest, ResavingALoadedStoreReproducesItsBytes) {
   auto loaded = core::Dataset::try_load(*path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
 
-  const flow::FlowLog& a = dataset_->flows();
-  const flow::FlowLog& b = loaded->flows();
+  const flow::TimeOrderView a = dataset_->flows();
+  const flow::TimeOrderView b = loaded->flows();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].time, b[i].time);

@@ -193,8 +193,8 @@ void swap_dst_rows(ChunkData& chunk, std::size_t i, std::size_t j) {
   std::swap(c.packets[i], c.packets[j]);
   std::swap(c.bytes[i], c.bytes[j]);
   std::swap(c.src_member[i], c.src_member[j]);
-  std::swap(chunk.src_mac_id[i], chunk.src_mac_id[j]);
-  std::swap(chunk.dst_mac_id[i], chunk.dst_mac_id[j]);
+  std::swap(chunk.cols.src_mac_id[i], chunk.cols.src_mac_id[j]);
+  std::swap(chunk.cols.dst_mac_id[i], chunk.cols.dst_mac_id[j]);
   std::swap(chunk.orig_pos[i], chunk.orig_pos[j]);
   const auto set = [&](std::size_t row, bool on) {
     const std::uint64_t bit = std::uint64_t{1} << (row & 63);
@@ -372,7 +372,7 @@ TEST_F(StoreFaultTest, OutOfRangeRowPositionFailsLoad) {
 TEST_F(StoreFaultTest, MacIdOutsideTheDictionaryFailsLoad) {
   const std::string path = rewritten_copy(
       {{{false, 1}, edited_chunk(false, 1, [](ChunkData& c) {
-          c.src_mac_id[4] = 1000;  // the clean file's dictionary is tiny
+          c.cols.src_mac_id[4] = 1000;  // the clean file's dictionary is tiny
         })}});
   expect_load_fails(path, "CHNK[1]", "MAC id outside the dictionary");
 }

@@ -74,7 +74,8 @@ TEST(ArenaTest, ResetReusesBlocksWithoutNewReservations) {
 TEST(ArenaTest, BytesUsedTracksAllocations) {
   Arena arena;
   EXPECT_EQ(arena.bytes_used(), 0u);
-  arena.alloc_array<std::uint32_t>(10);
+  const std::uint32_t* block = arena.alloc_array<std::uint32_t>(10);
+  EXPECT_NE(block, nullptr);
   EXPECT_GE(arena.bytes_used(), 40u);
   arena.reset();
   EXPECT_EQ(arena.bytes_used(), 0u);
