@@ -18,7 +18,7 @@ int main() {
                              {"length", "traffic_share", "drop_rate_packets",
                               "drop_rate_bytes", "packets_total"});
   for (const auto& s : drop.by_length) {
-    table.add_row({"/" + std::to_string(s.length),
+    table.add_row({std::string("/").append(std::to_string(s.length)),
                    util::fmt_percent(drop.traffic_share(s.length), 3),
                    util::fmt_percent(s.packet_drop_rate(), 1),
                    util::fmt_percent(s.byte_drop_rate(), 1),

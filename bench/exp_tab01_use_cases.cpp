@@ -45,7 +45,7 @@ int main() {
     const double lat = r.latency_s.empty() ? 0.0 : util::median(r.latency_s);
     const double dur = util::median(r.duration_h);
     table.add_row({name, util::fmt_count(static_cast<std::int64_t>(r.count)),
-                   "/" + util::fmt_double(len, 0),
+                   std::string("/").append(util::fmt_double(len, 0)),
                    r.latency_s.empty() ? "manual/NA"
                                        : util::format_duration(util::seconds(lat)),
                    util::format_duration(util::hours(dur))});

@@ -124,7 +124,8 @@ int main() {
   const auto drop = core::compute_drop_rates(dataset, events);
   util::TextTable table({"prefix len", "packets", "dropped"});
   for (const auto& s : drop.by_length) {
-    table.add_row({"/" + std::to_string(static_cast<int>(s.length)),
+    const std::string len = std::to_string(static_cast<int>(s.length));
+    table.add_row({std::string("/").append(len),
                    std::to_string(s.packets_total),
                    util::fmt_percent(s.packet_drop_rate(), 1)});
   }

@@ -29,9 +29,12 @@ int main(int argc, char** argv) {
     ++counts[alert.kind];
     auto& shown = first[alert.kind];
     if (shown.size() < 3) {
-      shown.push_back("[" + util::format_time(alert.time) + "] " +
-                      std::string(core::to_string(alert.kind)) + ": " +
-                      alert.message);
+      shown.push_back(std::string("[")
+                          .append(util::format_time(alert.time))
+                          .append("] ")
+                          .append(core::to_string(alert.kind))
+                          .append(": ")
+                          .append(alert.message));
     }
   });
 

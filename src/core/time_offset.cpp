@@ -1,8 +1,54 @@
 #include "core/time_offset.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace bw::core {
+
+namespace {
+
+/// One dropped flow: its time position, time and destination.
+struct DroppedSample {
+  std::uint64_t pos;
+  util::TimeMs time;
+  net::Ipv4 dst;
+};
+
+/// Every dropped flow, read from the columns in time order. In RAM that is
+/// the time-order view; a chunked dataset has no such view, so its dst
+/// chunks are scanned and the samples sorted back by their stored time
+/// positions, which gives the same sequence.
+std::vector<DroppedSample> dropped_in_time_order(const Dataset& dataset) {
+  std::vector<DroppedSample> out;
+  if (const store::FlowStore* store = dataset.store()) {
+    for (std::size_t k = 0; k < store->chunk_count(); ++k) {
+      const std::shared_ptr<const store::ChunkData> chunk = store->chunk(k);
+      const flow::FlowColumns& c = chunk->cols;
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        if (c.dropped(i)) {
+          out.push_back(
+              {chunk->orig_pos[i], c.time[i], net::Ipv4(c.dst_ip[i])});
+        }
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const DroppedSample& a, const DroppedSample& b) {
+                return a.pos < b.pos;
+              });
+    return out;
+  }
+  const flow::TimeOrderView flows = dataset.flows();
+  const flow::FlowColumns& c = dataset.columns();
+  for (std::size_t p = 0; p < flows.size(); ++p) {
+    const std::size_t row = flows.row(p);
+    if (c.dropped(row)) {
+      out.push_back({p, c.time[row], net::Ipv4(c.dst_ip[row])});
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 OffsetEstimate estimate_offset(const Dataset& dataset,
                                const OffsetConfig& config) {
@@ -13,11 +59,7 @@ OffsetEstimate estimate_offset(const Dataset& dataset,
 
   // Gather dropped samples in time order (optionally uniformly
   // subsampled).
-  const flow::TimeOrderView flows = dataset.flows();
-  std::vector<std::size_t> dropped;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (flows[i].dropped()) dropped.push_back(i);
-  }
+  const std::vector<DroppedSample> dropped = dropped_in_time_order(dataset);
   est.dropped_samples = dropped.size();
   std::size_t stride = 1;
   if (config.max_samples > 0 && dropped.size() > config.max_samples) {
@@ -30,11 +72,11 @@ OffsetEstimate estimate_offset(const Dataset& dataset,
   std::vector<double> diff(bins + 1, 0.0);
   std::size_t used = 0;
   for (std::size_t k = 0; k < dropped.size(); k += stride) {
-    const flow::FlowRecord rec = flows[dropped[k]];
+    const DroppedSample& sample = dropped[k];
     ++used;
-    for (const auto& range : dataset.rs_index().announced_ranges(rec.dst_ip)) {
-      const util::DurationMs lo = range.begin - rec.time;
-      const util::DurationMs hi = range.end - rec.time;
+    for (const auto& range : dataset.rs_index().announced_ranges(sample.dst)) {
+      const util::DurationMs lo = range.begin - sample.time;
+      const util::DurationMs hi = range.end - sample.time;
       if (hi <= config.min_offset || lo > config.max_offset) continue;
       const auto lo_bin = static_cast<std::size_t>(
           std::max<util::DurationMs>(lo - config.min_offset + step - 1, 0) /

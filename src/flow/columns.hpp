@@ -190,6 +190,8 @@ class TimeOrderView {
   [[nodiscard]] FlowRecord operator[](std::size_t i) const {
     return cols_->record_at(order_[i], mac_dict_);
   }
+  /// The dst-ordered row of the flow at time position `i`.
+  [[nodiscard]] std::size_t row(std::size_t i) const { return order_[i]; }
   [[nodiscard]] Iterator begin() const { return {*this, 0}; }
   [[nodiscard]] Iterator end() const { return {*this, size()}; }
 

@@ -14,8 +14,9 @@ namespace {
 template <typename T>
 void append_raw(std::vector<std::uint8_t>& out, T v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(v));
+  std::memcpy(out.data() + at, &v, sizeof(v));
 }
 
 template <typename T>

@@ -1,11 +1,15 @@
 #include "stream/ingest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "stream/incremental/rolling.hpp"
+#include "util/parallel.hpp"
 
 namespace bw::stream {
 
@@ -14,6 +18,18 @@ namespace {
 /// Events staged per feed before a bulk ring push: one acquire/release
 /// cursor handshake per batch instead of per event.
 constexpr std::size_t kStageBatch = 64;
+
+struct LaneMetrics {
+  obs::Counter& batches;  ///< batches handed to rolling lanes
+  obs::Counter& wait_us;  ///< consumer time blocked on a full lane
+};
+
+LaneMetrics& lane_metrics() {
+  static LaneMetrics m{
+      obs::Registry::global().counter("stream.rolling.lane_batches"),
+      obs::Registry::global().counter("stream.rolling.lane_wait_us")};
+  return m;
+}
 
 }  // namespace
 
@@ -71,6 +87,117 @@ Shedder::MakeRoom Feed::wait_for_room(const std::atomic<bool>& abort) {
   };
 }
 
+/// The rolling lane behind a Deliverer: a ring of kLaneSlots batches. The
+/// consumer fills slot tail_; the lane owns the full_ slots from head_ on.
+/// A slot changes hands only under mu_, which orders its contents.
+class RollingLane {
+ public:
+  explicit RollingLane(incremental::RollingReporter& rolling)
+      : rolling_(rolling), thread_([this] { run(); }) {}
+  ~RollingLane() { close(/*flush=*/false); }
+
+  void push(const StreamEvent& ev) {
+    std::vector<StreamEvent>& batch = slots_[tail_];
+    batch.push_back(ev);
+    if (batch.size() == kLaneBatch) hand_over();
+  }
+
+  /// The consumer's side of Deliverer::join: the partial batch goes too.
+  void join() {
+    if (!slots_[tail_].empty()) lane_metrics().batches.add();
+    close(/*flush=*/true);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// Events per batch and batches in flight: ~1.1 MB of 136-byte copies,
+  /// enough for the lane to ride out a snapshot while the consumer goes on.
+  static constexpr std::size_t kLaneBatch = 2048;
+  static constexpr std::size_t kLaneSlots = 4;
+
+  /// Give slot tail_ to the lane and move on to the next one, waiting
+  /// while the lane still holds it.
+  void hand_over() {
+    lane_metrics().batches.add();
+    std::unique_lock<std::mutex> lock(mu_);
+    ++full_;
+    ready_.notify_one();
+    tail_ = (tail_ + 1) % kLaneSlots;
+    if (full_ == kLaneSlots && !error_) {
+      const obs::StopWatch watch;
+      room_.wait(lock, [this] { return full_ < kLaneSlots || error_; });
+      lane_metrics().wait_us.add(watch.elapsed_us());
+    }
+    if (error_) std::rethrow_exception(error_);
+  }
+
+  void run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      ready_.wait(lock, [this] { return full_ > 0 || closed_; });
+      if (full_ == 0 || discard_) return;
+      std::vector<StreamEvent>& batch = slots_[head_];
+      lock.unlock();
+      try {
+        for (const StreamEvent& ev : batch) rolling_.on_event(ev);
+      } catch (...) {
+        lock.lock();
+        error_ = std::current_exception();
+        room_.notify_one();
+        return;
+      }
+      batch.clear();
+      lock.lock();
+      head_ = (head_ + 1) % kLaneSlots;
+      --full_;
+      room_.notify_one();
+    }
+  }
+
+  /// End the lane thread. With `flush` it first feeds every batch it
+  /// holds plus the consumer's partial one; without, it stops before the
+  /// next batch.
+  void close(bool flush) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (closed_) return;
+      // The consumer's slot is never the lane's, so this stays in bounds.
+      if (flush && !slots_[tail_].empty()) ++full_;
+      closed_ = true;
+      discard_ = !flush;
+    }
+    ready_.notify_one();
+    thread_.join();
+  }
+
+  incremental::RollingReporter& rolling_;
+  std::array<std::vector<StreamEvent>, kLaneSlots> slots_;
+  std::size_t tail_{0};  ///< consumer-owned
+  std::size_t head_{0};  ///< lane-owned
+  std::mutex mu_;
+  std::condition_variable ready_;  ///< the lane waits for a full batch
+  std::condition_variable room_;   ///< the consumer waits for a free slot
+  std::size_t full_{0};
+  bool closed_{false};
+  bool discard_{false};
+  std::exception_ptr error_;
+  std::thread thread_;  ///< last: starts once every member above exists
+};
+
+Deliverer::Deliverer(core::RtbhMonitor& monitor,
+                     incremental::RollingReporter* rolling,
+                     std::uint64_t delay_us)
+    : monitor_(monitor), rolling_(rolling), delay_us_(delay_us) {
+  if (rolling == nullptr) return;
+  (void)lane_metrics();  // a run with rolling kernels reports both, 0 inline
+  if (util::ThreadPool::configured_concurrency() >= 2) {
+    lane_ = std::make_unique<RollingLane>(*rolling);
+    rolling_ = nullptr;
+  }
+}
+
+Deliverer::~Deliverer() = default;
+
 void Deliverer::operator()(const StreamEvent& ev) {
   static obs::Counter& delivered =
       obs::Registry::global().counter("stream.delivered");
@@ -78,15 +205,20 @@ void Deliverer::operator()(const StreamEvent& ev) {
   last_time = ev.time;
   if (ev.kind == EventKind::kBgpUpdate) {
     ++delivered_bgp;
-    monitor.on_update(ev.update);
+    monitor_.on_update(ev.update);
   } else {
     ++delivered_flow;
-    monitor.on_flow(ev.flow);
+    monitor_.on_flow(ev.flow);
   }
-  if (rolling != nullptr) rolling->on_event(ev);
-  if (delay_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+  if (lane_) lane_->push(ev);
+  if (rolling_ != nullptr) rolling_->on_event(ev);
+  if (delay_us_ > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
   }
+}
+
+void Deliverer::join() {
+  if (lane_) lane_->join();
 }
 
 bool consume_threaded(WatermarkMux& mux, Deliverer& deliver,
@@ -136,6 +268,9 @@ bool consume_threaded(WatermarkMux& mux, Deliverer& deliver,
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     }
+    // The rolling kernels see every delivered event before this returns;
+    // a lane failure takes the abort path below like a delivery's.
+    if (!producer_failed.load(std::memory_order_relaxed)) deliver.join();
   } catch (...) {
     failures[0] = std::current_exception();
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -95,34 +96,66 @@ class Feed : public FeedRing {
   obs::StopWatch wait_;
 };
 
+class RollingLane;
+
 /// Consumer-side delivery: the monitor first, then the rolling kernels,
 /// with per-kind accounting. Owned by the consumer thread; read its
-/// counters only after the consumer has finished.
-struct Deliverer {
-  core::RtbhMonitor& monitor;
-  /// Rolling incremental kernels, fed every delivered event after the
-  /// monitor saw it. The owner calls finish() on it.
-  incremental::RollingReporter* rolling{nullptr};
-  /// Slow-consumer fault: sleep this long after every delivery.
-  std::uint64_t delay_us{0};
+/// counters only after join().
+///
+/// The rolling kernels run on a lane thread of their own when a reporter
+/// is given and util::ThreadPool::configured_concurrency() >= 2. The
+/// consumer then delivers each event to the monitor inline and copies it
+/// into a batch; every full batch goes to the lane, which feeds
+/// RollingReporter::on_event in delivery order. A few batches may be in
+/// flight; a consumer that finds them all taken waits for the lane
+/// (stream.rolling.lane_wait_us), so the lane never sheds or reorders. A
+/// replay then costs about max(mux + monitor, rolling) instead of their
+/// sum. At BW_THREADS=1 the consumer calls on_event inline, as before.
+class Deliverer {
+ public:
+  /// `rolling`: the incremental kernels, fed every delivered event after
+  /// the monitor saw it; the owner calls finish() on it after join().
+  /// `delay_us`: slow-consumer fault, a sleep after every delivery.
+  explicit Deliverer(core::RtbhMonitor& monitor,
+                     incremental::RollingReporter* rolling = nullptr,
+                     std::uint64_t delay_us = 0);
+  /// Stops a lane that join() did not, dropping what it had not fed.
+  ~Deliverer();
+  Deliverer(const Deliverer&) = delete;
+  Deliverer& operator=(const Deliverer&) = delete;
+
+  /// Deliver one event. A batch hand-over rethrows an exception the lane
+  /// has raised.
+  void operator()(const StreamEvent& ev);
+
+  /// Hand the lane its last partial batch and wait until it has fed
+  /// every event, so the reporter has seen the whole delivered stream.
+  /// Rethrows the lane's exception. A no-op without a lane.
+  void join();
+
   std::uint64_t delivered_bgp{0};
   std::uint64_t delivered_flow{0};
   util::TimeMs last_time{std::numeric_limits<util::TimeMs>::min()};
 
-  void operator()(const StreamEvent& ev);
+ private:
+  core::RtbhMonitor& monitor_;
+  incremental::RollingReporter* rolling_;  ///< fed inline; null with a lane
+  std::uint64_t delay_us_;
+  std::unique_ptr<RollingLane> lane_;
 };
 
 /// One producer thread's body; it must close its feeds before returning.
 using Producer = std::function<void(const std::atomic<bool>& abort)>;
 
 /// The threaded consumer: one thread per producer, this thread pumping the
-/// mux, then draining and releasing, until every feed is spent. A
-/// watchdog > 0 ms raises the producers' abort flag once that much wall
-/// time has passed; the loop then still delivers what the closing feeds
-/// hold. An exception, from a delivery or a producer, raises abort,
-/// drains the rings without delivering until every producer has returned
-/// (none stays blocked on a full ring), joins, and rethrows the first
-/// (consumer before producers). Returns true when the watchdog fired.
+/// mux, then draining and releasing, until every feed is spent, and then
+/// joining `deliver` (Deliverer::join). A watchdog > 0 ms raises the
+/// producers' abort flag once that much wall time has passed; the loop
+/// then still delivers what the closing feeds hold. An exception, from a
+/// delivery, the rolling lane or a producer, raises abort, drains the
+/// rings without delivering until every producer has returned (none stays
+/// blocked on a full ring), joins, and rethrows the first (consumer before
+/// producers). Returns true when the watchdog fired.
 bool consume_threaded(WatermarkMux& mux, Deliverer& deliver,
                       const std::vector<Producer>& producers,
                       util::DurationMs watchdog);

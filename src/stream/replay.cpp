@@ -25,7 +25,7 @@ ReplayStats collect(const Feed& updates, const Feed& flows,
 }
 
 // --------------------------------------------------------------------------
-// Lockstep mode: one thread, deterministic interleave.
+// Lockstep mode: one ingest thread, deterministic interleave.
 //
 // The producer walks both logs in the batch merge order and, every
 // `tick_events` pushes, hands the consumer a drain step of at most
@@ -43,7 +43,7 @@ ReplayStats run_lockstep(const core::Dataset& dataset,
   Feed updates(opt);
   Feed flows(opt);
   WatermarkMux mux({&updates, &flows}, opt.max_reorder);
-  Deliverer deliver{monitor, opt.rolling};
+  Deliverer deliver(monitor, opt.rolling);
 
   const bool slow = opt.fault.tick_events > 0;
   const std::size_t tick = slow ? opt.fault.tick_events : 1;
@@ -83,6 +83,7 @@ ReplayStats run_lockstep(const core::Dataset& dataset,
     mux.drain_feeds(std::numeric_limits<std::size_t>::max());
     mux.release_ready(deliver);
   }
+  deliver.join();
   return collect(updates, flows, mux, deliver);
 }
 
@@ -120,7 +121,7 @@ ReplayStats run_threaded(const core::Dataset& dataset,
   Feed updates(opt);
   Feed flows(opt);
   WatermarkMux mux({&updates, &flows}, opt.max_reorder);
-  Deliverer deliver{monitor, opt.rolling, opt.fault.consumer_delay_us};
+  Deliverer deliver(monitor, opt.rolling, opt.fault.consumer_delay_us);
   consume_threaded(
       mux, deliver,
       {[&](const std::atomic<bool>& abort) {

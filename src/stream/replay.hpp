@@ -4,9 +4,10 @@
 //
 // Two execution modes:
 //
-//   lockstep   a single thread interleaves producing and consuming on a
-//              fixed schedule (per `tick_events` pushed, the consumer pops
-//              at most `drain_per_tick` ring events). Fully deterministic:
+//   lockstep   one ingest thread interleaves producing and consuming on
+//              a fixed schedule (per `tick_events` pushed, the consumer
+//              pops at most `drain_per_tick` ring events); rolling kernels
+//              may run on the Deliverer's lane. Fully deterministic:
 //              the same corpus, options, and fault plan give byte-identical
 //              alerts and exact shed counts. This is what the convergence
 //              proof and the overload CI job run.
@@ -44,9 +45,10 @@ struct ReplayOptions : IngestOptions {
   /// `fault.any()` is false.
   testing::StreamFaultPlan fault;
   /// Rolling incremental kernels: every delivered event is fed after the
-  /// monitor saw it (same thread, same order). The replay does NOT call
-  /// finish() on it — the owner does, so output-write errors surface at
-  /// the call site.
+  /// monitor saw it, in the same order (on the Deliverer's rolling lane
+  /// when there is one; replay_streaming joins it before returning). The
+  /// replay does NOT call finish() on it — the owner does, so
+  /// output-write errors surface at the call site.
   incremental::RollingReporter* rolling{nullptr};
 };
 

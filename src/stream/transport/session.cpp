@@ -287,7 +287,7 @@ util::Result<LiveStats> run_live(core::RtbhMonitor& monitor,
     });
   }
   WatermarkMux mux(feeds, ingest.max_reorder);
-  Deliverer deliver{monitor, config.rolling};
+  Deliverer deliver(monitor, config.rolling);
 
   LiveStats stats;
   stats.watchdog_fired =

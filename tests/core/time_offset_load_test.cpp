@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "core/load.hpp"
 #include "core/time_offset.hpp"
@@ -108,6 +113,49 @@ TEST(TimeOffsetTest, StridedSamplesArePinned) {
   EXPECT_EQ(est.best_offset, -75);
   EXPECT_EQ(est.best_overlap, 1.0);
   EXPECT_EQ(digest, 5544333746732142501ULL);
+}
+
+// estimate_offset reads the columns, not the record log, so an
+// out-of-core dataset (whose flows() view is empty) sees the same dropped
+// samples in the same time order as the in-RAM load of the same file:
+// every sample, and a strided subsample whose picks depend on that order.
+TEST(TimeOffsetTest, ChunkedOpenEstimatesLikeTheInRamLoad) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("bw_time_offset." + std::to_string(::getpid()) + ".bwds"))
+          .string();
+  ::setenv("BW_STORE_CHUNK_ROWS", "4096", 1);
+  ASSERT_TRUE(make_skewed_dataset(-40).try_save(path).ok());
+  ::unsetenv("BW_STORE_CHUNK_ROWS");
+  auto in_ram = Dataset::try_load(path);
+  ASSERT_TRUE(in_ram.ok()) << in_ram.status().to_string();
+  auto chunked = Dataset::try_open_chunked(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().to_string();
+  ASSERT_GT(chunked->store()->chunk_count(), 20u);
+  ASSERT_EQ(chunked->flows().size(), 0u);
+
+  for (const std::size_t max_samples : {std::size_t{0}, std::size_t{700}}) {
+    SCOPED_TRACE("max_samples " + std::to_string(max_samples));
+    OffsetConfig cfg;
+    cfg.min_offset = -300;
+    cfg.max_offset = 300;
+    cfg.step = 5;
+    cfg.max_samples = max_samples;
+    const OffsetEstimate want = estimate_offset(*in_ram, cfg);
+    const OffsetEstimate got = estimate_offset(*chunked, cfg);
+    ASSERT_GT(want.dropped_samples, 1000u);
+    EXPECT_EQ(got.dropped_samples, want.dropped_samples);
+    EXPECT_EQ(got.best_offset, want.best_offset);
+    EXPECT_EQ(got.best_overlap, want.best_overlap);
+    ASSERT_EQ(got.curve.size(), want.curve.size());
+    for (std::size_t b = 0; b < want.curve.size(); ++b) {
+      EXPECT_EQ(got.curve[b].offset, want.curve[b].offset);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.curve[b].overlap),
+                std::bit_cast<std::uint64_t>(want.curve[b].overlap))
+          << "bin " << b;
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(LoadTest, ActivePrefixesAndMessages) {

@@ -1,0 +1,267 @@
+// The rolling lane behind the ingest core's Deliverer (stream/ingest.hpp):
+// with BW_THREADS >= 2 the incremental kernels run on a thread of their
+// own, fed in batches; at BW_THREADS=1 the consumer calls them inline.
+// Either way a reporter behind lockstep replay, threaded replay or a
+// fault-free live session must emit the lines, and its monitor the alert
+// log, of a reporter and monitor fed directly in the batch merge order.
+// A kernel exception must surface from the run that raised it, with
+// every producer joined. ctest runs this suite twice, at BW_THREADS=4
+// and at BW_THREADS=1.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "stream/incremental/rolling.hpp"
+#include "stream/replay.hpp"
+#include "stream/transport/frame.hpp"
+#include "stream/transport/session.hpp"
+#include "stream/transport/socket.hpp"
+#include "util/parallel.hpp"
+
+namespace bw::stream {
+namespace {
+
+using incremental::RollingConfig;
+using incremental::RollingReporter;
+
+core::Dataset small_corpus(std::uint64_t seed) {
+  gen::ScenarioConfig cfg;
+  cfg.scale = 0.02;
+  cfg.seed = seed;
+  cfg.period = {0, util::days(8)};
+  return core::run_scenario(cfg, std::string{}).dataset;  // cache disabled
+}
+
+RollingConfig rolling_config(const core::Dataset& dataset) {
+  RollingConfig rc;
+  rc.kernels.period = dataset.period();
+  rc.kernels.member_asn = [&dataset](net::Mac mac) {
+    return dataset.member_asn(mac);
+  };
+  rc.report_every = 6 * util::kHour;
+  return rc;
+}
+
+std::string alert_line(const core::Alert& a) {
+  return std::to_string(a.time) + " " + std::string(core::to_string(a.kind)) +
+         " " + a.prefix.to_string() + " " + a.message;
+}
+
+/// What one run leaves: the rolling lines and the alert log.
+struct Output {
+  std::vector<std::string> lines;
+  std::vector<std::string> alerts;
+};
+
+/// A monitor and a reporter that record into one Output.
+struct Sink {
+  Output out;
+  core::RtbhMonitor monitor{{}, [this](const core::Alert& a) {
+                              out.alerts.push_back(alert_line(a));
+                            }};
+  RollingReporter rolling;
+
+  explicit Sink(const core::Dataset& dataset)
+      : rolling(rolling_config(dataset)) {}
+
+  Output finish(util::TimeMs at) {
+    EXPECT_TRUE(rolling.finish(at).ok());
+    out.lines = rolling.lines();
+    return out;
+  }
+};
+
+/// The reference: both fed directly, in the batch merge order.
+Output direct(const core::Dataset& dataset) {
+  Sink sink(dataset);
+  std::uint64_t useq = 0;
+  std::uint64_t fseq = 0;
+  for_each_in_merge_order(
+      dataset,
+      [&](const bgp::Update& u) {
+        sink.monitor.on_update(u);
+        sink.rolling.on_event(StreamEvent::from(u, useq++));
+        return true;
+      },
+      [&](const flow::FlowRecord& f) {
+        sink.monitor.on_flow(f);
+        sink.rolling.on_event(StreamEvent::from(f, fseq++));
+        return true;
+      });
+  sink.monitor.finish(dataset.period().end);
+  return sink.finish(dataset.period().end);
+}
+
+Output replayed(const core::Dataset& dataset, bool lockstep) {
+  Sink sink(dataset);
+  ReplayOptions opt;
+  opt.lockstep = lockstep;
+  opt.block_deadline = 10 * util::kMinute;  // never shed
+  opt.rolling = &sink.rolling;
+  const ReplayStats stats = replay_streaming(dataset, sink.monitor, opt);
+  EXPECT_EQ(stats.shed.shed_total, 0u);
+  EXPECT_EQ(stats.mux.late_dropped, 0u);
+  return sink.finish(dataset.period().end);
+}
+
+/// The corpus as one bwsf0001 byte string, as bw-feed sends it: merge
+/// order, a heartbeat every 256 frames, a close at the period end.
+std::string corpus_wire(const core::Dataset& dataset) {
+  std::string wire;
+  std::size_t since_heartbeat = 0;
+  const auto heartbeat = [&](util::TimeMs t) {
+    if (++since_heartbeat < 256) return true;
+    since_heartbeat = 0;
+    wire += transport::frame_heartbeat(t);
+    return true;
+  };
+  for_each_in_merge_order(
+      dataset,
+      [&](const bgp::Update& u) {
+        wire += transport::frame_update(u);
+        return heartbeat(u.time);
+      },
+      [&](const flow::FlowRecord& f) {
+        wire += transport::frame_flow(f);
+        return heartbeat(f.time);
+      });
+  wire += transport::frame_close(dataset.period().end);
+  return wire;
+}
+
+Output live(const core::Dataset& dataset, std::uint64_t seed) {
+  transport::Endpoint ep;
+  ep.kind = transport::Endpoint::Kind::kUnix;
+  // The pid keeps the two registrations of this suite, which ctest may
+  // run at once, off each other's socket.
+  ep.path = ::testing::TempDir() + "bw_lane_" + std::to_string(seed) + "." +
+            std::to_string(::getpid()) + ".sock";
+  std::remove(ep.path.c_str());
+
+  Sink sink(dataset);
+  transport::LiveConfig config;
+  config.listen_specs = {ep.to_string()};
+  config.session.connect_timeout = 10 * util::kSecond;
+  config.rolling = &sink.rolling;
+  IngestOptions ingest;
+  ingest.block_deadline = 10 * util::kMinute;  // never shed
+
+  std::thread emitter([&] {
+    const std::string wire = corpus_wire(dataset);
+    transport::DialTransport dial(ep);
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      auto conn = dial.open(100);
+      if (conn.ok()) {
+        EXPECT_TRUE(conn->write_all(wire).ok());
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "could not dial " << ep.to_string();
+  });
+  const auto stats = transport::run_live(sink.monitor, config, ingest);
+  emitter.join();
+  EXPECT_TRUE(stats.ok()) << stats.status().to_string();
+  if (!stats.ok()) return {};
+  EXPECT_EQ(stats->delivered(),
+            dataset.blackhole_updates().size() + dataset.flows().size());
+  return sink.finish(stats->finish_time);
+}
+
+std::uint64_t lane_batches() {
+  return obs::Registry::global()
+      .counter("stream.rolling.lane_batches")
+      .value();
+}
+
+class RollingLaneTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RollingLaneTest, LaneFedReporterMatchesDirectFeed) {
+  const core::Dataset dataset = small_corpus(GetParam());
+  const Output want = direct(dataset);
+  ASSERT_GT(want.lines.size(), 10u);
+  ASSERT_FALSE(want.alerts.empty());
+  const bool lane = util::ThreadPool::configured_concurrency() >= 2;
+
+  for (const bool lockstep : {true, false}) {
+    SCOPED_TRACE(lockstep ? "lockstep replay" : "threaded replay");
+    const std::uint64_t batches = lane_batches();
+    const Output got = replayed(dataset, lockstep);
+    EXPECT_EQ(got.lines, want.lines);
+    EXPECT_EQ(got.alerts, want.alerts);
+    // The gate: a lane, in batches, exactly when there are two threads.
+    EXPECT_EQ(lane_batches() > batches, lane);
+  }
+
+  SCOPED_TRACE("fault-free live session");
+  const Output got = live(dataset, GetParam());
+  EXPECT_EQ(got.lines, want.lines);
+  EXPECT_EQ(got.alerts, want.alerts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RollingLaneTest,
+                         ::testing::Values(3u, 17u, 20191021u));
+
+/// A member_asn callback that throws on its `fail_at`-th call: the
+/// kernels raise it from wherever they run.
+RollingConfig failing_config(const core::Dataset& dataset,
+                             std::atomic<std::size_t>& calls,
+                             std::size_t fail_at) {
+  RollingConfig rc = rolling_config(dataset);
+  rc.kernels.member_asn = [&dataset, &calls, fail_at](net::Mac mac) {
+    if (++calls == fail_at) throw std::runtime_error("member_asn failed");
+    return dataset.member_asn(mac);
+  };
+  return rc;
+}
+
+TEST(RollingLaneFailureTest, KernelExceptionIsRethrownByTheReplay) {
+  const core::Dataset dataset = small_corpus(3);
+  std::atomic<std::size_t> counted{0};
+  {
+    RollingReporter probe(failing_config(dataset, counted, 0));
+    for_each_in_merge_order(
+        dataset,
+        [&](const bgp::Update& u) {
+          probe.on_event(StreamEvent::from(u, 0));
+          return true;
+        },
+        [&](const flow::FlowRecord& f) {
+          probe.on_event(StreamEvent::from(f, 0));
+          return true;
+        });
+  }
+  ASSERT_GT(counted.load(), 100u) << "the corpus must attribute sources";
+
+  // Fail early, mid-stream and at the very last call, in both modes; the
+  // threaded run returns only after both producers have been joined.
+  for (const std::size_t fail_at :
+       {std::size_t{1}, counted.load() / 2, counted.load()}) {
+    for (const bool lockstep : {true, false}) {
+      SCOPED_TRACE("fail at call " + std::to_string(fail_at) +
+                   (lockstep ? ", lockstep" : ", threaded"));
+      std::atomic<std::size_t> calls{0};
+      RollingReporter rolling(failing_config(dataset, calls, fail_at));
+      core::RtbhMonitor monitor({}, [](const core::Alert&) {});
+      ReplayOptions opt;
+      opt.lockstep = lockstep;
+      opt.ring_capacity = 64;  // producers fill their rings and wait
+      opt.block_deadline = 10 * util::kMinute;
+      opt.rolling = &rolling;
+      EXPECT_THROW(replay_streaming(dataset, monitor, opt),
+                   std::runtime_error);
+      EXPECT_EQ(calls.load(), fail_at) << "no call after the failure";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace bw::stream

@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     std::cout << "\n--- Acceptance / drop rates (Figs. 5-7) ---\n";
     util::TextTable t5({"prefix len", "traffic share", "dropped"});
     for (const auto& len : r.drop.by_length) {
-      t5.add_row({"/" + std::to_string(len.length),
+      t5.add_row({std::string("/").append(std::to_string(len.length)),
                   pct(r.drop.traffic_share(len.length), 2),
                   pct(len.packet_drop_rate())});
     }

@@ -88,7 +88,9 @@ void usage() {
          "  --replay: stream through rings + shedding + watermark merge\n"
          "  --speed N: corpus-time/wall-clock ratio (threaded replay; 0 =\n"
          "             as fast as possible)\n"
-         "  --lockstep: deterministic single-thread replay interleave\n"
+         "  --lockstep: deterministic replay interleave on one ingest\n"
+         "             thread (rolling kernels on their own lane thread\n"
+         "             when BW_THREADS >= 2)\n"
          "  --inject-stream-fault SPEC: slow:TICK:DRAIN | delay:US |\n"
          "             burst:N[:PAUSE_US] (comma-separated; forces overload)\n"
          "  --rolling-out FILE: rolling report snapshots, one JSONL line\n"
