@@ -35,6 +35,7 @@ struct IoMetrics {
   obs::Histogram* latency;
 };
 
+/// Registered per operation on first use: a load-only run has no save set.
 const IoMetrics& io_metrics(const char* op) {
   auto make = [](const std::string& base) {
     auto& reg = obs::Registry::global();
@@ -42,9 +43,12 @@ const IoMetrics& io_metrics(const char* op) {
                      &reg.counter(base + ".wall_us"),
                      &reg.histogram(base + ".latency_us")};
   };
-  static const IoMetrics save = make("dataset.save");
+  if (op[0] == 's') {
+    static const IoMetrics save = make("dataset.save");
+    return save;
+  }
   static const IoMetrics load = make("dataset.load");
-  return op[0] == 's' ? save : load;
+  return load;
 }
 
 void record_io(const IoMetrics& m, bool succeeded, const obs::StopWatch& wall) {

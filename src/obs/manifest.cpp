@@ -113,8 +113,10 @@ std::string Manifest::to_json() const {
   os << ",\n  \"ingest\": {\"rows_loaded\": " << rows_loaded
      << ", \"rows_skipped\": " << rows_skipped
      << ", \"rows_repaired\": " << rows_repaired << "}";
-  os << ",\n  \"monitor\": {\"alerts\": " << monitor_alerts
-     << ", \"evictions\": " << monitor_evictions << "}";
+  if (monitor) {
+    os << ",\n  \"monitor\": {\"alerts\": " << monitor_alerts
+       << ", \"evictions\": " << monitor_evictions << "}";
+  }
   if (stream) {
     os << ",\n  \"stream\": {\"mode\": ";
     append_json_string(os, stream->mode);

@@ -56,8 +56,10 @@ struct Manifest {
   std::uint64_t monitor_alerts{0};
   std::uint64_t monitor_evictions{0};
 
-  // The three blocks below are emitted only by the runs that own them: a
-  // tool engages a block (emplace) before populate_from_metrics fills it.
+  // The blocks below are emitted only by the runs that own them: a tool
+  // engages a block (emplace, or the flag) before populate_from_metrics.
+
+  bool monitor{false};  ///< a monitor ran: render the "monitor" block
 
   // --- streaming ingest (bw-monitor --replay and live runs) ---
   struct StreamBlock {

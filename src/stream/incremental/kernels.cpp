@@ -12,15 +12,39 @@ obs::Counter& kernel_counter(const char* what) {
   return obs::Registry::global().counter(std::string("stream.kernel.") + what);
 }
 
+/// Position of events[idx] in the batch report order (span.begin, prefix)
+/// among itself and events[0, end). Events are created in delivery order,
+/// so begins never decrease along the log and only a run of equal begins
+/// reorders, by prefix (one prefix's events never share a begin).
+std::size_t report_position(const std::deque<OnlineEvent>& events,
+                            std::size_t idx, std::size_t end) {
+  const OnlineEvent& ev = events[idx];
+  std::size_t first = idx;
+  while (first > 0 && events[first - 1].begin == ev.begin) --first;
+  std::size_t pos = first;
+  for (std::size_t j = first; j < end && events[j].begin == ev.begin; ++j) {
+    if (events[j].prefix < ev.prefix) ++pos;
+  }
+  return pos;
+}
+
 }  // namespace
 
-IncrementalKernels::IncrementalKernels(IncrementalConfig config)
+IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
+                                                 std::size_t topk) {
+  IncrementalSnapshot snap;
+  snap.final_report = final_report;
+  drop_.snapshot(snap, topk);
+  commit_.snapshot(snap);
+  return snap;
+}
+
+DropKernels::DropKernels(IncrementalConfig config)
     : cfg_(std::move(config)),
-      lag_(std::max(cfg_.ports.reaction_window, cfg_.merge_delta)),
       log_(cfg_.merge_delta),
       topk_(cfg_.topk_capacity, cfg_.topk_exact) {}
 
-void IncrementalKernels::on_event(const StreamEvent& ev) {
+void DropKernels::on_event(const StreamEvent& ev) {
   static obs::Counter& seen = kernel_counter("events");
   seen.add();
   ++events_seen_;
@@ -34,29 +58,81 @@ void IncrementalKernels::on_event(const StreamEvent& ev) {
       static obs::Counter& created = kernel_counter("rtbh_events");
       created.add();
     }
+    return;
+  }
+  ++flows_seen_;
+  const flow::FlowRecord& rec = ev.flow;
+  // Drop tally at delivery: the record counts toward every event whose
+  // prefix contains its destination and is mid-interval right now —
+  // exactly the batch membership (see the header's ordering argument).
+  // The tally (DropEventTally) merges through the batch kernel's
+  // assemble_drop_rate_report.
+  log_.for_each_open(rec.dst_ip, [&](OnlineEvent& event) {
+    event.drop.add(rec.packets, rec.bytes, rec.dropped(),
+                   event.drop.host_event && cfg_.member_asn
+                       ? cfg_.member_asn(rec.src_mac)
+                       : std::nullopt);
+    event.drop_stale = true;
+  });
+  topk_.add({rec.proto, rec.dst_port}, rec.packets);
+}
+
+void DropKernels::finish(util::TimeMs period_end) { log_.finish(period_end); }
+
+void DropKernels::refresh_drop_deltas() {
+  std::deque<OnlineEvent>& events = log_.events();
+  // A new event sorts after all but the equal-begin tail, so the insertion
+  // shifts only that tail.
+  for (std::size_t idx = deltas_.size(); idx < events.size(); ++idx) {
+    deltas_.insert(deltas_.begin() + static_cast<std::ptrdiff_t>(
+                                         report_position(events, idx, idx)),
+                   core::DropEventDelta{});
+  }
+  // New events start stale, so this also flattens them.
+  for (std::size_t idx = 0; idx < events.size(); ++idx) {
+    OnlineEvent& event = events[idx];
+    if (!event.drop_stale) continue;
+    deltas_[report_position(events, idx, events.size())] = event.drop.delta();
+    event.drop_stale = false;
+  }
+}
+
+void DropKernels::snapshot(IncrementalSnapshot& snap, std::size_t topk) {
+  snap.clock = clock_;
+  snap.events_seen = events_seen_;
+  snap.bgp_seen = bgp_seen_;
+  snap.flows_seen = flows_seen_;
+  snap.rtbh_events = log_.events().size();
+  snap.open_rtbh_events = log_.open_count();
+
+  // Per-event tallies through the shared assembler.
+  refresh_drop_deltas();
+  snap.drop = core::assemble_drop_rate_report(deltas_, cfg_.drop,
+                                              deltas_.size());
+
+  snap.top_ports = topk_.top(topk);
+  snap.topk_total = topk_.total_weight();
+  snap.topk_max_error = topk_.max_error();
+}
+
+CommitKernels::CommitKernels(IncrementalConfig config)
+    : cfg_(std::move(config)),
+      lag_(std::max(cfg_.ports.reaction_window, cfg_.merge_delta)),
+      log_(cfg_.merge_delta) {}
+
+void CommitKernels::on_event(const StreamEvent& ev) {
+  clock_ = ev.time;
+  if (ev.kind == EventKind::kBgpUpdate) {
+    log_.on_update(ev.update);
   } else {
-    ++flows_seen_;
     const flow::FlowRecord& rec = ev.flow;
-    // Drop tally at delivery: the record counts toward every event whose
-    // prefix contains its destination and is mid-interval right now —
-    // exactly the batch membership (see the header's ordering argument).
-    // The tally (DropEventTally) merges through the batch kernel's
-    // assemble_drop_rate_report.
-    log_.for_each_open(rec.dst_ip, [&](OnlineEvent& event) {
-      event.drop.add(rec.packets, rec.bytes, rec.dropped(),
-                     event.drop.host_event && cfg_.member_asn
-                         ? cfg_.member_asn(rec.src_mac)
-                         : std::nullopt);
-      event.drop_stale = true;
-    });
-    topk_.add({rec.proto, rec.dst_port}, rec.packets);
     pending_.push({rec.time, rec.packets, rec.src_ip, rec.dst_ip,
                    rec.src_port, rec.dst_port, rec.proto, rec.dropped()});
   }
   if (++undrained_ == kDrainBatch) drain_pending();
 }
 
-void IncrementalKernels::PendingRing::grow() {
+void CommitKernels::PendingRing::grow() {
   std::vector<PendingFlow> bigger(slots_.empty() ? 1024 : slots_.size() * 2);
   for (std::size_t i = 0; i < size_; ++i) {
     bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
@@ -65,7 +141,7 @@ void IncrementalKernels::PendingRing::grow() {
   head_ = 0;
 }
 
-void IncrementalKernels::drain_pending(bool all) {
+void CommitKernels::drain_pending(bool all) {
   static obs::Counter& commit_us = kernel_counter("commit_us");
   undrained_ = 0;
   const obs::StopWatch watch;
@@ -76,14 +152,14 @@ void IncrementalKernels::drain_pending(bool all) {
   commit_us.add(watch.elapsed_us());
 }
 
-IncrementalKernels::HostState& IncrementalKernels::host(net::Ipv4 ip) {
+CommitKernels::HostState& CommitKernels::host(net::Ipv4 ip) {
   const auto [id, created] = host_ids_.try_emplace(
       ip.value(), static_cast<std::uint32_t>(hosts_.size()));
   if (created) hosts_.emplace_back();
   return hosts_[id];
 }
 
-void IncrementalKernels::commit(const PendingFlow& f) {
+void CommitKernels::commit(const PendingFlow& f) {
   static obs::Counter& committed = kernel_counter("flows_committed");
   committed.add();
   ++flows_committed_;
@@ -122,7 +198,7 @@ void IncrementalKernels::commit(const PendingFlow& f) {
   });
 }
 
-void IncrementalKernels::finish(util::TimeMs period_end) {
+void CommitKernels::finish(util::TimeMs period_end) {
   // Flows the clock already made final commit against the log as it was;
   // only the rest see the zombie close.
   drain_pending();
@@ -130,62 +206,12 @@ void IncrementalKernels::finish(util::TimeMs period_end) {
   drain_pending(/*all=*/true);
 }
 
-void IncrementalKernels::refresh_drop_deltas() {
-  std::deque<OnlineEvent>& events = log_.events();
-  // Events in the batch report order (span.begin, prefix). An event's begin
-  // is fixed at creation and creation follows delivery time, so a new event
-  // sorts after all but the equal-begin tail: the insertion shifts only
-  // that tail.
-  const auto before = [&events](std::size_t a, std::size_t b) {
-    if (events[a].begin != events[b].begin) {
-      return events[a].begin < events[b].begin;
-    }
-    return events[a].prefix < events[b].prefix;
-  };
-  position_.resize(events.size());
-  for (std::size_t idx = order_.size(); idx < events.size(); ++idx) {
-    const auto at = std::upper_bound(order_.begin(), order_.end(), idx, before);
-    const auto pos = at - order_.begin();
-    order_.insert(at, idx);
-    deltas_.insert(deltas_.begin() + pos, core::DropEventDelta{});
-    for (std::size_t p = static_cast<std::size_t>(pos); p < order_.size();
-         ++p) {
-      position_[order_[p]] = p;
-    }
-  }
-  // New events start stale, so this also flattens them.
-  for (std::size_t idx = 0; idx < events.size(); ++idx) {
-    OnlineEvent& event = events[idx];
-    if (!event.drop_stale) continue;
-    deltas_[position_[idx]] = event.drop.delta();
-    event.drop_stale = false;
-  }
-}
-
-IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
-                                                 std::size_t topk) {
-  static obs::Counter& snapshots = kernel_counter("snapshots");
-  snapshots.add();
-
+void CommitKernels::snapshot(IncrementalSnapshot& snap) {
   // Due flows may still wait for their batch; the line reports them
   // committed, as it would had each committed at its own event.
   drain_pending();
-
-  IncrementalSnapshot snap;
-  snap.clock = clock_;
-  snap.final_report = final_report;
-  snap.events_seen = events_seen_;
-  snap.bgp_seen = bgp_seen_;
-  snap.flows_seen = flows_seen_;
   snap.flows_committed = flows_committed_;
   snap.flows_pending = pending_.size();
-  snap.rtbh_events = log_.events().size();
-  snap.open_rtbh_events = log_.open_count();
-
-  // --- drop rates: per-event tallies through the shared assembler ---
-  refresh_drop_deltas();
-  snap.drop = core::assemble_drop_rate_report(deltas_, cfg_.drop,
-                                              deltas_.size());
 
   // --- port stats: universe hosts with any committed record, finalized by
   // the shared finalize_port_host when their accumulator changed ---
@@ -234,7 +260,8 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
     server_of[g] = &*it;
     core::CollateralEvent ce;
     ce.server = group.host;
-    ce.event_index = position_[group.event];
+    ce.event_index =
+        report_position(log_.events(), group.event, log_.events().size());
     rows.push_back(ce);
   }
   for (const CollateralCell& c : collateral_) {
@@ -251,11 +278,6 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
   }
   snap.collateral = core::assemble_collateral_report(
       std::move(rows), snap.ports.servers, cfg_.sampling_rate);
-
-  snap.top_ports = topk_.top(topk);
-  snap.topk_total = topk_.total_weight();
-  snap.topk_max_error = topk_.max_error();
-  return snap;
 }
 
 }  // namespace bw::stream::incremental

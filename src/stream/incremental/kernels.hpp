@@ -63,9 +63,19 @@
 // (event, host) groups, (event, host, proto:port) cells and top-K counters
 // are dense vectors found through util::FlatIndex; prefix tracks likewise
 // (events.hpp). The cost model per flow is in docs/streaming.md.
+//
+// Two halves. The kernels split along the seam above, and nothing crosses
+// it but the delivered events. DropKernels holds what is known at
+// delivery (its own event log, the drop tallies and deltas, top-K, the
+// progress counters); CommitKernels what is known past the horizon (a
+// second event log fed the same updates, the pending ring, hosts and
+// collateral cells). Each renders its sections of a snapshot alone, so
+// the two may run on two threads (stream::Deliverer's rolling lanes);
+// IncrementalKernels runs both in sequence.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -120,30 +130,41 @@ struct IncrementalSnapshot {
   std::uint64_t topk_max_error{0};
 };
 
-class IncrementalKernels {
+/// The delivery-time half. Both halves take every delivered event in
+/// delivery order, and snapshot() fills their own fields of `snap`.
+class DropKernels {
  public:
-  explicit IncrementalKernels(IncrementalConfig config);
-
-  /// Feed one delivered event, in delivery order. Not thread-safe; the
-  /// replay/live consumer is single-threaded by construction.
+  explicit DropKernels(IncrementalConfig config);
   void on_event(const StreamEvent& ev);
+  void finish(util::TimeMs period_end);  ///< closes zombies
+  void snapshot(IncrementalSnapshot& snap, std::size_t topk);
 
-  /// End of stream: close zombies at `period_end` and commit every pending
-  /// record. After this, snapshot() is the batch fixed point.
+ private:
+  /// Slot new events into the report order and re-flatten stale deltas.
+  void refresh_drop_deltas();
+
+  IncrementalConfig cfg_;
+  OnlineEventLog log_;
+  util::TimeMs clock_{0};
+  std::uint64_t events_seen_{0};
+  std::uint64_t bgp_seen_{0};
+  std::uint64_t flows_seen_{0};
+
+  /// Each event's flattened drop delta in report order (valid while
+  /// !drop_stale).
+  std::vector<core::DropEventDelta> deltas_;
+
+  TopKPorts topk_;
+};
+
+/// The past-the-horizon half.
+class CommitKernels {
+ public:
+  explicit CommitKernels(IncrementalConfig config);
+  void on_event(const StreamEvent& ev);
+  /// Closes zombies and commits every pending record.
   void finish(util::TimeMs period_end);
-
-  /// The current reports, with the `topk` largest port counters. Refreshes
-  /// the snapshot caches, hence non-const.
-  [[nodiscard]] IncrementalSnapshot snapshot(bool final_report,
-                                             std::size_t topk);
-
-  [[nodiscard]] std::uint64_t events_seen() const noexcept {
-    return events_seen_;
-  }
-  [[nodiscard]] std::uint64_t flows_committed() const noexcept {
-    return flows_committed_;
-  }
-  [[nodiscard]] const OnlineEventLog& log() const noexcept { return log_; }
+  void snapshot(IncrementalSnapshot& snap);
 
  private:
   /// What commit() reads of a flow record, packed: a pending flow is 32
@@ -209,8 +230,6 @@ class IncrementalKernels {
   void drain_pending(bool all = false);
   void commit(const PendingFlow& f);
   [[nodiscard]] HostState& host(net::Ipv4 ip);
-  /// Slot new events into the report order and re-flatten stale deltas.
-  void refresh_drop_deltas();
 
   IncrementalConfig cfg_;
   util::DurationMs lag_;
@@ -221,10 +240,6 @@ class IncrementalKernels {
   static constexpr std::size_t kDrainBatch = 1024;
   std::size_t undrained_{0};  ///< events delivered since the last drain
   util::TimeMs clock_{0};
-
-  std::uint64_t events_seen_{0};
-  std::uint64_t bgp_seen_{0};
-  std::uint64_t flows_seen_{0};
   std::uint64_t flows_committed_{0};
 
   /// Per-host outside-RTBH accumulation, for every IP seen: whether a host
@@ -234,18 +249,36 @@ class IncrementalKernels {
   std::vector<HostState> hosts_;
   util::FlatIndex host_ids_;  ///< ip -> hosts_ slot
 
-  /// Event indices in report order, their inverse, and each event's
-  /// flattened drop delta in report order (valid while !drop_stale).
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> position_;
-  std::vector<core::DropEventDelta> deltas_;
-
   std::vector<CollateralGroup> collateral_groups_;
   util::FlatIndex collateral_group_ids_;  ///< event << 32 | ip -> group
   std::vector<CollateralCell> collateral_;
   util::FlatIndex collateral_ids_;  ///< group << 32 | port key -> cell
+};
 
-  TopKPorts topk_;
+/// Both halves in sequence on one thread: the inline form the convergence
+/// tests drive. Not thread-safe.
+class IncrementalKernels {
+ public:
+  explicit IncrementalKernels(const IncrementalConfig& config)
+      : drop_(config), commit_(config) {}
+
+  void on_event(const StreamEvent& ev) {
+    drop_.on_event(ev);
+    commit_.on_event(ev);
+  }
+  /// After this, snapshot() is the batch fixed point.
+  void finish(util::TimeMs period_end) {
+    drop_.finish(period_end);
+    commit_.finish(period_end);
+  }
+  /// The current reports, with the `topk` largest port counters. Refreshes
+  /// the snapshot caches, hence non-const.
+  [[nodiscard]] IncrementalSnapshot snapshot(bool final_report,
+                                             std::size_t topk);
+
+ private:
+  DropKernels drop_;
+  CommitKernels commit_;
 };
 
 }  // namespace bw::stream::incremental

@@ -123,11 +123,15 @@ void append_collateral(JsonOut& os, const core::CollateralReport& r) {
   os << "]}";
 }
 
-void append_figures(JsonOut& os, const core::DropRateReport& drop,
-                    const core::PortStatsReport& ports,
-                    const core::CollateralReport& collateral) {
+/// The figures object in two pieces, the drop half's and the commit
+/// half's: `{"drop":..` and `,"ports":..,"collateral":..}`.
+void append_figures_drop(JsonOut& os, const core::DropRateReport& drop) {
   os << "{\"drop\":";
   append_drop(os, drop);
+}
+
+void append_figures_rest(JsonOut& os, const core::PortStatsReport& ports,
+                         const core::CollateralReport& collateral) {
   os << ",\"ports\":";
   append_ports(os, ports);
   os << ",\"collateral\":";
@@ -142,35 +146,41 @@ std::string RollingReporter::figures_json(
     const core::CollateralReport& collateral) {
   std::string text;
   JsonOut os(text);
-  append_figures(os, drop, ports, collateral);
+  append_figures_drop(os, drop);
+  append_figures_rest(os, ports, collateral);
   return text;
 }
 
 RollingReporter::RollingReporter(RollingConfig config)
-    : cfg_(std::move(config)), kernels_(cfg_.kernels) {}
+    : cfg_(std::move(config)), drop_(cfg_.kernels), commit_(cfg_.kernels) {}
 
 void RollingReporter::on_event(const StreamEvent& ev) {
-  kernels_.on_event(ev);
+  on_event(Half::kDrop, ev);
+  on_event(Half::kCommit, ev);
+}
+
+void RollingReporter::on_event(Half half, const StreamEvent& ev) {
+  if (half == Half::kDrop) drop_.on_event(ev);
+  else commit_.on_event(ev);
   if (cfg_.report_every <= 0) return;
-  if (!saw_event_) {
-    saw_event_ = true;
-    next_emit_ = ev.time + cfg_.report_every;
+  std::optional<util::TimeMs>& next = next_emit_[static_cast<std::size_t>(half)];
+  if (!next) {
+    next = ev.time + cfg_.report_every;
     return;
   }
   // Delivery is watermark-ordered, so event time is non-decreasing; one
   // event can cross several boundaries after a quiet stretch, but each
   // boundary emits at most once (the loop advances past ev.time).
-  while (ev.time >= next_emit_) {
-    emit(false);
-    next_emit_ += cfg_.report_every;
-  }
+  for (; ev.time >= *next; *next += cfg_.report_every) emit(half, false);
 }
 
 util::Status RollingReporter::finish(util::TimeMs period_end) {
   if (!finished_) {
     finished_ = true;
-    kernels_.finish(period_end);
-    emit(true);
+    drop_.finish(period_end);
+    commit_.finish(period_end);
+    emit(Half::kDrop, true);
+    emit(Half::kCommit, true);
   }
   if (cfg_.out_path.empty()) return util::Status();
   std::string all;
@@ -181,30 +191,46 @@ util::Status RollingReporter::finish(util::TimeMs period_end) {
   return util::atomic_write_file(cfg_.out_path, all);
 }
 
-void RollingReporter::emit(bool final_report) {
+void RollingReporter::emit(Half half, bool final_report) {
   static obs::Counter& snapshot_us =
       obs::Registry::global().counter("stream.kernel.snapshot_us");
+  static obs::Counter& snapshots =
+      obs::Registry::global().counter("stream.kernel.snapshots");
   static obs::Counter& snapshot_bytes =
       obs::Registry::global().counter("stream.kernel.snapshot_bytes");
   const obs::StopWatch watch;
-  IncrementalSnapshot snap = kernels_.snapshot(final_report, cfg_.topk_k);
+  Parts parts =
+      half == Half::kDrop ? render_drop(final_report) : render_commit();
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    parts_[static_cast<std::size_t>(half)].push_back(std::move(parts));
+    for (auto& [drop, commit] = parts_; !drop.empty() && !commit.empty();
+         drop.pop_front(), commit.pop_front()) {
+      lines_.push_back(std::move(drop.front()[0]) + commit.front()[0] +
+                       drop.front()[1] + commit.front()[1]);
+      snapshots.add();
+      snapshot_bytes.add(lines_.back().size());
+    }
+  }
+  snapshot_us.add(watch.elapsed_us());
+}
 
-  std::vector<TopKPorts::Entry> top = std::move(snap.top_ports);
+RollingReporter::Parts RollingReporter::render_drop(bool final_report) {
+  IncrementalSnapshot snap;
+  drop_.snapshot(snap, cfg_.topk_k);
+  const std::vector<TopKPorts::Entry>& top = snap.top_ports;
   const double stability =
-      lines_.empty() ? 1.0 : topk_stability(last_top_, top);
+      drop_lines_ == 0 ? 1.0 : topk_stability(last_top_, top);
 
-  // The previous line's length is a close upper bound on this one's:
-  // render into one reservation.
-  std::string line;
-  line.reserve(lines_.empty() ? 4096 : lines_.back().size() + 4096);
-  JsonOut os(line);
-  os << "{\"snapshot\":" << lines_.size()
-     << ",\"final\":" << (final_report ? "true" : "false")
-     << ",\"clock\":" << snap.clock << ",\"events\":" << snap.events_seen
-     << ",\"bgp\":" << snap.bgp_seen << ",\"flows\":" << snap.flows_seen
-     << ",\"committed\":" << snap.flows_committed
-     << ",\"pending\":" << snap.flows_pending
-     << ",\"rtbh_events\":" << snap.rtbh_events
+  Parts parts;
+  JsonOut head(parts[0]);
+  head << "{\"snapshot\":" << drop_lines_++
+       << ",\"final\":" << (final_report ? "true" : "false")
+       << ",\"clock\":" << snap.clock << ",\"events\":" << snap.events_seen
+       << ",\"bgp\":" << snap.bgp_seen << ",\"flows\":" << snap.flows_seen;
+  parts[1].reserve(reserve_[0]);
+  JsonOut os(parts[1]);
+  os << ",\"rtbh_events\":" << snap.rtbh_events
      << ",\"open_rtbh_events\":" << snap.open_rtbh_events
      << ",\"topk_total\":" << snap.topk_total
      << ",\"topk_max_error\":" << snap.topk_max_error << ",\"topk\":[";
@@ -214,13 +240,25 @@ void RollingReporter::emit(bool final_report) {
        << ",\"err\":" << top[i].err << "}";
   }
   os << "],\"topk_stability\":" << stability << ",\"figures\":";
-  append_figures(os, snap.drop, snap.ports, snap.collateral);
-  os << "}";
+  append_figures_drop(os, snap.drop);
+  reserve_[0] = parts[1].size() + 4096;
+  last_top_ = std::move(snap.top_ports);
+  return parts;
+}
 
-  lines_.push_back(std::move(line));
-  last_top_ = std::move(top);
-  snapshot_bytes.add(lines_.back().size());
-  snapshot_us.add(watch.elapsed_us());
+RollingReporter::Parts RollingReporter::render_commit() {
+  IncrementalSnapshot snap;
+  commit_.snapshot(snap);
+  Parts parts;
+  JsonOut head(parts[0]);
+  head << ",\"committed\":" << snap.flows_committed
+       << ",\"pending\":" << snap.flows_pending;
+  parts[1].reserve(reserve_[1]);
+  JsonOut os(parts[1]);
+  append_figures_rest(os, snap.ports, snap.collateral);
+  os << "}";
+  reserve_[1] = parts[1].size() + 4096;
+  return parts;
 }
 
 }  // namespace bw::stream::incremental

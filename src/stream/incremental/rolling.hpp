@@ -1,11 +1,12 @@
 // Rolling report emission for the incremental kernels.
 //
 // A RollingReporter sits behind the stream consumer: every delivered event
-// goes into the IncrementalKernels, and whenever delivered event time
-// crosses a `report_every` boundary a snapshot is rendered as one JSONL
-// line. Cadence is *event time* — driven by the watermark-ordered delivery
-// clock, not wall time — so lockstep and threaded no-shed runs of the same
-// corpus emit byte-identical snapshot sequences.
+// goes into both halves of the incremental kernels, and whenever delivered
+// event time crosses a `report_every` boundary a snapshot is rendered as
+// one JSONL line. Cadence is *event time* — driven by the
+// watermark-ordered delivery clock, not wall time — so lockstep and
+// threaded no-shed runs of the same corpus emit byte-identical snapshot
+// sequences.
 //
 // Line shape (stable field order):
 //
@@ -18,9 +19,19 @@
 // from `"figures":`. The convergence contract: the final line's figures of
 // a full no-shed replay equal figures_json() of the batch reports, byte
 // for byte.
+//
+// Each half of the kernels (kernels.hpp) keeps its own cadence and renders
+// its parts of every line, which are stitched in field order: drop head
+// ("snapshot" .. "flows"), commit head ("committed", "pending"), drop
+// middle ("rtbh_events" .. "figures":{"drop":..), commit tail
+// (,"ports":..,"collateral":..}}). So the halves may run on two threads.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,21 +56,28 @@ class RollingReporter {
  public:
   explicit RollingReporter(RollingConfig config);
 
-  /// Feed one delivered event (call after the monitor saw it). Emits zero
-  /// or more snapshot lines. Single-consumer, like the kernels.
+  /// Feed one delivered event (call after the monitor saw it) to both
+  /// halves of the kernels, in sequence. Emits zero or more snapshot
+  /// lines. Single-consumer, like the kernels.
   void on_event(const StreamEvent& ev);
+
+  /// The two halves of the kernels: DropKernels and CommitKernels.
+  enum class Half : std::uint8_t { kDrop, kCommit };
+
+  /// Feed one delivered event to one half. The two halves may be fed on
+  /// two threads at once, each every event in delivery order; a line is
+  /// stitched once both halves have rendered their parts of it.
+  void on_event(Half half, const StreamEvent& ev);
 
   /// End of stream: finish the kernels and emit the final snapshot line
   /// (always, regardless of cadence), then write out_path if set.
   [[nodiscard]] util::Status finish(util::TimeMs period_end);
 
+  /// The stitched lines; read them while no half is being fed.
   [[nodiscard]] const std::vector<std::string>& lines() const noexcept {
     return lines_;
   }
   [[nodiscard]] std::size_t snapshots() const noexcept { return lines_.size(); }
-  [[nodiscard]] const IncrementalKernels& kernels() const noexcept {
-    return kernels_;
-  }
 
   /// The shared figures renderer: deterministic JSON of the three report
   /// sections the convergence contract covers. Used for every rolling
@@ -70,14 +88,28 @@ class RollingReporter {
       const core::CollateralReport& collateral);
 
  private:
-  void emit(bool final_report);
+  /// One half's two parts of a line, in stitching order.
+  using Parts = std::array<std::string, 2>;
+
+  /// Render one half's parts of its next line, then stitch every line
+  /// both halves have rendered.
+  void emit(Half half, bool final_report);
+  [[nodiscard]] Parts render_drop(bool final_report);
+  [[nodiscard]] Parts render_commit();  ///< the drop head carries "final"
 
   RollingConfig cfg_;
-  IncrementalKernels kernels_;
-  bool saw_event_{false};
-  util::TimeMs next_emit_{0};
-  std::vector<std::string> lines_;
+  // Per half, owned by its feeding thread: the kernels, the next boundary
+  // and the previous line's larger part plus slack, reserved up front.
+  DropKernels drop_;
+  CommitKernels commit_;
+  std::array<std::optional<util::TimeMs>, 2> next_emit_;
+  std::array<std::size_t, 2> reserve_{4096, 4096};
+  std::size_t drop_lines_{0};
   std::vector<TopKPorts::Entry> last_top_;
+
+  std::mutex mu_;  ///< guards parts_ and lines_
+  std::array<std::deque<Parts>, 2> parts_;  ///< per half, not yet stitched
+  std::vector<std::string> lines_;
   bool finished_{false};
 };
 

@@ -21,7 +21,7 @@ constexpr std::size_t kStageBatch = 64;
 
 struct LaneMetrics {
   obs::Counter& batches;  ///< batches handed to rolling lanes
-  obs::Counter& wait_us;  ///< consumer time blocked on a full lane
+  obs::Counter& wait_us;  ///< consumer time blocked on a full ring
 };
 
 LaneMetrics& lane_metrics() {
@@ -87,13 +87,21 @@ Shedder::MakeRoom Feed::wait_for_room(const std::atomic<bool>& abort) {
   };
 }
 
-/// The rolling lane behind a Deliverer: a ring of kLaneSlots batches. The
-/// consumer fills slot tail_; the lane owns the full_ slots from head_ on.
-/// A slot changes hands only under mu_, which orders its contents.
+/// The rolling lanes behind a Deliverer: one ring of kLaneSlots batches
+/// that every lane reads. The consumer fills slot tail_; lane i owns the
+/// full_[i] slots from head_[i] on, and a slot is refilled only once every
+/// lane has released it. With one lane it feeds both halves of the
+/// kernels; with two, lane 0 feeds the drop half and lane 1 the commit
+/// half. A slot changes hands only under mu_, which orders its contents.
 class RollingLane {
  public:
-  explicit RollingLane(incremental::RollingReporter& rolling)
-      : rolling_(rolling), thread_([this] { run(); }) {}
+  RollingLane(incremental::RollingReporter& rolling, std::size_t lanes)
+      : rolling_(rolling), full_(lanes, 0), head_(lanes, 0) {
+    threads_.reserve(lanes);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      threads_.emplace_back([this, i] { run(i); });
+    }
+  }
   ~RollingLane() { close(/*flush=*/false); }
 
   void push(const StreamEvent& ev) {
@@ -111,77 +119,93 @@ class RollingLane {
 
  private:
   /// Events per batch and batches in flight: ~1.1 MB of 136-byte copies,
-  /// enough for the lane to ride out a snapshot while the consumer goes on.
+  /// so the lanes ride out a snapshot while the consumer goes on.
   static constexpr std::size_t kLaneBatch = 2048;
   static constexpr std::size_t kLaneSlots = 4;
 
-  /// Give slot tail_ to the lane and move on to the next one, waiting
-  /// while the lane still holds it.
+  /// Some lane still holds every slot, the consumer's next one included.
+  [[nodiscard]] bool ring_full() const {
+    return std::find(full_.begin(), full_.end(), kLaneSlots) != full_.end();
+  }
+
+  /// Give slot tail_ to the lanes and move on to the next one, waiting
+  /// while a lane still holds it.
   void hand_over() {
     lane_metrics().batches.add();
     std::unique_lock<std::mutex> lock(mu_);
-    ++full_;
-    ready_.notify_one();
+    for (std::size_t& full : full_) ++full;
+    ready_.notify_all();
     tail_ = (tail_ + 1) % kLaneSlots;
-    if (full_ == kLaneSlots && !error_) {
+    if (ring_full() && !error_) {
       const obs::StopWatch watch;
-      room_.wait(lock, [this] { return full_ < kLaneSlots || error_; });
+      room_.wait(lock, [this] { return !ring_full() || error_; });
       lane_metrics().wait_us.add(watch.elapsed_us());
     }
     if (error_) std::rethrow_exception(error_);
+    lock.unlock();
+    slots_[tail_].clear();  // every lane has released it
   }
 
-  void run() {
+  void run(std::size_t lane) {
+    using Half = incremental::RollingReporter::Half;
+    const Half half = lane == 0 ? Half::kDrop : Half::kCommit;
+    const bool both = full_.size() == 1;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      ready_.wait(lock, [this] { return full_ > 0 || closed_; });
-      if (full_ == 0 || discard_) return;
-      std::vector<StreamEvent>& batch = slots_[head_];
+      ready_.wait(lock, [&] { return full_[lane] > 0 || closed_ || error_; });
+      // A failed lane stops the others: the consumer rethrows its error.
+      if (full_[lane] == 0 || discard_ || error_) return;
+      const std::vector<StreamEvent>& batch = slots_[head_[lane]];
       lock.unlock();
       try {
-        for (const StreamEvent& ev : batch) rolling_.on_event(ev);
+        for (const StreamEvent& ev : batch) {
+          if (both) rolling_.on_event(ev);
+          else rolling_.on_event(half, ev);
+        }
       } catch (...) {
         lock.lock();
-        error_ = std::current_exception();
+        if (!error_) error_ = std::current_exception();
         room_.notify_one();
+        ready_.notify_all();
         return;
       }
-      batch.clear();
       lock.lock();
-      head_ = (head_ + 1) % kLaneSlots;
-      --full_;
+      head_[lane] = (head_[lane] + 1) % kLaneSlots;
+      --full_[lane];
       room_.notify_one();
     }
   }
 
-  /// End the lane thread. With `flush` it first feeds every batch it
-  /// holds plus the consumer's partial one; without, it stops before the
-  /// next batch.
+  /// End the lane threads. With `flush` they first feed every batch they
+  /// hold plus the consumer's partial one; without, they stop before
+  /// their next batch.
   void close(bool flush) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return;
-      // The consumer's slot is never the lane's, so this stays in bounds.
-      if (flush && !slots_[tail_].empty()) ++full_;
+      // The consumer's slot is no lane's, so this stays in bounds.
+      if (flush && !slots_[tail_].empty()) {
+        for (std::size_t& full : full_) ++full;
+      }
       closed_ = true;
       discard_ = !flush;
     }
-    ready_.notify_one();
-    thread_.join();
+    ready_.notify_all();
+    for (std::thread& t : threads_) t.join();
   }
 
   incremental::RollingReporter& rolling_;
   std::array<std::vector<StreamEvent>, kLaneSlots> slots_;
   std::size_t tail_{0};  ///< consumer-owned
-  std::size_t head_{0};  ///< lane-owned
   std::mutex mu_;
-  std::condition_variable ready_;  ///< the lane waits for a full batch
+  std::condition_variable ready_;  ///< lanes wait for a full batch
   std::condition_variable room_;   ///< the consumer waits for a free slot
-  std::size_t full_{0};
+  std::vector<std::size_t> full_;  ///< per lane: batches held
+  std::vector<std::size_t> head_;  ///< per lane: its next slot
   bool closed_{false};
   bool discard_{false};
   std::exception_ptr error_;
-  std::thread thread_;  ///< last: starts once every member above exists
+  std::vector<std::thread> threads_;
 };
 
 Deliverer::Deliverer(core::RtbhMonitor& monitor,
@@ -190,8 +214,10 @@ Deliverer::Deliverer(core::RtbhMonitor& monitor,
     : monitor_(monitor), rolling_(rolling), delay_us_(delay_us) {
   if (rolling == nullptr) return;
   (void)lane_metrics();  // a run with rolling kernels reports both, 0 inline
-  if (util::ThreadPool::configured_concurrency() >= 2) {
-    lane_ = std::make_unique<RollingLane>(*rolling);
+  if (const std::size_t threads = util::ThreadPool::configured_concurrency();
+      threads >= 2) {
+    lane_ = std::make_unique<RollingLane>(
+        *rolling, std::min<std::size_t>(2, threads - 1));
     rolling_ = nullptr;
   }
 }

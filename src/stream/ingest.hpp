@@ -102,15 +102,17 @@ class RollingLane;
 /// with per-kind accounting. Owned by the consumer thread; read its
 /// counters only after join().
 ///
-/// The rolling kernels run on a lane thread of their own when a reporter
-/// is given and util::ThreadPool::configured_concurrency() >= 2. The
-/// consumer then delivers each event to the monitor inline and copies it
-/// into a batch; every full batch goes to the lane, which feeds
-/// RollingReporter::on_event in delivery order. A few batches may be in
-/// flight; a consumer that finds them all taken waits for the lane
-/// (stream.rolling.lane_wait_us), so the lane never sheds or reorders. A
-/// replay then costs about max(mux + monitor, rolling) instead of their
-/// sum. At BW_THREADS=1 the consumer calls on_event inline, as before.
+/// The rolling kernels run on min(2, n - 1) lane threads of their own when
+/// a reporter is given and n = util::ThreadPool::configured_concurrency()
+/// is at least 2. The consumer then delivers each event to the monitor
+/// inline and copies it into a batch; every full batch goes to every
+/// lane, each of which feeds the reporter in delivery order: one lane both
+/// halves of the kernels, two lanes the drop and the commit half each. A
+/// few batches may be in flight; a consumer whose next slot some lane
+/// still holds waits (stream.rolling.lane_wait_us), so no lane sheds or
+/// reorders. A replay then costs about max(mux + monitor, slower half)
+/// instead of their sum. At BW_THREADS=1 the consumer calls on_event
+/// inline.
 class Deliverer {
  public:
   /// `rolling`: the incremental kernels, fed every delivered event after
@@ -119,18 +121,18 @@ class Deliverer {
   explicit Deliverer(core::RtbhMonitor& monitor,
                      incremental::RollingReporter* rolling = nullptr,
                      std::uint64_t delay_us = 0);
-  /// Stops a lane that join() did not, dropping what it had not fed.
+  /// Stops lanes that join() did not, dropping what they had not fed.
   ~Deliverer();
   Deliverer(const Deliverer&) = delete;
   Deliverer& operator=(const Deliverer&) = delete;
 
-  /// Deliver one event. A batch hand-over rethrows an exception the lane
+  /// Deliver one event. A batch hand-over rethrows an exception a lane
   /// has raised.
   void operator()(const StreamEvent& ev);
 
-  /// Hand the lane its last partial batch and wait until it has fed
+  /// Hand the lanes the last partial batch and wait until they have fed
   /// every event, so the reporter has seen the whole delivered stream.
-  /// Rethrows the lane's exception. A no-op without a lane.
+  /// Rethrows a lane's exception. A no-op without lanes.
   void join();
 
   std::uint64_t delivered_bgp{0};
@@ -139,7 +141,7 @@ class Deliverer {
 
  private:
   core::RtbhMonitor& monitor_;
-  incremental::RollingReporter* rolling_;  ///< fed inline; null with a lane
+  incremental::RollingReporter* rolling_;  ///< fed inline; null with lanes
   std::uint64_t delay_us_;
   std::unique_ptr<RollingLane> lane_;
 };
@@ -152,7 +154,7 @@ using Producer = std::function<void(const std::atomic<bool>& abort)>;
 /// joining `deliver` (Deliverer::join). A watchdog > 0 ms raises the
 /// producers' abort flag once that much wall time has passed; the loop
 /// then still delivers what the closing feeds hold. An exception, from a
-/// delivery, the rolling lane or a producer, raises abort, drains the
+/// delivery, a rolling lane or a producer, raises abort, drains the
 /// rings without delivering until every producer has returned (none stays
 /// blocked on a full ring), joins, and rethrows the first (consumer before
 /// producers). Returns true when the watchdog fired.

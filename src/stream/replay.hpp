@@ -7,7 +7,7 @@
 //   lockstep   one ingest thread interleaves producing and consuming on
 //              a fixed schedule (per `tick_events` pushed, the consumer
 //              pops at most `drain_per_tick` ring events); rolling kernels
-//              may run on the Deliverer's lane. Fully deterministic:
+//              may run on the Deliverer's lanes. Fully deterministic:
 //              the same corpus, options, and fault plan give byte-identical
 //              alerts and exact shed counts. This is what the convergence
 //              proof and the overload CI job run.
@@ -45,8 +45,8 @@ struct ReplayOptions : IngestOptions {
   /// `fault.any()` is false.
   testing::StreamFaultPlan fault;
   /// Rolling incremental kernels: every delivered event is fed after the
-  /// monitor saw it, in the same order (on the Deliverer's rolling lane
-  /// when there is one; replay_streaming joins it before returning). The
+  /// monitor saw it, in the same order (on the Deliverer's rolling lanes
+  /// when there are any; replay_streaming joins them before returning). The
   /// replay does NOT call finish() on it — the owner does, so
   /// output-write errors surface at the call site.
   incremental::RollingReporter* rolling{nullptr};

@@ -197,18 +197,20 @@ TEST(ManifestTest, StreamTransportAndRollingBlocksOnlyWhenOwned) {
   registry.counter("stream.transport.reconnects").add(3);
   registry.counter("stream.kernel.snapshots").add(4);
 
-  // bw-analyze, bw-generate and batch bw-monitor own none of the blocks.
+  // bw-analyze and bw-generate own none of the blocks.
   Manifest batch;
   batch.populate_from_metrics(registry.snapshot());
   const std::string plain = batch.to_json();
   EXPECT_EQ(plain.find("\"stream\":"), std::string::npos);
   EXPECT_EQ(plain.find("\"transport\":"), std::string::npos);
   EXPECT_EQ(plain.find("\"rolling\":"), std::string::npos);
+  EXPECT_EQ(plain.find("\"monitor\":"), std::string::npos);
 
-  // A live run with --rolling-out owns all three.
+  // A live bw-monitor run with --rolling-out owns all four.
   Manifest live;
   live.stream.emplace().mode = "priority";
   live.transport = true;
+  live.monitor = true;
   live.rolling.emplace().report_every_ms = 3600000;
   live.populate_from_metrics(registry.snapshot());
   EXPECT_EQ(live.stream->ingested, 10u);
@@ -223,6 +225,8 @@ TEST(ManifestTest, StreamTransportAndRollingBlocksOnlyWhenOwned) {
   EXPECT_NE(json.find("\"watchdog_fired\": 0}"), std::string::npos);
   EXPECT_NE(json.find("\"rolling\": {\"report_every_ms\": 3600000, "
                       "\"snapshots\": 4, "),
+            std::string::npos);
+  EXPECT_NE(json.find("\"monitor\": {\"alerts\": 0, \"evictions\": 0}"),
             std::string::npos);
 }
 

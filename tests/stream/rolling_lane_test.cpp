@@ -1,17 +1,21 @@
-// The rolling lane behind the ingest core's Deliverer (stream/ingest.hpp):
-// with BW_THREADS >= 2 the incremental kernels run on a thread of their
-// own, fed in batches; at BW_THREADS=1 the consumer calls them inline.
-// Either way a reporter behind lockstep replay, threaded replay or a
-// fault-free live session must emit the lines, and its monitor the alert
-// log, of a reporter and monitor fed directly in the batch merge order.
-// A kernel exception must surface from the run that raised it, with
-// every producer joined. ctest runs this suite twice, at BW_THREADS=4
-// and at BW_THREADS=1.
+// The rolling lanes behind the ingest core's Deliverer (stream/ingest.hpp):
+// with BW_THREADS >= 3 the two halves of the incremental kernels run on a
+// lane thread each, at BW_THREADS=2 one lane feeds both, and at
+// BW_THREADS=1 the consumer calls them inline. Either way a reporter
+// behind lockstep replay, threaded replay or a fault-free live session
+// must emit the lines, and its monitor the alert log, of a reporter and
+// monitor fed directly in the batch merge order. The two halves fed one
+// after the other must stitch the lines of the combined kernels. A kernel
+// exception must surface from the run that raised it, with every producer
+// and lane joined. ctest runs this suite three times, at BW_THREADS=4, 2
+// and 1.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +33,8 @@
 namespace bw::stream {
 namespace {
 
+using incremental::IncrementalKernels;
+using incremental::IncrementalSnapshot;
 using incremental::RollingConfig;
 using incremental::RollingReporter;
 
@@ -79,23 +85,32 @@ struct Sink {
   }
 };
 
-/// The reference: both fed directly, in the batch merge order.
-Output direct(const core::Dataset& dataset) {
-  Sink sink(dataset);
+/// The events of `dataset` in the batch merge order.
+std::vector<StreamEvent> merge_order(const core::Dataset& dataset) {
+  std::vector<StreamEvent> events;
   std::uint64_t useq = 0;
   std::uint64_t fseq = 0;
   for_each_in_merge_order(
       dataset,
       [&](const bgp::Update& u) {
-        sink.monitor.on_update(u);
-        sink.rolling.on_event(StreamEvent::from(u, useq++));
+        events.push_back(StreamEvent::from(u, useq++));
         return true;
       },
       [&](const flow::FlowRecord& f) {
-        sink.monitor.on_flow(f);
-        sink.rolling.on_event(StreamEvent::from(f, fseq++));
+        events.push_back(StreamEvent::from(f, fseq++));
         return true;
       });
+  return events;
+}
+
+/// The reference: both fed directly, in the batch merge order.
+Output direct(const core::Dataset& dataset) {
+  Sink sink(dataset);
+  for (const StreamEvent& ev : merge_order(dataset)) {
+    if (ev.kind == EventKind::kBgpUpdate) sink.monitor.on_update(ev.update);
+    else sink.monitor.on_flow(ev.flow);
+    sink.rolling.on_event(ev);
+  }
   sink.monitor.finish(dataset.period().end);
   return sink.finish(dataset.period().end);
 }
@@ -210,6 +225,112 @@ TEST_P(RollingLaneTest, LaneFedReporterMatchesDirectFeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RollingLaneTest,
                          ::testing::Values(3u, 17u, 20191021u));
 
+/// One rolling line rendered whole from a combined snapshot, in the line
+/// shape of rolling.hpp (doubles as `setprecision(17)`): the oracle for the
+/// stitched lines.
+std::string whole_line(std::size_t n, const IncrementalSnapshot& s,
+                       double stability) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "{\"snapshot\":" << n
+     << ",\"final\":" << (s.final_report ? "true" : "false")
+     << ",\"clock\":" << s.clock << ",\"events\":" << s.events_seen
+     << ",\"bgp\":" << s.bgp_seen << ",\"flows\":" << s.flows_seen
+     << ",\"committed\":" << s.flows_committed
+     << ",\"pending\":" << s.flows_pending
+     << ",\"rtbh_events\":" << s.rtbh_events
+     << ",\"open_rtbh_events\":" << s.open_rtbh_events
+     << ",\"topk_total\":" << s.topk_total
+     << ",\"topk_max_error\":" << s.topk_max_error << ",\"topk\":[";
+  for (std::size_t i = 0; i < s.top_ports.size(); ++i) {
+    const auto& e = s.top_ports[i];
+    os << (i ? "," : "") << "{\"proto\":" << static_cast<unsigned>(e.pp.proto)
+       << ",\"port\":" << e.pp.port << ",\"count\":" << e.count
+       << ",\"err\":" << e.err << "}";
+  }
+  os << "],\"topk_stability\":" << stability << ",\"figures\":"
+     << RollingReporter::figures_json(s.drop, s.ports, s.collateral) << "}";
+  return os.str();
+}
+
+/// The lines of the combined kernels, one thread, rendered whole.
+std::vector<std::string> combined_lines(const RollingConfig& rc,
+                                        const std::vector<StreamEvent>& events,
+                                        util::TimeMs end) {
+  IncrementalKernels kernels(rc.kernels);
+  std::vector<std::string> lines;
+  std::vector<incremental::TopKPorts::Entry> last_top;
+  const auto emit = [&](bool final_report) {
+    const IncrementalSnapshot snap = kernels.snapshot(final_report, rc.topk_k);
+    const double stability =
+        lines.empty() ? 1.0 : incremental::topk_stability(last_top, snap.top_ports);
+    lines.push_back(whole_line(lines.size(), snap, stability));
+    last_top = snap.top_ports;
+  };
+  util::TimeMs next = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    kernels.on_event(events[i]);
+    if (rc.report_every <= 0) continue;
+    if (i == 0) {
+      next = events[i].time + rc.report_every;
+      continue;
+    }
+    for (; events[i].time >= next; next += rc.report_every) emit(false);
+  }
+  kernels.finish(end);
+  emit(true);
+  return lines;
+}
+
+class SplitHalvesTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SplitHalvesTest, HalvesFedApartStitchTheCombinedLines) {
+  const core::Dataset dataset = small_corpus(GetParam());
+  std::vector<StreamEvent> events = merge_order(dataset);
+  ASSERT_FALSE(events.empty());
+  // A 20-hour quiet stretch: the first event after it crosses several
+  // 6-hour boundaries at once.
+  const util::TimeMs quiet = events.front().time + util::days(3);
+  std::erase_if(events, [quiet](const StreamEvent& ev) {
+    return ev.time >= quiet && ev.time < quiet + 20 * util::kHour;
+  });
+  const util::TimeMs end = dataset.period().end;
+
+  for (const bool exact : {true, false}) {
+    for (const util::DurationMs every : {6 * util::kHour, util::DurationMs{0}}) {
+      SCOPED_TRACE(std::string(exact ? "exact" : "space-saving") +
+                   " top-K, report_every " + std::to_string(every));
+      RollingConfig rc = rolling_config(dataset);
+      rc.kernels.topk_exact = exact;
+      rc.kernels.topk_capacity = 16;  // evictions in space-saving mode
+      rc.report_every = every;
+      const std::vector<std::string> want = combined_lines(rc, events, end);
+      ASSERT_EQ(want.size() > 20, every != 0) << want.size();
+
+      // Each half cold, fed the whole stream apart from the other: every
+      // drop part waits for its commit part.
+      RollingReporter split(rc);
+      for (const StreamEvent& ev : events) {
+        split.on_event(RollingReporter::Half::kDrop, ev);
+      }
+      EXPECT_TRUE(split.lines().empty());
+      for (const StreamEvent& ev : events) {
+        split.on_event(RollingReporter::Half::kCommit, ev);
+      }
+      ASSERT_TRUE(split.finish(end).ok());
+      EXPECT_EQ(split.lines(), want);
+
+      // Both halves per event, as the inline path feeds them.
+      RollingReporter inline_fed(rc);
+      for (const StreamEvent& ev : events) inline_fed.on_event(ev);
+      ASSERT_TRUE(inline_fed.finish(end).ok());
+      EXPECT_EQ(inline_fed.lines(), want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SplitHalvesTest,
+                         ::testing::Values(3u, 17u, 20191021u));
+
 /// A member_asn callback that throws on its `fail_at`-th call: the
 /// kernels raise it from wherever they run.
 RollingConfig failing_config(const core::Dataset& dataset,
@@ -228,16 +349,7 @@ TEST(RollingLaneFailureTest, KernelExceptionIsRethrownByTheReplay) {
   std::atomic<std::size_t> counted{0};
   {
     RollingReporter probe(failing_config(dataset, counted, 0));
-    for_each_in_merge_order(
-        dataset,
-        [&](const bgp::Update& u) {
-          probe.on_event(StreamEvent::from(u, 0));
-          return true;
-        },
-        [&](const flow::FlowRecord& f) {
-          probe.on_event(StreamEvent::from(f, 0));
-          return true;
-        });
+    for (const StreamEvent& ev : merge_order(dataset)) probe.on_event(ev);
   }
   ASSERT_GT(counted.load(), 100u) << "the corpus must attribute sources";
 
@@ -260,6 +372,31 @@ TEST(RollingLaneFailureTest, KernelExceptionIsRethrownByTheReplay) {
                    std::runtime_error);
       EXPECT_EQ(calls.load(), fail_at) << "no call after the failure";
     }
+  }
+}
+
+TEST(RollingLaneFailureTest, DropLaneFailureIsRethrownWhileCommitLaneRuns) {
+  // The drop half throws at its first attribution, early in the stream.
+  // With two lanes the commit lane is then still working through the
+  // batches in flight; the replay must stop it, rethrow and return
+  // without feeding the drop half again.
+  const core::Dataset dataset = small_corpus(17);
+  for (const bool lockstep : {true, false}) {
+    SCOPED_TRACE(lockstep ? "lockstep" : "threaded");
+    std::atomic<std::size_t> calls{0};
+    RollingConfig rc = rolling_config(dataset);
+    rc.kernels.member_asn = [&calls](net::Mac) -> std::optional<bgp::Asn> {
+      ++calls;
+      throw std::runtime_error("member_asn failed");
+    };
+    RollingReporter rolling(rc);
+    core::RtbhMonitor monitor({}, [](const core::Alert&) {});
+    ReplayOptions opt;
+    opt.lockstep = lockstep;
+    opt.block_deadline = 10 * util::kMinute;
+    opt.rolling = &rolling;
+    EXPECT_THROW(replay_streaming(dataset, monitor, opt), std::runtime_error);
+    EXPECT_EQ(calls.load(), 1u) << "no call after the failure";
   }
 }
 

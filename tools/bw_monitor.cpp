@@ -89,8 +89,9 @@ void usage() {
          "  --speed N: corpus-time/wall-clock ratio (threaded replay; 0 =\n"
          "             as fast as possible)\n"
          "  --lockstep: deterministic replay interleave on one ingest\n"
-         "             thread (rolling kernels on their own lane thread\n"
-         "             when BW_THREADS >= 2)\n"
+         "             thread (rolling kernels on a lane thread of their\n"
+         "             own when BW_THREADS >= 2, their two halves on two\n"
+         "             lanes when BW_THREADS >= 3)\n"
          "  --inject-stream-fault SPEC: slow:TICK:DRAIN | delay:US |\n"
          "             burst:N[:PAUSE_US] (comma-separated; forces overload)\n"
          "  --rolling-out FILE: rolling report snapshots, one JSONL line\n"
@@ -470,6 +471,7 @@ int main(int argc, char** argv) {
       manifest.corpus = path;
     }
     manifest.threads = util::ThreadPool::configured_concurrency();
+    manifest.monitor = true;
     if (replay || live) {
       manifest.stream.emplace().mode =
           std::string(to_string(replay_options.shed_mode));
