@@ -111,6 +111,9 @@ class RtbhMonitor {
   [[nodiscard]] std::size_t total_events() const noexcept {
     return total_events_;
   }
+  [[nodiscard]] std::size_t alerts_emitted() const noexcept {
+    return alerts_emitted_;
+  }
 
  private:
   struct PrefixState {
@@ -175,6 +178,7 @@ class RtbhMonitor {
   util::TimeMs next_due_{std::numeric_limits<util::TimeMs>::max()};
   util::TimeMs now_{std::numeric_limits<util::TimeMs>::min()};
   std::size_t total_events_{0};
+  std::size_t alerts_emitted_{0};
 };
 
 }  // namespace bw::core

@@ -40,6 +40,11 @@ class IpfixSampler {
     return rng_.fork(key);
   }
 
+  /// Expected number of samples for a burst (for tests and sanity checks).
+  [[nodiscard]] double expected_samples(const TrafficBurst& burst) const {
+    return static_cast<double>(burst.packets) * probability();
+  }
+
  private:
   std::uint32_t n_;
   util::Rng rng_;

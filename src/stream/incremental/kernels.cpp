@@ -12,19 +12,24 @@ obs::Counter& kernel_counter(const char* what) {
   return obs::Registry::global().counter(std::string("stream.kernel.") + what);
 }
 
-/// Position of events[idx] in the batch report order (span.begin, prefix)
-/// among itself and events[0, end). Events are created in delivery order,
-/// so begins never decrease along the log and only a run of equal begins
-/// reorders, by prefix (one prefix's events never share a begin).
-std::size_t report_position(const std::deque<OnlineEvent>& events,
-                            std::size_t idx, std::size_t end) {
+/// Slot the next new event, events[position.size()], into the batch report
+/// order (span.begin, prefix) and return its place. Events are created in
+/// delivery order with their begin fixed, so begins never decrease along
+/// the log and only the equal-begin tail the new event lands in reorders:
+/// its events that sort after the new one move up a place (one prefix's
+/// events never share a begin).
+std::size_t slot_event(const std::deque<OnlineEvent>& events,
+                       std::vector<std::size_t>& position) {
+  const std::size_t idx = position.size();
   const OnlineEvent& ev = events[idx];
-  std::size_t first = idx;
-  while (first > 0 && events[first - 1].begin == ev.begin) --first;
-  std::size_t pos = first;
-  for (std::size_t j = first; j < end && events[j].begin == ev.begin; ++j) {
-    if (events[j].prefix < ev.prefix) ++pos;
+  std::size_t pos = idx;
+  for (std::size_t j = idx; j > 0 && events[j - 1].begin == ev.begin; --j) {
+    if (ev.prefix < events[j - 1].prefix) {
+      ++position[j - 1];
+      --pos;
+    }
   }
+  position.push_back(pos);
   return pos;
 }
 
@@ -81,18 +86,16 @@ void DropKernels::finish(util::TimeMs period_end) { log_.finish(period_end); }
 
 void DropKernels::refresh_drop_deltas() {
   std::deque<OnlineEvent>& events = log_.events();
-  // A new event sorts after all but the equal-begin tail, so the insertion
-  // shifts only that tail.
-  for (std::size_t idx = deltas_.size(); idx < events.size(); ++idx) {
-    deltas_.insert(deltas_.begin() + static_cast<std::ptrdiff_t>(
-                                         report_position(events, idx, idx)),
+  while (position_.size() < events.size()) {
+    const std::size_t pos = slot_event(events, position_);
+    deltas_.insert(deltas_.begin() + static_cast<std::ptrdiff_t>(pos),
                    core::DropEventDelta{});
   }
   // New events start stale, so this also flattens them.
   for (std::size_t idx = 0; idx < events.size(); ++idx) {
     OnlineEvent& event = events[idx];
     if (!event.drop_stale) continue;
-    deltas_[report_position(events, idx, events.size())] = event.drop.delta();
+    deltas_[position_[idx]] = event.drop.delta();
     event.drop_stale = false;
   }
 }
@@ -241,7 +244,11 @@ void CommitKernels::snapshot(IncrementalSnapshot& snap) {
 
   // --- collateral: join the (event, host, port) cells against the servers
   // just detected, then the shared assembler. Hosts are in address order,
-  // so a group finds its server by binary search. ---
+  // so a group finds its server by binary search; a row's event index is
+  // the event's report position. ---
+  while (position_.size() < log_.events().size()) {
+    slot_event(log_.events(), position_);
+  }
   const std::vector<core::HostPortStats>& hosts = snap.ports.hosts;
   constexpr std::uint32_t kNoRow = 0xffffffffu;
   std::vector<core::CollateralEvent> rows;
@@ -260,8 +267,7 @@ void CommitKernels::snapshot(IncrementalSnapshot& snap) {
     server_of[g] = &*it;
     core::CollateralEvent ce;
     ce.server = group.host;
-    ce.event_index =
-        report_position(log_.events(), group.event, log_.events().size());
+    ce.event_index = position_[group.event];
     rows.push_back(ce);
   }
   for (const CollateralCell& c : collateral_) {

@@ -75,7 +75,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -150,8 +149,10 @@ class DropKernels {
   std::uint64_t bgp_seen_{0};
   std::uint64_t flows_seen_{0};
 
-  /// Each event's flattened drop delta in report order (valid while
+  /// Each event's place in the batch report order (span.begin, prefix),
+  /// and each event's flattened drop delta in that order (valid while
   /// !drop_stale).
+  std::vector<std::size_t> position_;
   std::vector<core::DropEventDelta> deltas_;
 
   TopKPorts topk_;
@@ -249,6 +250,8 @@ class CommitKernels {
   std::vector<HostState> hosts_;
   util::FlatIndex host_ids_;  ///< ip -> hosts_ slot
 
+  /// Each event's report place: the collateral rows' event index.
+  std::vector<std::size_t> position_;
   std::vector<CollateralGroup> collateral_groups_;
   util::FlatIndex collateral_group_ids_;  ///< event << 32 | ip -> group
   std::vector<CollateralCell> collateral_;

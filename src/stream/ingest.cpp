@@ -87,19 +87,23 @@ Shedder::MakeRoom Feed::wait_for_room(const std::atomic<bool>& abort) {
   };
 }
 
-/// The rolling lanes behind a Deliverer: one ring of kLaneSlots batches
-/// that every lane reads. The consumer fills slot tail_; lane i owns the
-/// full_[i] slots from head_[i] on, and a slot is refilled only once every
-/// lane has released it. With one lane it feeds both halves of the
-/// kernels; with two, lane 0 feeds the drop half and lane 1 the commit
-/// half. A slot changes hands only under mu_, which orders its contents.
+/// The two rolling lanes behind a Deliverer: one ring of kLaneSlots
+/// batches that both read. The consumer fills slot tail_; lane 0 feeds the
+/// drop half of the kernels and lane 1 the commit half, each from the
+/// full_[i] slots at head_[i] on, and a slot is refilled only once both
+/// have released it. A slot changes hands only under mu_, which orders its
+/// contents.
 class RollingLane {
  public:
-  RollingLane(incremental::RollingReporter& rolling, std::size_t lanes)
-      : rolling_(rolling), full_(lanes, 0), head_(lanes, 0) {
-    threads_.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      threads_.emplace_back([this, i] { run(i); });
+  explicit RollingLane(incremental::RollingReporter& rolling)
+      : rolling_(rolling) {
+    try {
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        threads_[i] = std::thread([this, i] { run(i); });
+      }
+    } catch (...) {
+      close(/*flush=*/false);  // join the lane already started
+      throw;
     }
   }
   ~RollingLane() { close(/*flush=*/false); }
@@ -122,6 +126,7 @@ class RollingLane {
   /// so the lanes ride out a snapshot while the consumer goes on.
   static constexpr std::size_t kLaneBatch = 2048;
   static constexpr std::size_t kLaneSlots = 4;
+  static constexpr std::size_t kLanes = 2;
 
   /// Some lane still holds every slot, the consumer's next one included.
   [[nodiscard]] bool ring_full() const {
@@ -149,7 +154,6 @@ class RollingLane {
   void run(std::size_t lane) {
     using Half = incremental::RollingReporter::Half;
     const Half half = lane == 0 ? Half::kDrop : Half::kCommit;
-    const bool both = full_.size() == 1;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       ready_.wait(lock, [&] { return full_[lane] > 0 || closed_ || error_; });
@@ -158,10 +162,7 @@ class RollingLane {
       const std::vector<StreamEvent>& batch = slots_[head_[lane]];
       lock.unlock();
       try {
-        for (const StreamEvent& ev : batch) {
-          if (both) rolling_.on_event(ev);
-          else rolling_.on_event(half, ev);
-        }
+        for (const StreamEvent& ev : batch) rolling_.on_event(half, ev);
       } catch (...) {
         lock.lock();
         if (!error_) error_ = std::current_exception();
@@ -191,7 +192,9 @@ class RollingLane {
       discard_ = !flush;
     }
     ready_.notify_all();
-    for (std::thread& t : threads_) t.join();
+    for (std::thread& t : threads_) {
+      if (t.joinable()) t.join();
+    }
   }
 
   incremental::RollingReporter& rolling_;
@@ -200,12 +203,12 @@ class RollingLane {
   std::mutex mu_;
   std::condition_variable ready_;  ///< lanes wait for a full batch
   std::condition_variable room_;   ///< the consumer waits for a free slot
-  std::vector<std::size_t> full_;  ///< per lane: batches held
-  std::vector<std::size_t> head_;  ///< per lane: its next slot
+  std::array<std::size_t, kLanes> full_{};  ///< per lane: batches held
+  std::array<std::size_t, kLanes> head_{};  ///< per lane: its next slot
   bool closed_{false};
   bool discard_{false};
   std::exception_ptr error_;
-  std::vector<std::thread> threads_;
+  std::array<std::thread, kLanes> threads_;
 };
 
 Deliverer::Deliverer(core::RtbhMonitor& monitor,
@@ -214,10 +217,8 @@ Deliverer::Deliverer(core::RtbhMonitor& monitor,
     : monitor_(monitor), rolling_(rolling), delay_us_(delay_us) {
   if (rolling == nullptr) return;
   (void)lane_metrics();  // a run with rolling kernels reports both, 0 inline
-  if (const std::size_t threads = util::ThreadPool::configured_concurrency();
-      threads >= 2) {
-    lane_ = std::make_unique<RollingLane>(
-        *rolling, std::min<std::size_t>(2, threads - 1));
+  if (util::ThreadPool::configured_concurrency() >= 2) {
+    lane_ = std::make_unique<RollingLane>(*rolling);
     rolling_ = nullptr;
   }
 }

@@ -102,13 +102,12 @@ class RollingLane;
 /// with per-kind accounting. Owned by the consumer thread; read its
 /// counters only after join().
 ///
-/// The rolling kernels run on min(2, n - 1) lane threads of their own when
-/// a reporter is given and n = util::ThreadPool::configured_concurrency()
-/// is at least 2. The consumer then delivers each event to the monitor
-/// inline and copies it into a batch; every full batch goes to every
-/// lane, each of which feeds the reporter in delivery order: one lane both
-/// halves of the kernels, two lanes the drop and the commit half each. A
-/// few batches may be in flight; a consumer whose next slot some lane
+/// The rolling kernels run on two lane threads of their own when a
+/// reporter is given and util::ThreadPool::configured_concurrency() >= 2.
+/// The consumer then delivers each event to the monitor inline and copies
+/// it into a batch; every full batch goes to both lanes, which feed the
+/// drop and the commit half of the kernels in delivery order. A few
+/// batches may be in flight; a consumer whose next slot some lane
 /// still holds waits (stream.rolling.lane_wait_us), so no lane sheds or
 /// reorders. A replay then costs about max(mux + monitor, slower half)
 /// instead of their sum. At BW_THREADS=1 the consumer calls on_event

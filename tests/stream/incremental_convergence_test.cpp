@@ -15,6 +15,8 @@
 //      previous snapshot; at every hourly boundary its snapshot equals that
 //      of a cold kernel (no caches yet) fed the same event prefix, in both
 //      top-K modes.
+//   5. Equal begins — a long run of events sharing one begin is reported
+//      in prefix order however it was created and snapshotted.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -279,6 +281,48 @@ TEST(IncrementalConvergenceTest, RollingTopKEmitsKEntriesAboveSixteen) {
     ++entries;
   }
   EXPECT_EQ(entries, 20u) << topk;
+}
+
+TEST(IncrementalConvergenceTest, EqualBeginRunIsReportedInPrefixOrder) {
+  // Every /32 announced at one instant in descending address order, as
+  // when a session start announces every active blackhole: report order
+  // (begin, prefix) reverses creation order across the whole run.
+  // Snapshots taken while the run grows and while its tallies change must
+  // still put each event's drop rate at its address rank.
+  constexpr std::uint32_t kHosts = 2000;
+  constexpr std::uint32_t kBase = 0x0a000000u;
+  IncrementalConfig kc;
+  kc.period = {0, util::kDay};
+  IncrementalKernels kernels(kc);
+  std::uint64_t seq = 0;
+  for (std::uint32_t i = kHosts; i-- > 0;) {
+    bgp::Update u;
+    u.time = util::kHour;
+    u.prefix = net::Prefix::host(net::Ipv4(kBase + i));
+    u.communities = {bgp::kBlackhole};
+    kernels.on_event(StreamEvent::from(u, seq++));
+    if (i % 100 == 0) (void)kernels.snapshot(false, 0);
+  }
+  // Host i gets 10 sampled packets, 1 + i % 9 of them dropped.
+  for (std::uint32_t i = 0; i < kHosts; ++i) {
+    flow::FlowRecord rec;
+    rec.time = 2 * util::kHour;
+    rec.dst_ip = net::Ipv4(kBase + i);
+    rec.packets = 1 + i % 9;
+    rec.dst_mac = net::Mac::blackhole();
+    kernels.on_event(StreamEvent::from(rec, seq++));
+    rec.packets = 10 - rec.packets;
+    rec.dst_mac = net::Mac();
+    kernels.on_event(StreamEvent::from(rec, seq++));
+    if (i % 100 == 0) (void)kernels.snapshot(false, 0);
+  }
+  const IncrementalSnapshot snap = kernels.snapshot(false, 0);
+  ASSERT_EQ(snap.rtbh_events, kHosts);
+  const std::vector<double>& rates = snap.drop.event_rates_len32;
+  ASSERT_EQ(rates.size(), kHosts);
+  for (std::uint32_t i = 0; i < kHosts; ++i) {
+    ASSERT_EQ(rates[i], (1 + i % 9) / 10.0) << "host " << i;
+  }
 }
 
 }  // namespace

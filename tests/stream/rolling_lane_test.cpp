@@ -1,14 +1,12 @@
 // The rolling lanes behind the ingest core's Deliverer (stream/ingest.hpp):
-// with BW_THREADS >= 3 the two halves of the incremental kernels run on a
-// lane thread each, at BW_THREADS=2 one lane feeds both, and at
-// BW_THREADS=1 the consumer calls them inline. Either way a reporter
-// behind lockstep replay, threaded replay or a fault-free live session
+// with BW_THREADS >= 2 the two halves of the incremental kernels run on a
+// lane thread each, and at BW_THREADS=1 the consumer calls them inline.
+// Either way a reporter behind lockstep replay, threaded replay or a fault-free live session
 // must emit the lines, and its monitor the alert log, of a reporter and
 // monitor fed directly in the batch merge order. The two halves fed one
 // after the other must stitch the lines of the combined kernels. A kernel
 // exception must surface from the run that raised it, with every producer
-// and lane joined. ctest runs this suite three times, at BW_THREADS=4, 2
-// and 1.
+// and lane joined. ctest runs this suite twice, at BW_THREADS=4 and 1.
 #include <gtest/gtest.h>
 #include <unistd.h>
 

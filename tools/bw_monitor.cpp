@@ -89,9 +89,8 @@ void usage() {
          "  --speed N: corpus-time/wall-clock ratio (threaded replay; 0 =\n"
          "             as fast as possible)\n"
          "  --lockstep: deterministic replay interleave on one ingest\n"
-         "             thread (rolling kernels on a lane thread of their\n"
-         "             own when BW_THREADS >= 2, their two halves on two\n"
-         "             lanes when BW_THREADS >= 3)\n"
+         "             thread (rolling kernels' two halves on two lane\n"
+         "             threads of their own when BW_THREADS >= 2)\n"
          "  --inject-stream-fault SPEC: slow:TICK:DRAIN | delay:US |\n"
          "             burst:N[:PAUSE_US] (comma-separated; forces overload)\n"
          "  --rolling-out FILE: rolling report snapshots, one JSONL line\n"
