@@ -88,10 +88,6 @@ class Rib {
     return blackholes_.active_at(addr, t);
   }
 
-  [[nodiscard]] const BlackholeHistory& blackhole_history() const noexcept {
-    return blackholes_;
-  }
-
   [[nodiscard]] std::size_t offered() const noexcept { return offered_; }
   [[nodiscard]] std::size_t accepted() const noexcept { return accepted_; }
 

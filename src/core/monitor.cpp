@@ -113,7 +113,6 @@ void RtbhMonitor::emit(AlertKind kind, util::TimeMs t,
   alert.origin = st.origin;
   alert.value = value;
   alert.message = std::move(message);
-  ++alerts_emitted_;
   static obs::Counter& alerts = monitor_counter("alerts");
   alerts.add();
   if (sink_) sink_(alert);

@@ -56,10 +56,6 @@ class BlackholeService {
     return private_.active_at(addr, t);
   }
 
-  [[nodiscard]] std::size_t private_blackhole_count() const noexcept {
-    return private_.prefix_count();
-  }
-
  private:
   std::uint16_t rs_asn_;
   net::Ipv4 next_hop_;
