@@ -3,7 +3,7 @@
 //
 // Paper: the last significant drop happens up to delta = 10 minutes; at
 // that threshold 400k announcements collapse into 34k events (8.5%). The
-// delta = infinity lower bound equals the number of unique prefixes.
+// delta = infinity lower bound equals the number of announced prefixes.
 #include "common.hpp"
 #include "core/event_merge.hpp"
 

@@ -18,11 +18,13 @@ std::string Update::to_string() const {
   return os.str();
 }
 
+bool update_before(const Update& a, const Update& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.type == UpdateType::kWithdraw && b.type == UpdateType::kAnnounce;
+}
+
 void sort_updates(UpdateLog& log) {
-  std::stable_sort(log.begin(), log.end(), [](const Update& a, const Update& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.type == UpdateType::kWithdraw && b.type == UpdateType::kAnnounce;
-  });
+  std::stable_sort(log.begin(), log.end(), update_before);
 }
 
 }  // namespace bw::bgp

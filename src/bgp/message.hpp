@@ -40,9 +40,12 @@ struct Update {
 /// Chronologically ordered control-plane trace.
 using UpdateLog = std::vector<Update>;
 
-/// Stable ordering for replay: by time, withdraw-before-announce at
-/// identical timestamps, so a same-instant re-announcement leaves the
-/// blackhole active rather than withdrawn.
+/// Replay order: by time, withdraw-before-announce at identical
+/// timestamps, so a same-instant re-announcement leaves the blackhole
+/// active rather than withdrawn.
+[[nodiscard]] bool update_before(const Update& a, const Update& b);
+
+/// Stable sort into update_before order.
 void sort_updates(UpdateLog& log);
 
 }  // namespace bw::bgp

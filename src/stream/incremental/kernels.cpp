@@ -12,27 +12,6 @@ obs::Counter& kernel_counter(const char* what) {
   return obs::Registry::global().counter(std::string("stream.kernel.") + what);
 }
 
-/// Slot the next new event, events[position.size()], into the batch report
-/// order (span.begin, prefix) and return its place. Events are created in
-/// delivery order with their begin fixed, so begins never decrease along
-/// the log and only the equal-begin tail the new event lands in reorders:
-/// its events that sort after the new one move up a place (one prefix's
-/// events never share a begin).
-std::size_t slot_event(const std::deque<OnlineEvent>& events,
-                       std::vector<std::size_t>& position) {
-  const std::size_t idx = position.size();
-  const OnlineEvent& ev = events[idx];
-  std::size_t pos = idx;
-  for (std::size_t j = idx; j > 0 && events[j - 1].begin == ev.begin; --j) {
-    if (ev.prefix < events[j - 1].prefix) {
-      ++position[j - 1];
-      --pos;
-    }
-  }
-  position.push_back(pos);
-  return pos;
-}
-
 }  // namespace
 
 IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
@@ -62,6 +41,8 @@ void DropKernels::on_event(const StreamEvent& ev) {
     if (log_.events().size() != before) {
       static obs::Counter& created = kernel_counter("rtbh_events");
       created.add();
+      tallies_.emplace_back().init(ev.update.prefix.length());
+      stale_.push_back(true);
     }
     return;
   }
@@ -72,12 +53,13 @@ void DropKernels::on_event(const StreamEvent& ev) {
   // exactly the batch membership (see the header's ordering argument).
   // The tally (DropEventTally) merges through the batch kernel's
   // assemble_drop_rate_report.
-  log_.for_each_open(rec.dst_ip, [&](OnlineEvent& event) {
-    event.drop.add(rec.packets, rec.bytes, rec.dropped(),
-                   event.drop.host_event && cfg_.member_asn
-                       ? cfg_.member_asn(rec.src_mac)
-                       : std::nullopt);
-    event.drop_stale = true;
+  log_.for_each_open(rec.dst_ip, [&](std::size_t event) {
+    core::DropEventTally& tally = tallies_[event];
+    tally.add(rec.packets, rec.bytes, rec.dropped(),
+              tally.host_event && cfg_.member_asn
+                  ? cfg_.member_asn(rec.src_mac)
+                  : std::nullopt);
+    stale_[event] = true;
   });
   topk_.add({rec.proto, rec.dst_port}, rec.packets);
 }
@@ -85,18 +67,17 @@ void DropKernels::on_event(const StreamEvent& ev) {
 void DropKernels::finish(util::TimeMs period_end) { log_.finish(period_end); }
 
 void DropKernels::refresh_drop_deltas() {
-  std::deque<OnlineEvent>& events = log_.events();
+  const std::vector<core::RtbhEvent>& events = log_.events();
   while (position_.size() < events.size()) {
-    const std::size_t pos = slot_event(events, position_);
+    const std::size_t pos = core::slot_event(events, position_);
     deltas_.insert(deltas_.begin() + static_cast<std::ptrdiff_t>(pos),
                    core::DropEventDelta{});
   }
   // New events start stale, so this also flattens them.
   for (std::size_t idx = 0; idx < events.size(); ++idx) {
-    OnlineEvent& event = events[idx];
-    if (!event.drop_stale) continue;
-    deltas_[position_[idx]] = event.drop.delta();
-    event.drop_stale = false;
+    if (!stale_[idx]) continue;
+    deltas_[position_[idx]] = tallies_[idx].delta();
+    stale_[idx] = false;
   }
 }
 
@@ -247,7 +228,7 @@ void CommitKernels::snapshot(IncrementalSnapshot& snap) {
   // so a group finds its server by binary search; a row's event index is
   // the event's report position. ---
   while (position_.size() < log_.events().size()) {
-    slot_event(log_.events(), position_);
+    core::slot_event(log_.events(), position_);
   }
   const std::vector<core::HostPortStats>& hosts = snap.ports.hosts;
   constexpr std::uint32_t kNoRow = 0xffffffffu;

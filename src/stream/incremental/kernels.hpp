@@ -47,11 +47,11 @@
 //                 commit() marks the row stale when it touches the host's
 //                 accumulator, and only stale rows are finalized again.
 //   drop deltas   each event's flattened DropEventDelta is cached in report
-//                 order; the delivery-time tally callback marks the event
-//                 stale, and only stale events are flattened again. Events
-//                 created since the last snapshot are slotted into the
-//                 order (they begin no earlier than any older event, so
-//                 they land at or near the end).
+//                 order; the delivery-time tally callback marks the event's
+//                 tally stale, and only stale tallies are flattened again.
+//                 Events created since the last snapshot are slotted into
+//                 the order (core::slot_event: they begin no earlier than
+//                 any older event, so they land at or near the end).
 //   top-K         a bounded selection over the contiguous counters.
 //
 // A cold kernel fed the same events has every cache empty, so its snapshot
@@ -62,16 +62,17 @@
 // pending queue is a ring of 32-byte committed fields; hosts, collateral
 // (event, host) groups, (event, host, proto:port) cells and top-K counters
 // are dense vectors found through util::FlatIndex; prefix tracks likewise
-// (events.hpp). The cost model per flow is in docs/streaming.md.
+// (core::EventLog, the one Section 5.1 merger, which the batch
+// merge_events runs too). The cost model per flow is in docs/streaming.md.
 //
 // Two halves. The kernels split along the seam above, and nothing crosses
 // it but the delivered events. DropKernels holds what is known at
-// delivery (its own event log, the drop tallies and deltas, top-K, the
-// progress counters); CommitKernels what is known past the horizon (a
-// second event log fed the same updates, the pending ring, hosts and
-// collateral cells). Each renders its sections of a snapshot alone, so
-// the two may run on two threads (stream::Deliverer's rolling lanes);
-// IncrementalKernels runs both in sequence.
+// delivery (its own event log, the per-event drop tallies and deltas,
+// top-K, the progress counters); CommitKernels what is known past the
+// horizon (a second event log fed the same updates, the pending ring,
+// hosts and collateral cells). Each renders its sections of a snapshot
+// alone, so the two may run on two threads (stream::Deliverer's rolling
+// lanes); IncrementalKernels runs both in sequence.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +82,10 @@
 
 #include "core/collateral.hpp"
 #include "core/drop_rate.hpp"
+#include "core/event_merge.hpp"
 #include "core/port_accum.hpp"
 #include "core/port_stats.hpp"
 #include "stream/event.hpp"
-#include "stream/incremental/events.hpp"
 #include "stream/incremental/topk.hpp"
 #include "util/flat_index.hpp"
 
@@ -143,15 +144,19 @@ class DropKernels {
   void refresh_drop_deltas();
 
   IncrementalConfig cfg_;
-  OnlineEventLog log_;
+  core::EventLog log_;
   util::TimeMs clock_{0};
   std::uint64_t events_seen_{0};
   std::uint64_t bgp_seen_{0};
   std::uint64_t flows_seen_{0};
 
+  /// Per event id: its Section 4.2 tally, and whether the tally changed
+  /// since it was last flattened into deltas_.
+  std::vector<core::DropEventTally> tallies_;
+  std::vector<bool> stale_;
   /// Each event's place in the batch report order (span.begin, prefix),
-  /// and each event's flattened drop delta in that order (valid while
-  /// !drop_stale).
+  /// and each event's flattened drop delta in that order (valid while the
+  /// event's tally is not stale).
   std::vector<std::size_t> position_;
   std::vector<core::DropEventDelta> deltas_;
 
@@ -234,7 +239,7 @@ class CommitKernels {
 
   IncrementalConfig cfg_;
   util::DurationMs lag_;
-  OnlineEventLog log_;
+  core::EventLog log_;
   PendingRing pending_;
   /// Delivered events per drain: due flows wait for the batch (or for a
   /// snapshot), so the commit timer costs one clock pair per batch.

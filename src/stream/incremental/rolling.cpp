@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <concepts>
+#include <ostream>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -183,12 +184,10 @@ util::Status RollingReporter::finish(util::TimeMs period_end) {
     emit(Half::kCommit, true);
   }
   if (cfg_.out_path.empty()) return util::Status();
-  std::string all;
-  for (const std::string& line : lines_) {
-    all += line;
-    all += '\n';
-  }
-  return util::atomic_write_file(cfg_.out_path, all);
+  return util::atomic_write_file(cfg_.out_path, [this](std::ostream& os) {
+    for (const std::string& line : lines_) os << line << '\n';
+    return util::Status();
+  });
 }
 
 void RollingReporter::emit(Half half, bool final_report) {

@@ -118,6 +118,19 @@ TEST_F(EventMergeTest, SweepIsMonotoneAndEndsAtUniquePrefixes) {
   EXPECT_DOUBLE_EQ(sweep.back().event_fraction, 2.0 / 5.0);
 }
 
+TEST_F(EventMergeTest, WithdrawOnlyPrefixIsNotCountedAtInfiniteDelta) {
+  add(kP1, 0, util::kMinute);
+  // kP2 is only ever withdrawn: it has no event at any delta.
+  log_.push_back(svc_.make_withdraw(2 * util::kMinute, 100, 200, kP2));
+  const auto sweep = merge_sweep(log_, util::kHour, {0, 10 * util::kMinute});
+  ASSERT_EQ(sweep.size(), 3u);
+  EXPECT_EQ(sweep[0].events, 1u);
+  EXPECT_EQ(sweep[1].events, 1u);
+  EXPECT_EQ(sweep.back().delta, -1);
+  EXPECT_EQ(sweep.back().events, 1u);
+  EXPECT_LE(sweep.back().events, sweep[1].events) << "monotone in delta";
+}
+
 TEST_F(EventMergeTest, ActiveIntervalsPreserved) {
   add(kP1, 0, util::kMinute);
   add(kP1, 2 * util::kMinute, 3 * util::kMinute);

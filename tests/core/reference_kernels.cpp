@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "core/port_accum.hpp"
 #include "net/ports.hpp"
@@ -32,6 +33,51 @@ EventFlows flows_per_event(const flow::FlowLog& log,
     }
   }
   return out;
+}
+
+struct PrefixTimeline {
+  bgp::Asn sender{0};
+  bgp::Asn origin{0};
+  /// (announce, withdraw) pairs in time order; withdraw == period_end for
+  /// never-withdrawn blackholes.
+  std::vector<util::TimeRange> intervals;
+  std::size_t announcements{0};
+};
+
+std::unordered_map<net::Prefix, PrefixTimeline> build_timelines(
+    const bgp::UpdateLog& updates, util::TimeMs period_end) {
+  // Updates are expected sorted; enforce locally to stay robust.
+  bgp::UpdateLog sorted = updates;
+  bgp::sort_updates(sorted);
+
+  std::unordered_map<net::Prefix, PrefixTimeline> timelines;
+  std::unordered_map<net::Prefix, util::TimeMs> open;
+  for (const auto& u : sorted) {
+    auto& tl = timelines[u.prefix];
+    if (tl.announcements == 0) {
+      tl.sender = u.sender_asn;
+      tl.origin = u.origin_asn;
+    }
+    if (u.type == bgp::UpdateType::kAnnounce) {
+      ++tl.announcements;
+      open.emplace(u.prefix, u.time);  // ignore re-announce while open
+    } else {
+      const auto it = open.find(u.prefix);
+      if (it == open.end()) continue;  // withdraw without announce
+      tl.intervals.push_back({it->second, std::max(u.time, it->second)});
+      open.erase(it);
+    }
+  }
+  for (const auto& [prefix, begin] : open) {
+    timelines[prefix].intervals.push_back({begin, period_end});
+  }
+  for (auto& [prefix, tl] : timelines) {
+    std::sort(tl.intervals.begin(), tl.intervals.end(),
+              [](const util::TimeRange& a, const util::TimeRange& b) {
+                return a.begin < b.begin;
+              });
+  }
+  return timelines;
 }
 
 bool attack_correlated(const PreRtbhReport& pre, std::size_t e) {
@@ -496,14 +542,52 @@ WhatIfReport whatif(const Dataset& dataset,
 
 }  // namespace
 
+std::vector<RtbhEvent> merge_events(const bgp::UpdateLog& blackhole_updates,
+                                    util::TimeMs period_end,
+                                    util::DurationMs delta) {
+  const auto timelines = build_timelines(blackhole_updates, period_end);
+
+  std::vector<RtbhEvent> events;
+  for (const auto& [prefix, tl] : timelines) {
+    RtbhEvent current;
+    bool has_current = false;
+    for (const auto& iv : tl.intervals) {
+      if (has_current && iv.begin - current.span.end <= delta) {
+        current.active.push_back(iv);
+        current.span.end = std::max(current.span.end, iv.end);
+        ++current.announcements;
+        continue;
+      }
+      if (has_current) events.push_back(std::move(current));
+      current = RtbhEvent{};
+      current.prefix = prefix;
+      current.sender = tl.sender;
+      current.origin = tl.origin;
+      current.span = iv;
+      current.active = {iv};
+      current.announcements = 1;
+      has_current = true;
+    }
+    if (has_current) events.push_back(std::move(current));
+  }
+  std::sort(events.begin(), events.end(),
+            [](const RtbhEvent& a, const RtbhEvent& b) {
+              if (a.span.begin != b.span.begin) {
+                return a.span.begin < b.span.begin;
+              }
+              return a.prefix < b.prefix;
+            });
+  return events;
+}
+
 AnalysisReport run_pipeline(const Dataset& dataset,
                             const AnalysisConfig& config) {
   AnalysisReport r;
   r.data_quality.dataset = dataset.quality();
   const flow::FlowLog log = owned_log(dataset);
   r.summary = summary(dataset, log);
-  r.events = merge_events(dataset.blackhole_updates(), dataset.period().end,
-                          config.merge_delta);
+  r.events = reference::merge_events(dataset.blackhole_updates(),
+                                     dataset.period().end, config.merge_delta);
   const EventFlows flows = flows_per_event(log, r.events);
   r.pre = pre_rtbh(dataset, r.events, flows, config.pre);
   r.drop = drop_rates(dataset, r.events, flows, config.drop);

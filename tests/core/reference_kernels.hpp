@@ -8,6 +8,10 @@
 // core::FlowView, flow::FlowColumns or store::FlowStore, so a scan bug in
 // those cannot hide in both sides.
 //
+// Event merging (Section 5.1) builds every prefix's announce..withdraw
+// timeline in hash maps, then merges the intervals and sorts the events.
+// It shares no code with core::EventLog, so the two check each other.
+//
 // The reference does feed the same shared finalisers the production and
 // streaming kernels use (DropEventTally, assemble_drop_rate_report,
 // PortAccumulator, finalize_port_host, assemble_collateral_report,
@@ -20,6 +24,11 @@
 #include "core/whatif.hpp"
 
 namespace bw::core::reference {
+
+/// What core::merge_events returns for the same arguments.
+[[nodiscard]] std::vector<RtbhEvent> merge_events(
+    const bgp::UpdateLog& blackhole_updates, util::TimeMs period_end,
+    util::DurationMs delta = kDefaultMergeDelta);
 
 /// What run_pipeline returns for `dataset`, which must be materialized
 /// (flows() serves every record). No stage is degraded.

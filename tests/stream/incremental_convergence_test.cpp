@@ -30,6 +30,7 @@
 #include "core/monitor.hpp"
 #include "core/pipeline.hpp"
 #include "core/port_stats.hpp"
+#include "core/reference_kernels.hpp"
 #include "stream/incremental/rolling.hpp"
 #include "stream/replay.hpp"
 #include "util/parallel.hpp"
@@ -68,12 +69,13 @@ std::vector<StreamEvent> delivery_order(const core::Dataset& dataset) {
   return out;
 }
 
-/// The batch oracle: merge + the three batch kernels on `pool`, rendered
+/// The batch oracle: the reference merge (not core::EventLog, which the
+/// streaming kernels run) + the three batch kernels on `pool`, rendered
 /// through the one shared figures renderer.
 std::string batch_figures(const core::Dataset& dataset,
                           util::ThreadPool* pool) {
-  const auto events =
-      core::merge_events(dataset.blackhole_updates(), dataset.period().end);
+  const auto events = core::reference::merge_events(
+      dataset.blackhole_updates(), dataset.period().end);
   const auto drop = core::compute_drop_rates(dataset, events, {}, pool);
   const auto ports = core::compute_port_stats(dataset, events, {}, pool);
   const auto collateral =
