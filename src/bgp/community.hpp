@@ -59,8 +59,6 @@ class TargetedAnnouncement {
   [[nodiscard]] std::vector<Community> exclude(
       std::span<const std::uint16_t> peer_asns) const;
 
-  [[nodiscard]] std::uint16_t route_server_asn() const noexcept { return rs_asn_; }
-
  private:
   std::uint16_t rs_asn_;
 };

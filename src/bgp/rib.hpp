@@ -43,11 +43,6 @@ class BlackholeHistory {
   [[nodiscard]] std::vector<util::TimeRange> intervals(
       const net::Prefix& prefix) const;
 
-  /// Number of distinct prefixes ever recorded.
-  [[nodiscard]] std::size_t prefix_count() const noexcept {
-    return trie_.size();
-  }
-
   /// Visit every recorded prefix with its closed intervals.
   void for_each(
       const std::function<void(const net::Prefix&,
