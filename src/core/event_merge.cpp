@@ -5,7 +5,8 @@
 
 namespace bw::core {
 
-EventLog::EventLog(util::DurationMs merge_delta) : delta_(merge_delta) {}
+EventLog::EventLog(util::DurationMs merge_delta, Intervals intervals)
+    : delta_(merge_delta), intervals_(intervals) {}
 
 void EventLog::on_update(const bgp::Update& u) {
   if (u.type == bgp::UpdateType::kWithdraw) {
@@ -54,8 +55,11 @@ void EventLog::on_update(const bgp::Update& u) {
 
 void EventLog::close(Track& track, util::TimeMs end) {
   RtbhEvent& ev = events_[track.events.back()];
-  ev.span.end = ev.active.empty() ? end : std::max(ev.span.end, end);
-  ev.active.push_back({track.open_since, end});
+  // The first interval sets the end; a later one can only extend it.
+  ev.span.end = ev.announcements == 1 ? end : std::max(ev.span.end, end);
+  if (intervals_ == Intervals::kRecord) {
+    ev.active.push_back({track.open_since, end});
+  }
   track.open = false;
   --open_;
 }
@@ -133,8 +137,8 @@ const bgp::UpdateLog& in_replay_order(const bgp::UpdateLog& updates,
 }
 
 EventLog run_log(const bgp::UpdateLog& sorted, util::TimeMs period_end,
-                 util::DurationMs delta) {
-  EventLog log(delta);
+                 util::DurationMs delta, EventLog::Intervals intervals) {
+  EventLog log(delta, intervals);
   for (const bgp::Update& u : sorted) log.on_update(u);
   log.finish(period_end);
   return log;
@@ -146,7 +150,8 @@ std::vector<RtbhEvent> merge_events(const bgp::UpdateLog& blackhole_updates,
                                     util::TimeMs period_end,
                                     util::DurationMs delta) {
   bgp::UpdateLog copy;
-  return run_log(in_replay_order(blackhole_updates, copy), period_end, delta)
+  return run_log(in_replay_order(blackhole_updates, copy), period_end, delta,
+                 EventLog::Intervals::kRecord)
       .take_report_order();
 }
 
@@ -167,7 +172,10 @@ std::vector<MergeSweepPoint> merge_sweep(
   const auto point = [&](util::DurationMs d, util::DurationMs log_delta) {
     MergeSweepPoint p;
     p.delta = d;
-    p.events = run_log(sorted, period_end, log_delta).events().size();
+    p.events = run_log(sorted, period_end, log_delta,
+                       EventLog::Intervals::kSkip)
+                   .events()
+                   .size();
     p.event_fraction = static_cast<double>(p.events) / denom;
     out.push_back(p);
   };

@@ -64,7 +64,8 @@ struct RtbhEvent {
   bgp::Asn sender{0};
   bgp::Asn origin{0};
   util::TimeRange span;  ///< first announce .. last withdraw (or period end)
-  /// Announce..withdraw intervals inside the event (gaps included in span).
+  /// Announce..withdraw intervals inside the event (gaps included in
+  /// span); filled by merge_events, empty from the streaming kernels.
   std::vector<util::TimeRange> active;
   std::size_t announcements{0};  ///< intervals, an open one included
 };
@@ -77,7 +78,11 @@ inline constexpr util::DurationMs kDefaultMergeDelta = 10 * util::kMinute;
 /// span.end is provisional until its interval closes.
 class EventLog {
  public:
-  explicit EventLog(util::DurationMs merge_delta = kDefaultMergeDelta);
+  /// Whether closed intervals go into RtbhEvent::active. Only the batch
+  /// readers of merge_events (drop_rate, whatif) read them.
+  enum class Intervals : bool { kSkip, kRecord };
+
+  EventLog(util::DurationMs merge_delta, Intervals intervals);
 
   /// Updates must arrive in bgp::sort_updates order.
   void on_update(const bgp::Update& u);
@@ -164,6 +169,7 @@ class EventLog {
                                            util::DurationMs w) const;
 
   util::DurationMs delta_;
+  Intervals intervals_;
   std::vector<RtbhEvent> events_;
   std::vector<Track> tracks_;  ///< in first-announce order
   util::FlatIndex index_;      ///< key_of(prefix) -> tracks_ slot

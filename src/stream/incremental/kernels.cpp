@@ -25,7 +25,7 @@ IncrementalSnapshot IncrementalKernels::snapshot(bool final_report,
 
 DropKernels::DropKernels(IncrementalConfig config)
     : cfg_(std::move(config)),
-      log_(cfg_.merge_delta),
+      log_(cfg_.merge_delta, core::EventLog::Intervals::kSkip),
       topk_(cfg_.topk_capacity, cfg_.topk_exact) {}
 
 void DropKernels::on_event(const StreamEvent& ev) {
@@ -102,7 +102,7 @@ void DropKernels::snapshot(IncrementalSnapshot& snap, std::size_t topk) {
 CommitKernels::CommitKernels(IncrementalConfig config)
     : cfg_(std::move(config)),
       lag_(std::max(cfg_.ports.reaction_window, cfg_.merge_delta)),
-      log_(cfg_.merge_delta) {}
+      log_(cfg_.merge_delta, core::EventLog::Intervals::kSkip) {}
 
 void CommitKernels::on_event(const StreamEvent& ev) {
   clock_ = ev.time;

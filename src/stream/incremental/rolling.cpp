@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "util/atomic_file.hpp"
 
 namespace bw::stream::incremental {
 
@@ -153,7 +152,9 @@ std::string RollingReporter::figures_json(
 }
 
 RollingReporter::RollingReporter(RollingConfig config)
-    : cfg_(std::move(config)), drop_(cfg_.kernels), commit_(cfg_.kernels) {}
+    : cfg_(std::move(config)), drop_(cfg_.kernels), commit_(cfg_.kernels) {
+  if (!cfg_.out_path.empty()) out_.emplace(cfg_.out_path);
+}
 
 void RollingReporter::on_event(const StreamEvent& ev) {
   on_event(Half::kDrop, ev);
@@ -176,18 +177,13 @@ void RollingReporter::on_event(Half half, const StreamEvent& ev) {
 }
 
 util::Status RollingReporter::finish(util::TimeMs period_end) {
-  if (!finished_) {
-    finished_ = true;
-    drop_.finish(period_end);
-    commit_.finish(period_end);
-    emit(Half::kDrop, true);
-    emit(Half::kCommit, true);
-  }
-  if (cfg_.out_path.empty()) return util::Status();
-  return util::atomic_write_file(cfg_.out_path, [this](std::ostream& os) {
-    for (const std::string& line : lines_) os << line << '\n';
-    return util::Status();
-  });
+  if (finished_) return util::Status();
+  finished_ = true;
+  drop_.finish(period_end);
+  commit_.finish(period_end);
+  emit(Half::kDrop, true);
+  emit(Half::kCommit, true);
+  return out_ ? out_->commit() : util::Status();
 }
 
 void RollingReporter::emit(Half half, bool final_report) {
@@ -205,10 +201,13 @@ void RollingReporter::emit(Half half, bool final_report) {
     parts_[static_cast<std::size_t>(half)].push_back(std::move(parts));
     for (auto& [drop, commit] = parts_; !drop.empty() && !commit.empty();
          drop.pop_front(), commit.pop_front()) {
-      lines_.push_back(std::move(drop.front()[0]) + commit.front()[0] +
-                       drop.front()[1] + commit.front()[1]);
+      std::string line = std::move(drop.front()[0]) + commit.front()[0] +
+                         drop.front()[1] + commit.front()[1];
+      ++stitched_;
       snapshots.add();
-      snapshot_bytes.add(lines_.back().size());
+      snapshot_bytes.add(line.size());
+      if (out_) out_->stream() << line << '\n';
+      else lines_.push_back(std::move(line));
     }
   }
   snapshot_us.add(watch.elapsed_us());

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "stream/incremental/kernels.hpp"
+#include "util/atomic_file.hpp"
 #include "util/status.hpp"
 
 namespace bw::stream::incremental {
@@ -45,8 +46,10 @@ struct RollingConfig {
   /// Event-time snapshot cadence; 0 emits only the final snapshot. The
   /// cadence anchors at the first delivered event's time.
   util::DurationMs report_every{0};
-  /// JSONL output path, atomically written in finish(); empty keeps the
-  /// lines in memory only (lines() serves them either way).
+  /// JSONL output path. Each line streams to its temp file as it is
+  /// stitched, and finish() renames it over the path; a reporter dropped
+  /// before finish() leaves neither. Empty keeps the lines in memory for
+  /// lines() instead.
   std::string out_path;
   /// Entries of the "topk" array in each line.
   std::size_t topk_k{10};
@@ -70,14 +73,17 @@ class RollingReporter {
   void on_event(Half half, const StreamEvent& ev);
 
   /// End of stream: finish the kernels and emit the final snapshot line
-  /// (always, regardless of cadence), then write out_path if set.
+  /// (always, regardless of cadence), then commit out_path if set. Once
+  /// only: later calls return OK.
   [[nodiscard]] util::Status finish(util::TimeMs period_end);
 
-  /// The stitched lines; read them while no half is being fed.
+  /// The stitched lines when no out_path is set (empty otherwise); read
+  /// them while no half is being fed.
   [[nodiscard]] const std::vector<std::string>& lines() const noexcept {
     return lines_;
   }
-  [[nodiscard]] std::size_t snapshots() const noexcept { return lines_.size(); }
+  /// Lines stitched so far, in either mode.
+  [[nodiscard]] std::size_t snapshots() const noexcept { return stitched_; }
 
   /// The shared figures renderer: deterministic JSON of the three report
   /// sections the convergence contract covers. Used for every rolling
@@ -107,9 +113,11 @@ class RollingReporter {
   std::size_t drop_lines_{0};
   std::vector<TopKPorts::Entry> last_top_;
 
-  std::mutex mu_;  ///< guards parts_ and lines_
+  std::mutex mu_;  ///< guards parts_, out_, lines_ and stitched_
   std::array<std::deque<Parts>, 2> parts_;  ///< per half, not yet stitched
-  std::vector<std::string> lines_;
+  std::optional<util::AtomicFile> out_;     ///< set with out_path
+  std::vector<std::string> lines_;          ///< kept without out_path
+  std::size_t stitched_{0};
   bool finished_{false};
 };
 

@@ -1,8 +1,6 @@
 #include "util/atomic_file.hpp"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <thread>
 
@@ -48,47 +46,55 @@ void remove_quietly(const std::string& path) {
 
 std::string atomic_temp_path(const std::string& path) { return path + ".tmp"; }
 
-Status atomic_write_file(const std::string& path,
-                         const std::function<Status(std::ostream&)>& writer,
-                         const AtomicWriteHooks* hooks) {
-  const std::string tmp = atomic_temp_path(path);
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      return Status::error(StatusCode::kUnavailable,
-                           "atomic_write_file: cannot open temp file " + tmp);
-    }
-    Status st = writer(os);
-    if (st.ok()) {
-      os.flush();
-      if (!os) st = data_loss("atomic_write_file: flush failed: " + tmp);
-    }
-    if (!st.ok()) {
-      os.close();
-      remove_quietly(tmp);
-      return st;
-    }
+AtomicFile::AtomicFile(std::string path)
+    : path_(std::move(path)),
+      tmp_(atomic_temp_path(path_)),
+      os_(tmp_, std::ios::binary | std::ios::trunc),
+      pending_(static_cast<bool>(os_)) {
+  if (!pending_) {
+    status_ = Status::error(StatusCode::kUnavailable,
+                            "atomic_write_file: cannot open temp file " + tmp_);
   }
-  if (Status st = sync_file(tmp); !st.ok()) {
-    remove_quietly(tmp);
+}
+
+AtomicFile::~AtomicFile() {
+  if (!pending_) return;
+  os_.close();
+  remove_quietly(tmp_);
+}
+
+Status AtomicFile::commit(const AtomicWriteHooks* hooks) {
+  if (!status_.ok()) return status_;
+  if (!pending_) {
+    return failed_precondition("atomic_write_file: committed twice: " + path_);
+  }
+  // From here the temp is complete or removed: a throwing hook leaves it
+  // behind, as a crash would.
+  pending_ = false;
+  os_.flush();
+  const bool flushed = static_cast<bool>(os_);
+  os_.close();
+  Status st = flushed ? sync_file(tmp_)
+                      : data_loss("atomic_write_file: flush failed: " + tmp_);
+  if (!st.ok()) {
+    remove_quietly(tmp_);
     return st;
   }
   if (hooks != nullptr && hooks->after_temp_write) hooks->after_temp_write();
   if (hooks != nullptr && hooks->before_rename) hooks->before_rename();
 
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
+  std::filesystem::rename(tmp_, path_, ec);
   if (ec) {
-    remove_quietly(tmp);
+    remove_quietly(tmp_);
     return Status::error(StatusCode::kUnavailable,
-                         "atomic_write_file: rename to " + path +
+                         "atomic_write_file: rename to " + path_ +
                              " failed: " + ec.message());
   }
   // Make the rename itself durable (directory entry). Best-effort: the
   // data is already safe under the final name on any POSIX filesystem.
 #if defined(__unix__) || defined(__APPLE__)
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
+  const std::string dir = std::filesystem::path(path_).parent_path().string();
   const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
   if (dfd >= 0) {
     ::fsync(dfd);
@@ -98,11 +104,20 @@ Status atomic_write_file(const std::string& path,
   return ok_status();
 }
 
+Status atomic_write_file(const std::string& path,
+                         const std::function<Status(std::ostream&)>& writer,
+                         const AtomicWriteHooks* hooks) {
+  AtomicFile file(path);
+  if (!file.status().ok()) return file.status();
+  if (Status st = writer(file.stream()); !st.ok()) return st;
+  return file.commit(hooks);
+}
+
 Status atomic_write_file(const std::string& path, std::string_view content) {
-  return atomic_write_file(path, [&](std::ostream& os) {
-    os.write(content.data(), static_cast<std::streamsize>(content.size()));
-    return ok_status();
-  });
+  AtomicFile file(path);
+  file.stream().write(content.data(),
+                      static_cast<std::streamsize>(content.size()));
+  return file.commit();
 }
 
 Status retry_with_backoff(std::size_t attempts, DurationMs backoff,

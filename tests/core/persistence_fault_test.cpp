@@ -3,10 +3,6 @@
 // scenario cache must heal itself (quarantine + regenerate), never crash.
 #include <gtest/gtest.h>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +13,7 @@
 #include "core/pipeline.hpp"
 #include "corpus.hpp"
 #include "testing/fault.hpp"
+#include "util/atomic_file.hpp"
 
 namespace bw::core {
 namespace {
@@ -175,31 +172,24 @@ TEST_F(PersistenceFaultTest, CorruptScenarioCacheSelfHeals) {
   EXPECT_EQ(warm.dataset.summary().flow_records, s1.flow_records);
 }
 
-// A cache directory that cannot be written records a save incident instead
-// of failing the run — caching is an optimisation, not a requirement.
+// A cache that cannot be written records a save incident instead of
+// failing the run — caching is an optimisation, not a requirement. A
+// non-empty directory where the save's temp file goes blocks the save for
+// any user, root included.
 TEST_F(PersistenceFaultTest, UnwritableCacheRecordsSaveIncident) {
-#if !defined(__unix__) && !defined(__APPLE__)
-  GTEST_SKIP() << "POSIX directory permissions required";
-#else
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "running as root: directory permissions are not enforced";
-  }
   const std::string cache_dir = (dir_ / "ro_cache").string();
-  fs::create_directories(cache_dir);
   gen::ScenarioConfig cfg;
   cfg.scale = 0.01;
   cfg.seed = 9;
   cfg.period = {0, util::days(1)};
-  fs::permissions(fs::path(cache_dir), fs::perms::owner_read | fs::perms::owner_exec,
-                  fs::perm_options::replace);
+  const fs::path blocker(
+      util::atomic_temp_path(cache_dir + "/" + scenario_cache_name(cfg)));
+  fs::create_directories(blocker / "occupied");
   const ScenarioRun run = run_scenario(cfg, cache_dir);
-  fs::permissions(fs::path(cache_dir), fs::perms::owner_all,
-                  fs::perm_options::replace);
   EXPECT_GT(run.dataset.summary().control_updates, 0u);
   ASSERT_EQ(run.cache_incidents.size(), 1u);
   EXPECT_TRUE(run.cache_incidents[0].quarantined_to.empty());
   EXPECT_FALSE(run.cache_incidents[0].error.empty());
-#endif
 }
 
 }  // namespace

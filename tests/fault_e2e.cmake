@@ -11,11 +11,15 @@
 #   7. bw-monitor honours the same strictness contract on the same corpora:
 #      strict rejects the corrupted CSV (exit 3), --skip-bad-rows survives
 #      it, and the clean corpus replays strictly (exit 0)
+#   8. an output bw-monitor or bw-feed cannot write fails the run with a
+#      data error (exit 3), and a failed run leaves none of its outputs
+#      and no temp file
 #
-# Expects -DBW_GENERATE, -DBW_FAULTGEN, -DBW_ANALYZE, -DBW_MONITOR (tool
-# paths) and -DWORK_DIR (scratch directory, wiped on entry).
+# Expects -DBW_GENERATE, -DBW_FAULTGEN, -DBW_ANALYZE, -DBW_MONITOR,
+# -DBW_FEED (tool paths) and -DWORK_DIR (scratch directory, wiped on
+# entry).
 
-foreach(var BW_GENERATE BW_FAULTGEN BW_ANALYZE BW_MONITOR WORK_DIR)
+foreach(var BW_GENERATE BW_FAULTGEN BW_ANALYZE BW_MONITOR BW_FEED WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "fault_e2e: missing -D${var}")
   endif()
@@ -73,3 +77,26 @@ run_step(0 "${BW_ANALYZE}" corpus.bwds --stage-timeout-s 1
 # 1 ms of budget cannot cover a 21-day corpus.
 run_step(3 "${BW_GENERATE}" --out never.bwds --scale 0.05 --seed 7
            --days 21 --stage-timeout-s 0.001)
+
+# --- Unwritable outputs ----------------------------------------------------
+# Every output streams into FILE.tmp and is renamed at the end. An output
+# under a missing directory is a data error, and the run that fails leaves
+# no other output behind either: not the file, not its temp.
+function(expect_no_output)
+  foreach(name ${ARGN})
+    if(EXISTS "${WORK_DIR}/${name}" OR EXISTS "${WORK_DIR}/${name}.tmp")
+      message(FATAL_ERROR "fault_e2e: a failed run left ${name} or its temp")
+    endif()
+  endforeach()
+endfunction()
+foreach(flag --alerts-out --rolling-out --shed-log)
+  run_step(3 "${BW_MONITOR}" corpus.bwds --quiet --replay --lockstep
+             ${flag} no_such_dir/out)
+endforeach()
+run_step(3 "${BW_MONITOR}" corpus.bwds --quiet --replay --lockstep
+           --alerts-out alerts.log --rolling-out no_such_dir/rolling.jsonl)
+expect_no_output(alerts.log)
+run_step(3 "${BW_FEED}" corpus.bwds --out no_such_dir/feed.bwsf)
+run_step(3 "${BW_FEED}" corpus.bwds --out feed.bwsf --chaos corrupt:10
+           --chaos-log no_such_dir/chaos.log)
+expect_no_output(feed.bwsf)

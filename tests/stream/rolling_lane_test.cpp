@@ -6,13 +6,18 @@
 // monitor fed directly in the batch merge order. The two halves fed one
 // after the other must stitch the lines of the combined kernels. A kernel
 // exception must surface from the run that raised it, with every producer
-// and lane joined. ctest runs this suite twice, at BW_THREADS=4 and 1.
+// and lane joined. A reporter with an out_path must write the lines it would
+// otherwise keep, and leave no file when dropped before finish(). ctest runs
+// this suite twice, at BW_THREADS=4 and 1.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +31,7 @@
 #include "stream/transport/frame.hpp"
 #include "stream/transport/session.hpp"
 #include "stream/transport/socket.hpp"
+#include "util/atomic_file.hpp"
 #include "util/parallel.hpp"
 
 namespace bw::stream {
@@ -218,6 +224,43 @@ TEST_P(RollingLaneTest, LaneFedReporterMatchesDirectFeed) {
   const Output got = live(dataset, GetParam());
   EXPECT_EQ(got.lines, want.lines);
   EXPECT_EQ(got.alerts, want.alerts);
+}
+
+TEST_P(RollingLaneTest, OutPathStreamsTheLinesAndCommitsAtFinish) {
+  const core::Dataset dataset = small_corpus(GetParam());
+  const Output want = direct(dataset);
+  RollingConfig rc = rolling_config(dataset);
+  rc.out_path = ::testing::TempDir() + "bw_lane_" +
+                std::to_string(GetParam()) + "." +
+                std::to_string(::getpid()) + ".jsonl";
+  const std::string temp = util::atomic_temp_path(rc.out_path);
+  std::remove(rc.out_path.c_str());
+  {
+    // Dropped before finish(), as by a failed run: neither file is left.
+    RollingReporter aborted(rc);
+    for (const StreamEvent& ev : merge_order(dataset)) aborted.on_event(ev);
+    EXPECT_GT(aborted.snapshots(), 10u);
+    EXPECT_TRUE(std::filesystem::exists(temp));
+  }
+  EXPECT_FALSE(std::filesystem::exists(rc.out_path));
+  EXPECT_FALSE(std::filesystem::exists(temp));
+
+  RollingReporter rolling(rc);
+  core::RtbhMonitor monitor({}, [](const core::Alert&) {});
+  ReplayOptions opt;
+  opt.lockstep = true;
+  opt.block_deadline = 10 * util::kMinute;  // never shed
+  opt.rolling = &rolling;
+  EXPECT_EQ(replay_streaming(dataset, monitor, opt).shed.shed_total, 0u);
+  ASSERT_TRUE(rolling.finish(dataset.period().end).ok());
+  EXPECT_TRUE(rolling.lines().empty());
+  EXPECT_EQ(rolling.snapshots(), want.lines.size());
+  std::string expected;
+  for (const std::string& line : want.lines) expected += line + '\n';
+  std::ifstream is(rc.out_path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(is), {}), expected);
+  EXPECT_FALSE(std::filesystem::exists(temp));
+  std::remove(rc.out_path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RollingLaneTest,

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bw::util {
 namespace {
@@ -115,6 +116,48 @@ TEST_F(AtomicFileTest, MissingDirectoryIsUnavailable) {
   const std::string bad = (dir_ / "no_such_dir" / "x.md").string();
   const Status st = atomic_write_file(bad, "content");
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(fs::exists(bad));
+}
+
+TEST_F(AtomicFileTest, StreamedWritesCommitTheBytesOfTheStringOverload) {
+  std::string content;
+  for (int i = 0; i < 5000; ++i) {
+    content += "line " + std::to_string(i) + std::string(1, '\0') + "\n";
+  }
+  const std::string whole = (dir_ / "whole.md").string();
+  ASSERT_TRUE(atomic_write_file(whole, content).ok());
+
+  ASSERT_TRUE(atomic_write_file(target_, "old contents").ok());
+  AtomicFile file(target_);
+  ASSERT_TRUE(file.status().ok());
+  for (std::size_t at = 0; at < content.size(); at += 777) {
+    file.stream() << std::string_view(content).substr(at, 777);
+  }
+  // Nothing is visible under the target until the commit.
+  EXPECT_EQ(read(target_), "old contents");
+  ASSERT_TRUE(file.commit().ok());
+  EXPECT_EQ(read(target_), read(whole));
+  EXPECT_FALSE(fs::exists(atomic_temp_path(target_)));
+  EXPECT_EQ(file.commit().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(AtomicFileTest, UncommittedFileRemovesTempAndKeepsTarget) {
+  ASSERT_TRUE(atomic_write_file(target_, "old contents").ok());
+  {
+    AtomicFile file(target_);
+    file.stream() << "new contents, never committed";
+    EXPECT_TRUE(fs::exists(atomic_temp_path(target_)));
+  }
+  EXPECT_EQ(read(target_), "old contents");
+  EXPECT_FALSE(fs::exists(atomic_temp_path(target_)));
+}
+
+TEST_F(AtomicFileTest, UnopenableFileFailsUpFrontAndAtCommit) {
+  const std::string bad = (dir_ / "no_such_dir" / "x.md").string();
+  AtomicFile file(bad);
+  EXPECT_EQ(file.status().code(), StatusCode::kUnavailable);
+  file.stream() << "dropped";
+  EXPECT_EQ(file.commit(), file.status());
   EXPECT_FALSE(fs::exists(bad));
 }
 

@@ -122,17 +122,11 @@ int main(int argc, char** argv) {
         return tools::kExitUsage;
       }
       auto loaded = core::Dataset::try_open_chunked(path);
-      if (!loaded.ok()) {
-        std::cerr << "bw-analyze: " << loaded.status().to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-analyze", loaded.status())) return tools::kExitData;
       dataset.emplace(std::move(loaded).value());
     } else {
       auto loaded = tools::load_corpus(path, strictness.load_options, &ingest);
-      if (!loaded.ok()) {
-        std::cerr << "bw-analyze: " << loaded.status().to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-analyze", loaded.status())) return tools::kExitData;
       dataset.emplace(std::move(loaded).value());
     }
 
@@ -271,10 +265,7 @@ int main(int argc, char** argv) {
       // under the final name for a consumer to pick up.
       const util::Status st = util::atomic_write_file(
           markdown_out, core::render_markdown(*dataset, r, &whatif));
-      if (!st.ok()) {
-        std::cerr << "bw-analyze: " << st.to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-analyze", st)) return tools::kExitData;
       std::cout << "\nWrote markdown report to " << markdown_out << "\n";
     }
 

@@ -65,18 +65,14 @@ int main(int argc, char** argv) {
   try {
     std::cout << "Loading " << in_path << "...\n";
     auto loaded = core::Dataset::try_load(in_path);
-    if (!loaded.ok()) {
-      std::cerr << "bw-convert: " << loaded.status().to_string() << "\n";
-      return tools::kExitData;
-    }
+    if (!tools::check("bw-convert", loaded.status())) return tools::kExitData;
     const core::Dataset dataset = std::move(loaded).value();
 
     if (!out_csv.empty()) {
       core::export_dataset_csv(dataset, out_csv);
       std::cout << "Wrote CSV corpus to " << out_csv << "/\n";
     } else {
-      if (const util::Status st = dataset.try_save(out_bwds); !st.ok()) {
-        std::cerr << "bw-convert: " << st.to_string() << "\n";
+      if (!tools::check("bw-convert", dataset.try_save(out_bwds))) {
         return tools::kExitData;
       }
       std::cout << "Wrote v3 corpus to " << out_bwds << "\n";

@@ -86,10 +86,7 @@ int main(int argc, char** argv) {
         return tools::kExitUsage;
       }
       auto kind = testing::parse_binary_fault_kind(binary_kind);
-      if (!kind.ok()) {
-        std::cerr << "bw-faultgen: " << kind.status().to_string() << "\n";
-        return tools::kExitUsage;
-      }
+      if (!tools::check("bw-faultgen", kind.status())) return tools::kExitUsage;
       if (std::filesystem::is_directory(in)) {
         std::cerr << "bw-faultgen: --binary needs a .bwds file, not a "
                      "directory\n";
@@ -104,8 +101,7 @@ int main(int argc, char** argv) {
         return tools::kExitData;
       }
       auto applied = testing::apply_binary_fault(out, *kind, seed);
-      if (!applied.ok()) {
-        std::cerr << "bw-faultgen: " << applied.status().to_string() << "\n";
+      if (!tools::check("bw-faultgen", applied.status())) {
         return tools::kExitData;
       }
       std::cout << "Applied binary fault " << testing::to_string(*kind)
@@ -117,8 +113,7 @@ int main(int argc, char** argv) {
     testing::FaultPlan plan = testing::FaultPlan::default_mix(seed);
     if (!spec.empty()) {
       auto parsed = testing::parse_fault_spec(spec, seed);
-      if (!parsed.ok()) {
-        std::cerr << "bw-faultgen: " << parsed.status().to_string() << "\n";
+      if (!tools::check("bw-faultgen", parsed.status())) {
         return tools::kExitUsage;
       }
       plan = std::move(parsed).value();
@@ -128,8 +123,7 @@ int main(int argc, char** argv) {
     if (!std::filesystem::is_directory(in)) {
       // .bwds input: materialise the CSV corpus under --out, corrupt there.
       auto dataset = core::Dataset::try_load(in);
-      if (!dataset.ok()) {
-        std::cerr << "bw-faultgen: " << dataset.status().to_string() << "\n";
+      if (!tools::check("bw-faultgen", dataset.status())) {
         return tools::kExitData;
       }
       core::export_dataset_csv(dataset.value(), out);
@@ -137,14 +131,10 @@ int main(int argc, char** argv) {
     }
 
     auto corpus = testing::CsvCorpus::load(csv_dir);
-    if (!corpus.ok()) {
-      std::cerr << "bw-faultgen: " << corpus.status().to_string() << "\n";
-      return tools::kExitData;
-    }
+    if (!tools::check("bw-faultgen", corpus.status())) return tools::kExitData;
 
     const testing::FaultLog log = testing::apply_faults(corpus.value(), plan);
-    if (const auto st = corpus.value().save(out); !st.ok()) {
-      std::cerr << "bw-faultgen: " << st.to_string() << "\n";
+    if (!tools::check("bw-faultgen", corpus.value().save(out))) {
       return tools::kExitData;
     }
     std::cout << "Applied " << plan.faults.size() << " fault(s) (seed " << seed

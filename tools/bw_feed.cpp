@@ -57,6 +57,7 @@ void usage() {
          "  --serve: bind SPEC and feed whoever connects\n"
          "  --connect: dial SPEC (a bw-monitor --listen endpoint)\n"
          "  --out: write the framed byte stream to FILE instead of a link\n"
+         "         (streamed to FILE.tmp, renamed to FILE at the end)\n"
          "  --heartbeat MS: heartbeat frame per MS of event time (default\n"
          "                  1000; 0 disables)\n"
          "  --speed N: corpus-time/wall-clock ratio (0 = as fast as possible)\n"
@@ -178,37 +179,28 @@ int main(int argc, char** argv) {
 
   try {
     auto loaded = tools::load_corpus(path, strictness.load_options);
-    if (!loaded.ok()) {
-      std::cerr << "bw-feed: " << loaded.status().to_string() << "\n";
-      return tools::kExitData;
-    }
+    if (!tools::check("bw-feed", loaded.status())) return tools::kExitData;
     const core::Dataset& dataset = loaded.value();
 
     std::optional<testing::TransportFaultScript> chaos;
     if (!chaos_spec.empty()) {
       auto plan = testing::parse_transport_fault_spec(chaos_spec, chaos_seed);
-      if (!plan.ok()) {
-        std::cerr << "bw-feed: " << plan.status().to_string() << "\n";
-        return tools::kExitUsage;
-      }
+      if (!tools::check("bw-feed", plan.status())) return tools::kExitUsage;
       chaos.emplace(std::move(plan).value());
     }
 
     Wire wire;
     wire.give_up = give_up;
-    std::string file_sink;
+    std::optional<util::AtomicFile> out;
+    if (!tools::open_output("bw-feed", out_file, out)) return tools::kExitData;
     if (!serve_spec.empty() || !connect_spec.empty()) {
       const std::string& spec =
           serve_spec.empty() ? connect_spec : serve_spec;
       auto ep = Endpoint::parse(spec);
-      if (!ep.ok()) {
-        std::cerr << "bw-feed: " << ep.status().to_string() << "\n";
-        return tools::kExitUsage;
-      }
+      if (!tools::check("bw-feed", ep.status())) return tools::kExitUsage;
       if (!serve_spec.empty()) {
         auto listener = stream::transport::ListenTransport::bind(*ep);
-        if (!listener.ok()) {
-          std::cerr << "bw-feed: " << listener.status().to_string() << "\n";
+        if (!tools::check("bw-feed", listener.status())) {
           return tools::kExitData;
         }
         std::cout << "bw-feed: serving " << (*listener)->bound().to_string()
@@ -229,13 +221,15 @@ int main(int argc, char** argv) {
     // send — a cut never loses a frame the script didn't claim.
     const auto emit = [&](const std::string& frame_bytes) -> util::Status {
       const std::uint64_t index = frames_emitted++;
-      if (!out_file.empty()) {
+      if (out) {
         if (!chaos.has_value()) {
-          file_sink += frame_bytes;
+          out->stream() << frame_bytes;
           return util::ok_status();
         }
         for (auto& op : chaos->apply(index, frame_bytes)) {
-          if (op.kind == testing::WireOp::Kind::kSend) file_sink += op.bytes;
+          if (op.kind == testing::WireOp::Kind::kSend) {
+            out->stream() << op.bytes;
+          }
         }
         return util::ok_status();
       }
@@ -293,22 +287,10 @@ int main(int argc, char** argv) {
     if (!chaos_log_out.empty() && chaos.has_value()) {
       const util::Status st =
           util::atomic_write_file(chaos_log_out, chaos->log().summary());
-      if (!st.ok()) {
-        std::cerr << "bw-feed: " << st.to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-feed", st)) return tools::kExitData;
     }
-    if (!out_file.empty()) {
-      const util::Status st = util::atomic_write_file(out_file, file_sink);
-      if (!st.ok()) {
-        std::cerr << "bw-feed: " << st.to_string() << "\n";
-        return tools::kExitData;
-      }
-    }
-    if (!link.ok()) {
-      std::cerr << "bw-feed: " << link.to_string() << "\n";
-      return tools::kExitData;
-    }
+    if (!tools::commit_output("bw-feed", out)) return tools::kExitData;
+    if (!tools::check("bw-feed", link)) return tools::kExitData;
 
     const std::uint64_t reconnects = wire.opens > 0 ? wire.opens - 1 : 0;
     feed_counter("frames").add(frames_emitted);

@@ -153,12 +153,10 @@ int main(int argc, char** argv) {
       for (const auto& f : ingest.files) {
         if (!f.clean()) std::cerr << f.summary() << "\n";
       }
-      if (!loaded.ok()) {
-        std::cerr << "bw-generate: " << loaded.status().to_string() << "\n";
+      if (!tools::check("bw-generate", loaded.status())) {
         return tools::kExitData;
       }
-      if (const auto st = loaded.value().try_save(out, &pool); !st.ok()) {
-        std::cerr << "bw-generate: " << st.to_string() << "\n";
+      if (!tools::check("bw-generate", loaded.value().try_save(out, &pool))) {
         return tools::kExitData;
       }
       std::cout << "Converted " << from_csv << " -> " << out << "\n";
@@ -180,8 +178,7 @@ int main(int argc, char** argv) {
     const core::ScenarioRun run =
         core::run_scenario(cfg, std::string{}, &pool, &deadline);
     const double secs = watch.elapsed_seconds();
-    if (const auto st = run.dataset.try_save(out, &pool); !st.ok()) {
-      std::cerr << "bw-generate: " << st.to_string() << "\n";
+    if (!tools::check("bw-generate", run.dataset.try_save(out, &pool))) {
       return tools::kExitData;
     }
 

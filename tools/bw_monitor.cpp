@@ -105,6 +105,9 @@ void usage() {
          "             rolling reports\n"
          "  --alerts-out FILE: every alert, one stable line each\n"
          "  --shed-log FILE: ground-truth shed log, one line per decision\n"
+         "  Output files stream to FILE.tmp as they are produced and are\n"
+         "  renamed to FILE at the end of the run; a failed run leaves\n"
+         "  neither.\n"
       << bw::tools::kStrictnessUsage << bw::tools::kObsUsage;
 }
 
@@ -206,17 +209,11 @@ int main(int argc, char** argv) {
       if (!int_arg(replay_options.max_reorder, 1)) return tools::kExitUsage;
     } else if (arg == "--shed-mode" && i + 1 < argc) {
       auto mode = stream::parse_shed_mode(argv[++i]);
-      if (!mode.ok()) {
-        std::cerr << "bw-monitor: " << mode.status().to_string() << "\n";
-        return tools::kExitUsage;
-      }
+      if (!tools::check("bw-monitor", mode.status())) return tools::kExitUsage;
       replay_options.shed_mode = mode.value();
     } else if (arg == "--inject-stream-fault" && i + 1 < argc) {
       auto plan = testing::parse_stream_fault_spec(argv[++i]);
-      if (!plan.ok()) {
-        std::cerr << "bw-monitor: " << plan.status().to_string() << "\n";
-        return tools::kExitUsage;
-      }
+      if (!tools::check("bw-monitor", plan.status())) return tools::kExitUsage;
       replay_options.fault = plan.value();
     } else if (arg == "--rolling-out" && i + 1 < argc) {
       rolling_out = argv[++i];
@@ -283,10 +280,7 @@ int main(int argc, char** argv) {
       std::cout << (live ? "Loading rolling context " : "Loading ") << corpus
                 << "...\n";
       auto loaded = tools::load_corpus(corpus, strictness.load_options);
-      if (!loaded.ok()) {
-        std::cerr << "bw-monitor: " << loaded.status().to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-monitor", loaded.status())) return tools::kExitData;
       dataset.emplace(std::move(loaded).value());
     }
 
@@ -311,18 +305,19 @@ int main(int argc, char** argv) {
       rolling.emplace(std::move(rc));
     }
 
-    // Alert and shed logs are accumulated in memory and committed
-    // atomically at the end — a half-written log is worse than none.
-    std::string alert_log;
-    std::string shed_log;
+    // Alert and shed logs stream to their temp files and are committed at
+    // the end: a half-written log is worse than none.
+    std::optional<util::AtomicFile> alert_log;
+    std::optional<util::AtomicFile> shed_log;
+    if (!tools::open_output("bw-monitor", alerts_out, alert_log) ||
+        !tools::open_output("bw-monitor", shed_log_out, shed_log)) {
+      return tools::kExitData;
+    }
     std::map<core::AlertKind, std::size_t> counts;
     core::RtbhMonitor monitor({}, [&](const core::Alert& alert) {
       ++counts[alert.kind];
       const std::string line = alert_line(alert);
-      if (!alerts_out.empty()) {
-        alert_log += line;
-        alert_log += '\n';
-      }
+      if (alert_log) alert_log->stream() << line << '\n';
       if (!quiet && kinds.contains(alert.kind)) {
         std::cout << line << "\n";
       }
@@ -331,11 +326,10 @@ int main(int argc, char** argv) {
     // Sheds can come from any producer/session thread; the log is the one
     // shared sink, so it takes a lock (shedding is the rare path).
     static std::mutex shed_mutex;
-    if (!shed_log_out.empty()) {
+    if (shed_log) {
       replay_options.shed_sink = [&](const stream::ShedRecord& rec) {
         const std::lock_guard<std::mutex> lock(shed_mutex);
-        shed_log += rec.to_line();
-        shed_log += '\n';
+        shed_log->stream() << rec.to_line() << '\n';
       };
     }
     if (rolling) replay_options.rolling = live_config.rolling = &*rolling;
@@ -347,10 +341,7 @@ int main(int argc, char** argv) {
     if (live) {
       auto ran = stream::transport::run_live(monitor, live_config,
                                              replay_options);
-      if (!ran.ok()) {
-        std::cerr << "bw-monitor: " << ran.status().to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-monitor", ran.status())) return tools::kExitData;
       live_stats = std::move(ran).value();
     } else if (replay) {
       if (replay_options.fault.any() && !quiet) {
@@ -367,9 +358,7 @@ int main(int argc, char** argv) {
       // instant the monitor was finished (clean close or last event).
       const util::TimeMs finish_at =
           live ? live_stats.finish_time : dataset->period().end;
-      const util::Status st = rolling->finish(finish_at);
-      if (!st.ok()) {
-        std::cerr << "bw-monitor: " << st.to_string() << "\n";
+      if (!tools::check("bw-monitor", rolling->finish(finish_at))) {
         return tools::kExitData;
       }
       if (!quiet) {
@@ -390,10 +379,7 @@ int main(int argc, char** argv) {
                                                              collateral) +
           "}\n";
       const util::Status st = util::atomic_write_file(rolling_out, line);
-      if (!st.ok()) {
-        std::cerr << "bw-monitor: " << st.to_string() << "\n";
-        return tools::kExitData;
-      }
+      if (!tools::check("bw-monitor", st)) return tools::kExitData;
       if (!quiet) {
         std::cout << "Rolling: batch oracle -> " << rolling_out << "\n";
       }
@@ -440,19 +426,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!alerts_out.empty()) {
-      const util::Status st = util::atomic_write_file(alerts_out, alert_log);
-      if (!st.ok()) {
-        std::cerr << "bw-monitor: " << st.to_string() << "\n";
-        return tools::kExitData;
-      }
-    }
-    if (!shed_log_out.empty()) {
-      const util::Status st = util::atomic_write_file(shed_log_out, shed_log);
-      if (!st.ok()) {
-        std::cerr << "bw-monitor: " << st.to_string() << "\n";
-        return tools::kExitData;
-      }
+    if (!tools::commit_output("bw-monitor", alert_log) ||
+        !tools::commit_output("bw-monitor", shed_log)) {
+      return tools::kExitData;
     }
 
     obs::Manifest manifest;

@@ -17,6 +17,7 @@
 #include <charconv>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -32,6 +33,26 @@ inline constexpr int kExitOk = 0;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitData = 3;
 inline constexpr int kExitInternal = 4;
+
+/// Print a failed `st` to stderr as `TOOL: CODE: message`; true when OK.
+inline bool check(std::string_view tool, const util::Status& st) {
+  if (!st.ok()) std::cerr << tool << ": " << st.to_string() << "\n";
+  return st.ok();
+}
+
+/// Open `file` on `path`, when set: an output that streams to its temp
+/// file and is committed by commit_output at the end of the run. False,
+/// after printing why, when the temp file cannot be opened.
+inline bool open_output(std::string_view tool, const std::string& path,
+                        std::optional<util::AtomicFile>& file) {
+  return path.empty() || check(tool, file.emplace(path).status());
+}
+
+/// Commit an output open_output opened; false after printing why not.
+inline bool commit_output(std::string_view tool,
+                          std::optional<util::AtomicFile>& file) {
+  return !file || check(tool, file->commit());
+}
 
 /// Strict parse of an integer flag value: decimal digits (a sign only
 /// where `Int` is signed), nothing after them, no overflow, and at least
@@ -86,23 +107,12 @@ struct ObsOptions {
   /// Write the requested outputs (atomic commit, like every other tool
   /// artifact). Returns false after printing to stderr if a write failed.
   bool emit(const char* tool, const obs::Manifest& manifest) const {
-    if (!metrics_out.empty()) {
-      const util::Status st =
-          util::atomic_write_file(metrics_out, manifest.to_json());
-      if (!st.ok()) {
-        std::cerr << tool << ": " << st.to_string() << "\n";
-        return false;
-      }
-    }
-    if (!trace_out.empty()) {
-      const util::Status st =
-          util::atomic_write_file(trace_out, obs::render_chrome_trace());
-      if (!st.ok()) {
-        std::cerr << tool << ": " << st.to_string() << "\n";
-        return false;
-      }
-    }
-    return true;
+    return (metrics_out.empty() ||
+            check(tool, util::atomic_write_file(metrics_out,
+                                                manifest.to_json()))) &&
+           (trace_out.empty() ||
+            check(tool, util::atomic_write_file(trace_out,
+                                                obs::render_chrome_trace())));
   }
 };
 
