@@ -860,25 +860,18 @@ util::Status check_exact_length(const util::container::Section& sec,
   return util::ok_status();
 }
 
-/// The decoded PERI/CTRL/MACS/ORIG tables — common to every load mode.
-struct LoadedTables {
-  util::TimeRange period;
-  bgp::UpdateLog control;
-  std::unordered_map<net::Mac, bgp::Asn> macs;
-  std::vector<std::pair<net::Prefix, bgp::Asn>> origins;
-};
+}  // namespace
 
-util::Status read_table_sections(std::ifstream& is,
-                                 const util::container::Toc& toc,
-                                 LoadedTables& out) {
+util::Status Dataset::read_tables(std::ifstream& is,
+                                  const util::container::Toc& toc) {
   // --- PERI: the analysis period, two TimeMs -------------------------------
   auto peri = open_section(is, toc, kSecPeriod);
   if (!peri.ok()) return peri.status();
   if (peri->length != 2 * sizeof(util::TimeMs)) {
     return util::data_loss("section PERI: unexpected length");
   }
-  out.period.begin = get<util::TimeMs>(is);
-  out.period.end = get<util::TimeMs>(is);
+  period_.begin = get<util::TimeMs>(is);
+  period_.end = get<util::TimeMs>(is);
 
   // --- CTRL: variable-width updates; counts bounded by section length -----
   auto ctrl = open_section(is, toc, kSecControl);
@@ -893,8 +886,8 @@ util::Status read_table_sections(std::ifstream& is,
   };
   const auto n_control = checked_count("control update");
   if (!n_control.ok()) return n_control.status();
-  out.control.resize(*n_control);
-  for (auto& u : out.control) {
+  control_.resize(*n_control);
+  for (auto& u : control_) {
     u.time = get<util::TimeMs>(is);
     u.type = static_cast<bgp::UpdateType>(get<std::uint8_t>(is));
     u.sender_asn = get<bgp::Asn>(is);
@@ -922,9 +915,9 @@ util::Status read_table_sections(std::ifstream& is,
       !st.ok()) {
     return st;
   }
-  out.macs.reserve(n_macs);
+  mac_to_asn_.reserve(n_macs);
   get_span<DiskMacEntry>(is, n_macs, [&](const DiskMacEntry& d) {
-    out.macs[net::Mac(d.mac)] = d.asn;
+    mac_to_asn_[net::Mac(d.mac)] = d.asn;
   });
 
   auto orig_sec = open_section(is, toc, kSecOrigins);
@@ -935,27 +928,27 @@ util::Status read_table_sections(std::ifstream& is,
       !st.ok()) {
     return st;
   }
-  out.origins.reserve(n_origins);
+  origin_prefixes_.reserve(n_origins);
   get_span<DiskOriginEntry>(is, n_origins, [&](const DiskOriginEntry& d) {
     // Copy the packed field: binding a reference to it is misaligned.
-    out.origins.emplace_back(net::Prefix(net::Ipv4(d.network), d.length),
-                             bgp::Asn{d.asn});
+    origin_prefixes_.emplace_back(
+        net::Prefix(net::Ipv4(d.network), d.length), bgp::Asn{d.asn});
   });
   if (!is) return util::data_loss("truncated file");
   return util::ok_status();
 }
 
-}  // namespace
-
 namespace {
 
 /// dataset.load.{read,index,decode,columns}_us: where a materializing load
-/// spends its wall time (see docs/observability.md).
+/// spends its wall time, and control_us: its control-plane task, which
+/// runs during decode_us (see docs/observability.md).
 struct LoadPhaseMetrics {
   obs::Counter& read_us;
   obs::Counter& index_us;
   obs::Counter& decode_us;
   obs::Counter& columns_us;
+  obs::Counter& control_us;
 };
 
 const LoadPhaseMetrics& load_phase_metrics() {
@@ -963,8 +956,29 @@ const LoadPhaseMetrics& load_phase_metrics() {
   static const LoadPhaseMetrics m{
       reg.counter("dataset.load.read_us"), reg.counter("dataset.load.index_us"),
       reg.counter("dataset.load.decode_us"),
-      reg.counter("dataset.load.columns_us")};
+      reg.counter("dataset.load.columns_us"),
+      reg.counter("dataset.load.control_us")};
   return m;
+}
+
+/// `st` with the caller and the file as context.
+util::Status load_error(util::Status st, const char* op,
+                        const std::string& path) {
+  return std::move(st).with_context(std::string(op) + ": " + path);
+}
+
+/// Both v3 load modes start here: open `path` into `is` and read its TOC.
+/// `op` names the caller in errors.
+util::Result<util::container::Toc> open_toc(std::ifstream& is,
+                                            const std::string& path,
+                                            const char* op) {
+  is.open(path, std::ios::binary);
+  if (!is) return util::not_found(std::string(op) + ": cannot open " + path);
+  is.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(is.tellg());
+  auto toc = util::container::read_toc(is, file_size);
+  if (!toc.ok()) return load_error(toc.status(), op, path);
+  return toc;
 }
 
 std::uint64_t mix64(std::uint64_t x) {
@@ -992,41 +1006,9 @@ util::Status chunk_error(const char* family, std::size_t k, const char* what) {
 
 }  // namespace
 
-util::Result<Dataset> Dataset::open_shell(
-    const std::string& path, const char* op,
-    std::shared_ptr<const store::FlowStore>& store) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return util::not_found(std::string(op) + ": cannot open " + path);
-  is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-
-  auto ctx = [&](util::Status st) {
-    return std::move(st).with_context(std::string(op) + ": " + path);
-  };
-
-  auto toc_result = util::container::read_toc(is, file_size);
-  if (!toc_result.ok()) return ctx(toc_result.status());
-  LoadedTables tables;
-  if (util::Status st = read_table_sections(is, *toc_result, tables);
-      !st.ok()) {
-    return ctx(std::move(st));
-  }
-  is.close();
-
-  auto store_result = store::FlowStore::open(path);
-  if (!store_result.ok()) return ctx(store_result.status());
-  store = *store_result;
-
-  Dataset d;
-  d.control_ = std::move(tables.control);
-  d.mac_to_asn_ = std::move(tables.macs);
-  d.origin_prefixes_ = std::move(tables.origins);
-  d.period_ = tables.period;
-  return d;
-}
-
 util::Status Dataset::fill_from_store(const store::FlowStore& store,
-                                      util::ThreadPool& pool) {
+                                      util::ThreadPool& pool,
+                                      const ControlTask& control) {
   const LoadPhaseMetrics& phase = load_phase_metrics();
   obs::StopWatch watch;
   const std::size_t n = store.flow_count();
@@ -1035,20 +1017,12 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
         "section SMET: flow count exceeds the v3 row-position range");
   }
   flow::FlowColumns& c = columns_;
-  mac_dict_ = store.mac_dict();
-
-  // Size the flow state while the control-plane indices build, which also
-  // resolves every dictionary MAC to its dense member id (kNoMember for an
-  // unmapped MAC).
-  std::vector<std::uint32_t> member_of;
-  auto control_done = pool.submit([&] { member_of = build_control_indices(); });
   size_columns(pool, n, c.time, c.s_time, c.bytes, c.src_ip, c.dst_ip,
                c.packets, c.src_member, c.src_mac_id, c.dst_mac_id,
                c.s_src_ip, time_order_, c.src_port, c.dst_port, c.s_src_port,
                c.s_dst_port, c.proto);
   c.dropped_words.assign((n + 63) / 64, 0);
   std::vector<std::uint64_t> seen((n + 63) / 64, 0);
-  control_done.get();
   lap(phase.index_us, watch);
 
   // (dst_ip, time, time position) strictly ascending: the order the
@@ -1066,7 +1040,6 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
 
   struct ChunkTally {
     util::Status status;
-    std::uint64_t unknown_macs{0};
     std::uint64_t fingerprint{0};
     std::uint32_t first_pos{0};  ///< time position of the chunk's first row
     std::uint32_t last_pos{0};   ///< and of its last
@@ -1074,17 +1047,17 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
   const std::vector<store::ChunkMeta>& dst_metas = store.dst_metas();
   const std::vector<store::ChunkMeta>& src_metas = store.src_metas();
 
-  // One task per dst chunk: decode into its row slice of the columns,
-  // invert the row positions into time_order_, and derive the member and
-  // dropped columns. Row counts need not be multiples of 64, so seen-bitset
-  // words at chunk edges are shared between tasks and set with atomic ORs.
+  // One task per dst chunk: decode into its row slice of the columns and
+  // invert the row positions into time_order_. Row counts need not be
+  // multiples of 64, so seen-bitset words at chunk edges are shared
+  // between tasks and set with atomic ORs.
   const auto fill_dst = [&](std::size_t k) {
     ChunkTally tally;
     const std::size_t b = dst_metas[k].row_begin;
     const std::size_t rows = dst_metas[k].row_count;
     const auto slice = [&](auto& col) { return std::span(col).subspan(b, rows); };
     std::vector<std::uint32_t> pos(rows);
-    // src_member and dropped_words stay empty: both are derived below.
+    // src_member and dropped_words stay empty: both need the member ids.
     const store::DstChunkSpans out{.time = slice(c.time),
                                    .src_ip = slice(c.src_ip),
                                    .dst_ip = slice(c.dst_ip),
@@ -1124,7 +1097,6 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
       tally.first_pos = pos.front();
       tally.last_pos = pos.back();
     }
-    tally.unknown_macs = derive_member_columns(c, mac_dict_, member_of, b, b + rows);
     return tally;
   };
   // One task per src chunk: decode into its slice of the s_* columns.
@@ -1155,17 +1127,29 @@ util::Status Dataset::fill_from_store(const store::FlowStore& store,
                                     : fill_src(t - dst_metas.size());
       },
       1);
+  const util::Result<std::vector<std::uint32_t>>& member_of = control.get();
+  if (!member_of.ok()) return member_of.status();
+  for (const ChunkTally& tally : tallies) {
+    if (!tally.status.ok()) return tally.status;
+  }
+  // With the member ids known, each dst chunk derives its member and
+  // dropped columns (derive_member_columns ORs the shared edge words).
+  const std::vector<std::uint64_t> unknown =
+      util::parallel_map(pool, dst_metas.size(), [&](std::size_t k) {
+        const std::size_t b = dst_metas[k].row_begin;
+        return derive_member_columns(c, mac_dict_, *member_of, b,
+                                     b + dst_metas[k].row_count);
+      }, 1);
+  quality_.unknown_mac_flows =
+      std::accumulate(unknown.begin(), unknown.end(), std::size_t{0});
   lap(phase.decode_us, watch);
 
   // Whole-corpus checks the per-chunk tasks cannot make alone.
   std::uint64_t dst_fingerprint = 0;
   std::uint64_t src_fingerprint = 0;
-  quality_.unknown_mac_flows = 0;
   for (std::size_t t = 0; t < tallies.size(); ++t) {
-    if (!tallies[t].status.ok()) return tallies[t].status;
-    const bool dst = t < dst_metas.size();
-    (dst ? dst_fingerprint : src_fingerprint) += tallies[t].fingerprint;
-    quality_.unknown_mac_flows += tallies[t].unknown_macs;
+    (t < dst_metas.size() ? dst_fingerprint : src_fingerprint) +=
+        tallies[t].fingerprint;
   }
   // Row b - 1 is the last row of the nearest non-empty chunk before k.
   std::size_t prev = dst_metas.size();
@@ -1208,22 +1192,52 @@ util::Result<Dataset> Dataset::try_load(const std::string& path,
   const obs::TraceSpan span("dataset.try_load", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    const obs::StopWatch read;
-    std::shared_ptr<const store::FlowStore> store;
-    util::Result<Dataset> shell = open_shell(path, "Dataset::try_load", store);
-    if (!shell.ok()) return shell.status();
-    Dataset d = std::move(shell).value();
-    load_phase_metrics().read_us.add(read.elapsed_us());
+    constexpr const char* kOp = "Dataset::try_load";
+    const LoadPhaseMetrics& phase = load_phase_metrics();
+    obs::StopWatch watch;
+    std::ifstream is;
+    const util::Result<util::container::Toc> toc = open_toc(is, path, kOp);
+    if (!toc.ok()) return toc.status();
+    const auto store = store::FlowStore::open(path);
+    Dataset d;
+    if (store.ok()) d.mac_dict_ = (*store)->mac_dict();
+    lap(phase.read_us, watch);
 
-    // Sanitation ran before the file was written, and the fill checks the
-    // flow log's time order, so of the constructor's sanitation counts
-    // only the control-plane input order and the unknown-MAC flows (which
-    // the fill re-derives) can be non-zero.
+    // The control plane builds on one pool task while this thread decodes
+    // the flows; the task writes only control-plane members. Sanitation
+    // ran before the file was written, and the fill checks the flow log's
+    // time order, so of the constructor's sanitation counts only the
+    // control-plane input order and the unknown-MAC flows (which the fill
+    // re-derives) can be non-zero.
     util::ThreadPool& workers = util::pool_or_global(pool);
-    d.quality_.reordered_updates = count_inversions(workers, d.control_);
-    if (util::Status st = d.fill_from_store(*store, workers); !st.ok()) {
-      return std::move(st).with_context("Dataset::try_load: " + path);
+    const ControlTask control =
+        workers
+            .submit([&]() -> util::Result<std::vector<std::uint32_t>> {
+              const obs::StopWatch own;
+              if (util::Status st = d.read_tables(is, *toc); !st.ok()) {
+                return st;
+              }
+              d.quality_.reordered_updates =
+                  count_inversions(workers, d.control_);
+              std::vector<std::uint32_t> member_of = d.build_control_indices();
+              phase.control_us.add(own.elapsed_us());
+              return member_of;
+            })
+            .share();
+    // The task uses `d`, `is` and `toc`: it is joined on every path out,
+    // exceptions included.
+    struct Join {
+      const ControlTask& task;
+      ~Join() { task.wait(); }
+    } const join{control};
+    const util::Status flows = store.ok()
+                                   ? d.fill_from_store(**store, workers, control)
+                                   : store.status();
+    // A table error outranks a store error, which outranks a chunk error.
+    if (const auto& tables = control.get(); !tables.ok()) {
+      return load_error(tables.status(), kOp, path);
     }
+    if (!flows.ok()) return load_error(flows, kOp, path);
     return d;
   }();
   record_io(io_metrics("load"), result.ok(), wall);
@@ -1234,15 +1248,20 @@ util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
   const obs::TraceSpan span("dataset.try_open_chunked", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    std::shared_ptr<const store::FlowStore> store;
-    util::Result<Dataset> shell =
-        open_shell(path, "Dataset::try_open_chunked", store);
-    if (!shell.ok()) return shell.status();
+    constexpr const char* kOp = "Dataset::try_open_chunked";
+    std::ifstream is;
+    const util::Result<util::container::Toc> toc = open_toc(is, path, kOp);
+    if (!toc.ok()) return toc.status();
+    Dataset d;
+    if (util::Status st = d.read_tables(is, *toc); !st.ok()) {
+      return load_error(std::move(st), kOp, path);
+    }
+    const auto store = store::FlowStore::open(path);
+    if (!store.ok()) return load_error(store.status(), kOp, path);
     // Shell construction: control-plane state and indices as usual, flows
     // left on disk behind the pruned chunk reader. columns_ and
     // time_order_ stay empty — every flow access goes through store_.
-    Dataset d = std::move(shell).value();
-    d.store_ = std::move(store);
+    d.store_ = *store;
     // Sanitation ran before the file was written; the only quality signal
     // that survives serialization is the persisted unknown-MAC count.
     d.quality_.unknown_mac_flows =

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <functional>
+#include <future>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
@@ -32,7 +34,10 @@
 
 namespace bw::util {
 class ThreadPool;
+namespace container {
+struct Toc;
 }
+}  // namespace bw::util
 
 namespace bw::core {
 
@@ -222,12 +227,11 @@ class Dataset {
   /// Chunked-open shell; fields are filled by try_open_chunked.
   Dataset() = default;
 
-  /// Both v3 load modes start here: read the TOC and the control-plane
-  /// tables into a shell Dataset and open the file's FlowStore. `op`
-  /// names the caller in errors.
-  static util::Result<Dataset> open_shell(
-      const std::string& path, const char* op,
-      std::shared_ptr<const store::FlowStore>& store);
+  /// Both v3 load modes read the control-plane tables here: the PERI,
+  /// CTRL, MACS and ORIG sections `toc` lists, from `is` into period_,
+  /// control_, mac_to_asn_ and origin_prefixes_.
+  util::Status read_tables(std::ifstream& is,
+                           const util::container::Toc& toc);
 
   void sanitize(flow::FlowLog& data, const BuildOptions& options,
                 util::ThreadPool& pool);
@@ -237,11 +241,18 @@ class Dataset {
   /// columns through each. `data` is released as soon as the columns hold
   /// it; time_order_ is the inverse of the dst permutation.
   void build_indices(flow::FlowLog data, util::ThreadPool& pool);
-  /// try_load's build after the tables: the control-plane indices, then
-  /// every CHNK/SCHK chunk of `store` decoded over `pool` into columns_
-  /// and time_order_, validating as it goes.
+  /// try_load's control-plane task: read_tables, then (when they read)
+  /// the control log's input order and build_control_indices(). Yields
+  /// the member ids, or the table error.
+  using ControlTask =
+      std::shared_future<util::Result<std::vector<std::uint32_t>>>;
+  /// try_load's flow build: every CHNK/SCHK chunk of `store` decoded over
+  /// `pool` into columns_ and time_order_, validating as it goes, while
+  /// `control` runs; then the member columns from its ids. A failed
+  /// `control` is returned as is.
   util::Status fill_from_store(const store::FlowStore& store,
-                               util::ThreadPool& pool);
+                               util::ThreadPool& pool,
+                               const ControlTask& control);
   /// Control-plane half of build_indices (sorting, blackhole replay, LPM,
   /// member tables) — everything a chunked dataset needs besides flows.
   /// Returns member_tables().

@@ -37,7 +37,8 @@ VisibilityReport compute_visibility(const Dataset& dataset,
 
   // The route-server ASN is visible in the control data itself: it is the
   // next-hop-announcing session; we infer it as the most common `global`
-  // part of positive action communities, falling back to the default.
+  // part of positive action communities (the smallest ASN on a tie),
+  // falling back to the default.
   std::uint16_t rs_asn = 64600;
   {
     std::unordered_map<std::uint16_t, std::size_t> votes;
@@ -48,7 +49,7 @@ VisibilityReport compute_visibility(const Dataset& dataset,
     }
     std::size_t best = 0;
     for (const auto& [asn, n] : votes) {
-      if (n > best) {
+      if (n > best || (n == best && asn < rs_asn)) {
         best = n;
         rs_asn = asn;
       }

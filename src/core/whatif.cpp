@@ -4,6 +4,7 @@
 
 #include "core/flow_view.hpp"
 #include "net/ports.hpp"
+#include "util/parallel.hpp"
 
 namespace bw::core {
 
@@ -56,70 +57,89 @@ void add_packets(StrategyOutcome& o, bool attack, bool dropped,
 
 WhatIfReport compute_whatif(const Dataset& dataset,
                             const std::vector<RtbhEvent>& events,
-                            const PreRtbhReport& pre) {
+                            const PreRtbhReport& pre, util::ThreadPool* pool) {
+  const FlowView view = dataset.view();
+  const std::size_t n_src = dataset.source_as_count();
+  constexpr auto kUdp = static_cast<std::uint8_t>(net::Proto::kUdp);
+  constexpr auto kTargeted = static_cast<std::size_t>(Strategy::kRtbhTargeted);
+  static const KernelScanMetrics metrics = make_kernel_scan_metrics("whatif");
+  const obs::StopWatch watch;
+
+  // One pass per event, each on its own partial; the partials are integer
+  // tallies summed in event order, so the report is the same at any thread
+  // count. Targeted RTBH drops active-span packets from the handover ASes
+  // that carry attack traffic anywhere in the event, which is known only
+  // after the pass, so its drops are tallied per dense member id and summed
+  // over the attack peers afterwards.
+  struct EventPartial {
+    std::array<StrategyOutcome, kStrategyCount> outcomes{};
+    bool matched{false};
+    std::uint64_t rows{0};
+  };
+  const std::vector<EventPartial> partials = util::parallel_map(
+      util::pool_or_global(pool), events.size(),
+      [&](std::size_t e) {
+        EventPartial part;
+        if (e >= pre.per_event.size() ||
+            !pre.per_event[e].anomaly_within_10min) {
+          return part;
+        }
+        const auto& ev = events[e];
+        std::vector<std::uint8_t> attack_peer(n_src);
+        std::vector<std::uint64_t> active_attack(n_src);
+        std::vector<std::uint64_t> active_legit(n_src);
+        part.rows = view.for_each_dst_row(
+            ev.prefix, ev.span,
+            [&](const flow::FlowColumns& cols, std::size_t i) {
+              part.matched = true;
+              const std::uint64_t pk = cols.packets[i];
+              const bool udp = cols.proto[i] == kUdp;
+              const bool attack = is_attack_packet(
+                  cols.proto[i], cols.src_port[i], cols.dst_port[i]);
+              const bool active = in_active_span(ev, cols.time[i]);
+              const bool amp_match =
+                  udp && net::is_amplification_port(cols.src_port[i]);
+              const bool advanced_match =
+                  amp_match || (udp && cols.dst_port[i] >= 1024);
+
+              const std::array<bool, kStrategyCount> dropped{
+                  cols.dropped(i),  // observed
+                  active,           // perfect RTBH
+                  false,            // targeted: settled after the pass
+                  amp_match,        // FlowSpec
+                  advanced_match,   // advanced BH
+              };
+              for (std::size_t s = 0; s < kStrategyCount; ++s) {
+                add_packets(part.outcomes[s], attack, dropped[s], pk);
+              }
+              const std::uint32_t m = cols.src_member[i];
+              if (m == flow::FlowColumns::kNoMember) return;
+              if (attack) attack_peer[m] = 1;
+              if (active) (attack ? active_attack : active_legit)[m] += pk;
+            });
+        for (std::uint32_t m = 0; m < n_src; ++m) {
+          if (attack_peer[m] == 0) continue;
+          part.outcomes[kTargeted].attack_dropped += active_attack[m];
+          part.outcomes[kTargeted].legit_dropped += active_legit[m];
+        }
+        return part;
+      },
+      1);
+
   WhatIfReport report;
   for (std::size_t s = 0; s < kStrategyCount; ++s) {
     report.outcomes[s].strategy = static_cast<Strategy>(s);
   }
-  const FlowView view = dataset.view();
-  const std::size_t n_src = dataset.source_as_count();
-  constexpr auto kUdp = static_cast<std::uint8_t>(net::Proto::kUdp);
-  StrategyOutcome& targeted =
-      report.outcomes[static_cast<std::size_t>(Strategy::kRtbhTargeted)];
-  static const KernelScanMetrics metrics = make_kernel_scan_metrics("whatif");
-  const obs::StopWatch watch;
   std::uint64_t rows = 0;
-
-  // One pass per event. Targeted RTBH drops active-span packets from the
-  // handover ASes that carry attack traffic anywhere in the event, which is
-  // known only after the pass, so its drops are tallied per dense member id
-  // and summed over the attack peers afterwards.
-  std::vector<std::uint8_t> attack_peer(n_src);
-  std::vector<std::uint64_t> active_attack(n_src);
-  std::vector<std::uint64_t> active_legit(n_src);
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    if (e >= pre.per_event.size() || !pre.per_event[e].anomaly_within_10min) {
-      continue;
-    }
-    const auto& ev = events[e];
-    std::fill(attack_peer.begin(), attack_peer.end(), std::uint8_t{0});
-    std::fill(active_attack.begin(), active_attack.end(), 0);
-    std::fill(active_legit.begin(), active_legit.end(), 0);
-    std::size_t matched = 0;
-    rows += view.for_each_dst_row(
-        ev.prefix, ev.span, [&](const flow::FlowColumns& cols, std::size_t i) {
-          ++matched;
-          const std::uint64_t pk = cols.packets[i];
-          const bool udp = cols.proto[i] == kUdp;
-          const bool attack = is_attack_packet(cols.proto[i], cols.src_port[i],
-                                               cols.dst_port[i]);
-          const bool active = in_active_span(ev, cols.time[i]);
-          const bool amp_match =
-              udp && net::is_amplification_port(cols.src_port[i]);
-          const bool advanced_match =
-              amp_match || (udp && cols.dst_port[i] >= 1024);
-
-          const std::array<bool, kStrategyCount> dropped{
-              cols.dropped(i),  // observed
-              active,           // perfect RTBH
-              false,            // targeted: settled after the pass
-              amp_match,        // FlowSpec
-              advanced_match,   // advanced BH
-          };
-          for (std::size_t s = 0; s < kStrategyCount; ++s) {
-            add_packets(report.outcomes[s], attack, dropped[s], pk);
-          }
-          const std::uint32_t m = cols.src_member[i];
-          if (m == flow::FlowColumns::kNoMember) return;
-          if (attack) attack_peer[m] = 1;
-          if (active) (attack ? active_attack : active_legit)[m] += pk;
-        });
-    if (matched == 0) continue;
-    ++report.events_considered;
-    for (std::uint32_t m = 0; m < n_src; ++m) {
-      if (attack_peer[m] == 0) continue;
-      targeted.attack_dropped += active_attack[m];
-      targeted.legit_dropped += active_legit[m];
+  for (const EventPartial& part : partials) {
+    rows += part.rows;
+    if (part.matched) ++report.events_considered;
+    for (std::size_t s = 0; s < kStrategyCount; ++s) {
+      StrategyOutcome& o = report.outcomes[s];
+      o.attack_packets += part.outcomes[s].attack_packets;
+      o.attack_dropped += part.outcomes[s].attack_dropped;
+      o.legit_packets += part.outcomes[s].legit_packets;
+      o.legit_dropped += part.outcomes[s].legit_dropped;
     }
   }
   metrics.rows->add(rows);

@@ -67,9 +67,12 @@ struct WhatIfReport {
 };
 
 /// Evaluate all strategies over the attack-correlated events (preceding
-/// anomaly within 10 minutes) of the corpus.
+/// anomaly within 10 minutes) of the corpus, one event per task over
+/// `pool` (null: the global pool); the report is the same at any thread
+/// count.
 [[nodiscard]] WhatIfReport compute_whatif(const Dataset& dataset,
                                           const std::vector<RtbhEvent>& events,
-                                          const PreRtbhReport& pre);
+                                          const PreRtbhReport& pre,
+                                          util::ThreadPool* pool = nullptr);
 
 }  // namespace bw::core

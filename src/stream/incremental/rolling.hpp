@@ -77,6 +77,13 @@ class RollingReporter {
   /// only: later calls return OK.
   [[nodiscard]] util::Status finish(util::TimeMs period_end);
 
+  /// Whether out_path's temp file opened (util::AtomicFile::status());
+  /// OK without out_path. Read it before feeding, so an unwritable path
+  /// fails a run up front instead of at finish().
+  [[nodiscard]] util::Status status() const {
+    return out_ ? out_->status() : util::Status();
+  }
+
   /// The stitched lines when no out_path is set (empty otherwise); read
   /// them while no half is being fed.
   [[nodiscard]] const std::vector<std::string>& lines() const noexcept {

@@ -117,7 +117,8 @@ TEST_P(ReferenceKernelsTest, PipelineMatchesTheNaiveReference) {
       const std::uint64_t participation_before = participation_rows.value();
       const std::uint64_t whatif_before = whatif_rows.value();
       const AnalysisReport got = run_pipeline(*ds, config);
-      const WhatIfReport got_whatif = compute_whatif(*ds, got.events, got.pre);
+      const WhatIfReport got_whatif =
+          compute_whatif(*ds, got.events, got.pre, &pool);
       scanned.emplace_back(participation_rows.value() - participation_before,
                            whatif_rows.value() - whatif_before);
 
@@ -126,7 +127,8 @@ TEST_P(ReferenceKernelsTest, PipelineMatchesTheNaiveReference) {
       expect_same(got_whatif, want_whatif, what);
     }
   }
-  // Both kernels count the same rows in RAM and out of core.
+  // Both kernels count the same rows in RAM and out of core, at every
+  // worker count.
   EXPECT_GT(scanned.front().first, 0u);
   EXPECT_GT(scanned.front().second, 0u);
   for (const auto& rows : scanned) EXPECT_EQ(rows, scanned.front());

@@ -66,6 +66,35 @@ TEST(VisibilityTest, TargetedAnnouncementCreatesMissedShare) {
   EXPECT_DOUBLE_EQ(p.missed_median, 0.0);
 }
 
+TEST(VisibilityTest, RouteServerAsnVoteTieGoesToTheSmallestAsn) {
+  // One action community each for AS64500 and AS64600: a tied vote. Under
+  // AS64500 the route server sends the first route to peer 1 only and the
+  // {0, 64500} route to nobody, so peers 200 and 300 miss 2 of 3. Under
+  // AS64600 they would miss only the second route, 1 of 3.
+  for (const bool larger_first : {false, true}) {
+    World world({0, util::kDay}, 0);
+    auto& service = world.platform->service();
+    // After the first sample, so every sample sees all three or none.
+    const util::TimeMs t64500 = (larger_first ? 2 : 1) * util::kMinute;
+    const util::TimeMs t64600 = (larger_first ? 1 : 2) * util::kMinute;
+    bgp::UpdateLog control;
+    control.push_back(service.make_announce(
+        t64500, World::kVictimAsn, 50000,
+        net::Prefix::host(net::Ipv4(24, 0, 0, 1)), {bgp::Community{64500, 1}}));
+    control.push_back(service.make_announce(
+        t64600, World::kVictimAsn, 50000,
+        net::Prefix::host(net::Ipv4(24, 0, 0, 2)), {bgp::Community{64600, 1}}));
+    control.push_back(service.make_announce(
+        3 * util::kMinute, World::kVictimAsn, 50000,
+        net::Prefix::host(net::Ipv4(24, 0, 0, 3)), {bgp::Community{0, 64500}}));
+    const Dataset dataset = world.run(std::move(control), {});
+
+    const auto report = compute_visibility(dataset, {200, 300}, util::kHour);
+    EXPECT_NEAR(report.overall_missed_max, 2.0 / 3.0, 1e-9)
+        << (larger_first ? "AS64600 first" : "AS64500 first");
+  }
+}
+
 class DropRateTest : public ::testing::Test {
  protected:
   DropRateTest() : world_({0, util::kDay}, 0) {}

@@ -13,7 +13,7 @@
 #      it, and the clean corpus replays strictly (exit 0)
 #   8. an output bw-monitor or bw-feed cannot write fails the run with a
 #      data error (exit 3), and a failed run leaves none of its outputs
-#      and no temp file
+#      and no temp file; bw-monitor fails before it replays anything
 #
 # Expects -DBW_GENERATE, -DBW_FAULTGEN, -DBW_ANALYZE, -DBW_MONITOR,
 # -DBW_FEED (tool paths) and -DWORK_DIR (scratch directory, wiped on
@@ -38,6 +38,7 @@ function(run_step expect_rc)
     message(FATAL_ERROR "fault_e2e: '${ARGN}' exited ${rc}, expected "
                         "${expect_rc}\nstdout:\n${out}\nstderr:\n${err}")
   endif()
+  set(step_out "${out}" PARENT_SCOPE)
 endfunction()
 
 run_step(0 "${BW_GENERATE}" --out corpus.bwds --scale 0.05 --seed 7
@@ -96,6 +97,14 @@ endforeach()
 run_step(3 "${BW_MONITOR}" corpus.bwds --quiet --replay --lockstep
            --alerts-out alerts.log --rolling-out no_such_dir/rolling.jsonl)
 expect_no_output(alerts.log)
+# An unwritable --rolling-out fails before the replay: no alert line (the
+# console prints them without --quiet) and no Streaming: summary.
+run_step(3 "${BW_MONITOR}" corpus.bwds --replay --lockstep
+           --rolling-out no_such_dir/rolling.jsonl)
+if(step_out MATCHES "Streaming:" OR step_out MATCHES "\n\\[")
+  message(FATAL_ERROR "fault_e2e: bw-monitor replayed before failing on an "
+                      "unwritable --rolling-out:\n${step_out}")
+endif()
 run_step(3 "${BW_FEED}" corpus.bwds --out no_such_dir/feed.bwsf)
 run_step(3 "${BW_FEED}" corpus.bwds --out feed.bwsf --chaos corrupt:10
            --chaos-log no_such_dir/chaos.log)

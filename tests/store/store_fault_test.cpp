@@ -23,6 +23,7 @@
 #include "core/corpus.hpp"
 #include "store/flow_store.hpp"
 #include "util/container.hpp"
+#include "util/parallel.hpp"
 
 namespace bw::store {
 namespace {
@@ -70,8 +71,10 @@ class StoreFaultTest : public ::testing::Test {
     return *found;
   }
 
-  /// Copy of the clean file with one payload byte of `section` flipped.
-  std::string corrupt_copy(const util::container::Section& section) {
+  /// Copy of the clean file with one payload byte of each of `sections`
+  /// flipped.
+  template <typename... Sections>
+  std::string corrupt_copy(const Sections&... sections) {
     const std::string path = (dir_ / "corrupt.bwds").string();
     std::string bytes;
     {
@@ -80,7 +83,7 @@ class StoreFaultTest : public ::testing::Test {
       ss << is.rdbuf();
       bytes = ss.str();
     }
-    bytes[section.offset + section.length / 2] ^= 0x10;
+    ((bytes[sections.offset + sections.length / 2] ^= 0x10), ...);
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os << bytes;
     return path;
@@ -231,6 +234,24 @@ TEST_F(StoreFaultTest, CorruptDstChunkFailsAtTouchNamingTheSection) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().to_string().find("CHNK"), std::string::npos)
       << loaded.status().to_string();
+}
+
+TEST_F(StoreFaultTest, TableSectionErrorOutranksAChunkError) {
+  // The control-plane tables and the chunks are read on different pool
+  // tasks; whichever finishes first, a damaged table is what the load
+  // reports, at any thread count.
+  const std::string path = corrupt_copy(
+      find_section(util::container::section_id('C', 'T', 'R', 'L')),
+      find_section(kSecChunk));
+  for (const std::size_t workers : {0u, 3u}) {
+    util::ThreadPool pool(workers);
+    const auto loaded = core::Dataset::try_load(path, &pool);
+    ASSERT_FALSE(loaded.ok());
+    const std::string msg = loaded.status().to_string();
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss) << msg;
+    EXPECT_NE(msg.find("CTRL"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("CHNK"), std::string::npos) << msg;
+  }
 }
 
 TEST_F(StoreFaultTest, FailedDecodeIsNeverCached) {

@@ -266,6 +266,17 @@ TEST_P(RollingLaneTest, OutPathStreamsTheLinesAndCommitsAtFinish) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RollingLaneTest,
                          ::testing::Values(3u, 17u, 20191021u));
 
+TEST(RollingReporterStatusTest, UnwritableOutPathFailsAtConstruction) {
+  const core::Dataset dataset = small_corpus(3);
+  RollingConfig rc = rolling_config(dataset);
+  EXPECT_TRUE(RollingReporter(rc).status().ok()) << "no out_path";
+  rc.out_path = ::testing::TempDir() + "bw_no_such_dir." +
+                std::to_string(::getpid()) + "/rolling.jsonl";
+  const RollingReporter rolling(rc);
+  EXPECT_EQ(rolling.status().code(), util::StatusCode::kUnavailable)
+      << rolling.status().to_string();
+}
+
 /// One rolling line rendered whole from a combined snapshot, in the line
 /// shape of rolling.hpp (doubles as `setprecision(17)`): the oracle for the
 /// stitched lines.

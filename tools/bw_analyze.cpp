@@ -236,7 +236,8 @@ int main(int argc, char** argv) {
     std::cout << t19;
 
     std::cout << "\n--- Mitigation what-if (extension) ---\n";
-    const auto whatif = core::compute_whatif(*dataset, r.events, r.pre);
+    const auto whatif =
+        core::compute_whatif(*dataset, r.events, r.pre, acfg.pool);
     util::TextTable tw({"strategy", "attack dropped", "legit dropped"});
     for (const auto& o : whatif.outcomes) {
       tw.add_row({std::string(core::to_string(o.strategy)), pct(o.efficacy()),

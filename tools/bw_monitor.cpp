@@ -303,6 +303,9 @@ int main(int argc, char** argv) {
       rc.out_path = rolling_out;
       rc.topk_k = rolling_topk;
       rolling.emplace(std::move(rc));
+      if (!tools::check("bw-monitor", rolling->status())) {
+        return tools::kExitData;
+      }
     }
 
     // Alert and shed logs stream to their temp files and are committed at
