@@ -18,7 +18,7 @@ const BlackholeIndex::Span* BlackholeIndex::Entry::active_at(
 
 void BlackholeIndex::open(const net::Prefix& prefix, util::TimeMs t,
                           std::vector<Community> communities, Asn sender) {
-  Entry* entry = trie_.find(prefix);
+  Entry*& entry = entries_[prefix];
   if (entry == nullptr) {
     trie_.insert(prefix, Entry{});
     entry = trie_.find(prefix);
@@ -37,8 +37,9 @@ void BlackholeIndex::open(const net::Prefix& prefix, util::TimeMs t,
 }
 
 void BlackholeIndex::close(const net::Prefix& prefix, util::TimeMs t) {
-  Entry* entry = trie_.find(prefix);
-  if (entry == nullptr || !entry->open) return;
+  const auto it = entries_.find(prefix);
+  if (it == entries_.end() || !it->second->open) return;
+  Entry* entry = it->second;
   Span span = std::move(*entry->open);
   entry->open.reset();
   span.range.end = t;
@@ -46,18 +47,14 @@ void BlackholeIndex::close(const net::Prefix& prefix, util::TimeMs t) {
 }
 
 void BlackholeIndex::finalize(util::TimeMs end_time) {
-  std::vector<net::Prefix> open_prefixes;
-  trie_.for_each([&](const net::Prefix& p, const Entry& e) {
-    if (e.open) open_prefixes.push_back(p);
-  });
-  for (const auto& p : open_prefixes) close(p, end_time);
-  trie_.for_each([&](const net::Prefix& p, const Entry&) {
-    Entry* e = trie_.find(p);
-    std::sort(e->closed.begin(), e->closed.end(),
+  // Each prefix is closed and sorted on its own: the map's order is moot.
+  for (const auto& [prefix, entry] : entries_) {
+    close(prefix, end_time);
+    std::sort(entry->closed.begin(), entry->closed.end(),
               [](const Span& a, const Span& b) {
                 return a.range.begin < b.range.begin;
               });
-  });
+  }
 }
 
 bool BlackholeIndex::announced_at(net::Ipv4 addr, util::TimeMs t) const {

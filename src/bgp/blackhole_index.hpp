@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/community.hpp"
@@ -79,6 +80,9 @@ class BlackholeIndex {
 
   TargetedAnnouncement targeted_;
   net::PrefixTrie<Entry> trie_;
+  /// Every trie entry by its exact prefix, so open() and close() skip the
+  /// bit-by-bit descent. Trie nodes never move: the pointers stay valid.
+  std::unordered_map<net::Prefix, Entry*> entries_;
 };
 
 }  // namespace bw::bgp

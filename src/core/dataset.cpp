@@ -164,22 +164,30 @@ void Dataset::sanitize(flow::FlowLog& data, const BuildOptions& options,
 
 namespace {
 
-/// Control-plane time order, withdraws before announces at equal times —
-/// shared by the overlapped build and the chunked-open control build so the
-/// two modes agree on the update sequence byte-for-byte.
-bool control_update_less(const bgp::Update& a, const bgp::Update& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.type == bgp::UpdateType::kWithdraw &&
-         b.type == bgp::UpdateType::kAnnounce;
+/// Put a control log in replay order. The sort is stable, so a log that
+/// already is in that order, as every saved one is, is left as it is.
+void sort_control(util::ThreadPool& pool, bgp::UpdateLog& log) {
+  if (!std::is_sorted(log.begin(), log.end(), bgp::update_before)) {
+    util::parallel_sort(pool, log.begin(), log.end(), bgp::update_before);
+  }
 }
 
 }  // namespace
 
 void Dataset::replay_blackholes() {
+  const auto is_blackhole = std::mem_fn(&bgp::Update::is_blackhole);
+  // In a generated corpus every control update is a blackhole: then
+  // blackhole_updates() is the control log itself, and no copy is made.
+  const auto n = static_cast<std::size_t>(
+      std::count_if(control_.begin(), control_.end(), is_blackhole));
+  control_is_blackholes_ = n == control_.size();
   blackhole_updates_.clear();
-  for (const auto& u : control_) {
-    if (!u.is_blackhole()) continue;
-    blackhole_updates_.push_back(u);
+  if (!control_is_blackholes_) {
+    blackhole_updates_.reserve(n);
+    std::copy_if(control_.begin(), control_.end(),
+                 std::back_inserter(blackhole_updates_), is_blackhole);
+  }
+  for (const auto& u : blackhole_updates()) {
     if (u.type == bgp::UpdateType::kAnnounce) {
       rs_index_.open(u.prefix, u.time, u.communities, u.sender_asn);
     } else {
@@ -214,9 +222,7 @@ std::vector<std::uint32_t> Dataset::member_tables() {
 }
 
 std::vector<std::uint32_t> Dataset::build_control_indices() {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  util::parallel_sort(pool, control_.begin(), control_.end(),
-                      control_update_less);
+  sort_control(util::ThreadPool::global(), control_);
   replay_blackholes();
   // FlatLpm freezes the origin table with last-wins dedupe — exactly the
   // overwrite semantics the trie's insert loop had.
@@ -359,10 +365,7 @@ void size_columns(util::ThreadPool& pool, std::size_t n,
 
 void Dataset::build_indices(flow::FlowLog data, util::ThreadPool& pool) {
   // Sort the control log concurrently with the flow-log order check.
-  auto control_sorted = pool.submit([&] {
-    util::parallel_sort(pool, control_.begin(), control_.end(),
-                        control_update_less);
-  });
+  auto control_sorted = pool.submit([&] { sort_control(pool, control_); });
   // A generated log arrives time-sorted (Platform::finish merges its slices
   // stably), and a stable sort of a sorted log is the identity, so only a
   // log sanitize found out of order takes the stable sort. Neither
@@ -480,7 +483,7 @@ Dataset::Summary Dataset::summary(util::ThreadPool* pool_opt,
                                   KernelEngine) const {
   Summary s;
   s.control_updates = control_.size();
-  s.blackhole_updates = blackhole_updates_.size();
+  s.blackhole_updates = blackhole_updates().size();
   s.blackholed_prefixes = rs_index_.prefix_count();
   s.flow_records = store_ != nullptr
                        ? static_cast<std::size_t>(store_->flow_count())
@@ -555,16 +558,7 @@ void put(util::container::Writer& w, const T& v) {
   w.write(&v, sizeof(v));
 }
 
-template <typename T>
-T get(std::ifstream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-
 void put_u64(util::container::Writer& w, std::uint64_t v) { put(w, v); }
-std::uint64_t get_u64(std::ifstream& is) { return get<std::uint64_t>(is); }
 
 // On-disk mirrors of the fixed-size table entries, packed to their exact
 // byte layout so a whole table is one write and its reads are bulk.
@@ -590,20 +584,6 @@ void put_table(util::container::Writer& w, std::uint32_t id,
   put_u64(w, entries.size());
   w.write(entries.data(), entries.size() * sizeof(T));
   w.end_section();
-}
-
-template <typename T, typename Fn>
-void get_span(std::ifstream& is, std::uint64_t count, Fn from_disk) {
-  constexpr std::size_t kChunk = 1 << 16;
-  std::vector<T> buffer(std::min<std::size_t>(kChunk, count));
-  while (count > 0 && is) {
-    const std::size_t n = std::min<std::uint64_t>(kChunk, count);
-    is.read(reinterpret_cast<char*>(buffer.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-    if (!is) return;
-    for (std::size_t i = 0; i < n; ++i) from_disk(buffer[i]);
-    count -= n;
-  }
 }
 
 /// PERI/CTRL/MACS/ORIG — the control-plane tables. MACS is written in MAC
@@ -835,106 +815,111 @@ util::Status Dataset::try_save(const std::string& path,
 
 namespace {
 
-/// Locate `id` in the TOC, verify its payload CRC, and leave `is` at the
-/// payload start. Returns the section (for exact-length validation).
-util::Result<util::container::Section> open_section(
-    std::ifstream& is, const util::container::Toc& toc, std::uint32_t id) {
-  const util::container::Section* sec = toc.find(id);
-  if (sec == nullptr) {
-    return util::data_loss("missing section " +
-                           util::container::section_name(id));
-  }
-  util::Status st = util::container::verify_section(is, *sec);
-  if (!st.ok()) return st;
-  return *sec;
-}
+/// Bounded reads off a section payload in memory: a read past the end
+/// yields zeros and fails the cursor for good.
+struct Cursor {
+  const std::uint8_t* p;
+  const std::uint8_t* end;
+  bool ok{true};
 
-/// A section holding a u64 element count followed by `count * elem_size`
-/// fixed-width records must have exactly that many bytes.
-util::Status check_exact_length(const util::container::Section& sec,
-                                std::uint64_t count, std::size_t elem_size) {
-  if (sec.length != 8 + count * elem_size) {
-    return util::data_loss("section " + util::container::section_name(sec.id) +
+  template <typename T>
+  T get() {
+    T v{};
+    ok = ok && static_cast<std::size_t>(end - p) >= sizeof(v);
+    if (!ok) return v;
+    std::memcpy(&v, p, sizeof(v));
+    p += sizeof(v);
+    return v;
+  }
+};
+
+/// The entries of fixed-width table section `id`: a u64 count, then
+/// exactly that many packed `T`s, copied out in one go.
+template <typename T>
+util::Result<std::vector<T>> read_table(std::istream& is,
+                                        const util::container::Toc& toc,
+                                        std::uint32_t id) {
+  const auto bytes = util::container::read_section(is, toc, id);
+  if (!bytes.ok()) return bytes.status();
+  std::uint64_t count = 0;
+  const std::size_t size = bytes->size();
+  if (size >= 8) std::memcpy(&count, bytes->data(), 8);
+  if (size < 8 || (size - 8) % sizeof(T) != 0 ||
+      (size - 8) / sizeof(T) != count) {
+    return util::data_loss("section " + util::container::section_name(id) +
                            ": length does not match element count");
   }
-  return util::ok_status();
+  std::vector<T> entries(count);
+  if (count != 0) std::memcpy(entries.data(), bytes->data() + 8, size - 8);
+  return entries;
 }
 
 }  // namespace
 
-util::Status Dataset::read_tables(std::ifstream& is,
+util::Status Dataset::read_tables(std::istream& is,
                                   const util::container::Toc& toc) {
   // --- PERI: the analysis period, two TimeMs -------------------------------
-  auto peri = open_section(is, toc, kSecPeriod);
+  const auto peri = util::container::read_section(is, toc, kSecPeriod);
   if (!peri.ok()) return peri.status();
-  if (peri->length != 2 * sizeof(util::TimeMs)) {
+  if (peri->size() != 2 * sizeof(util::TimeMs)) {
     return util::data_loss("section PERI: unexpected length");
   }
-  period_.begin = get<util::TimeMs>(is);
-  period_.end = get<util::TimeMs>(is);
+  std::memcpy(&period_.begin, peri->data(), sizeof(util::TimeMs));
+  std::memcpy(&period_.end, peri->data() + 8, sizeof(util::TimeMs));
 
-  // --- CTRL: variable-width updates; counts bounded by section length -----
-  auto ctrl = open_section(is, toc, kSecControl);
+  // --- CTRL: variable-width updates; counts bounded by the bytes left -----
+  const auto ctrl = util::container::read_section(is, toc, kSecControl);
   if (!ctrl.ok()) return ctrl.status();
-  auto checked_count = [&](const char* what) -> util::Result<std::uint64_t> {
-    const std::uint64_t n = get_u64(is);
-    if (!is || n > ctrl->length) {
+  Cursor in{ctrl->data(), ctrl->data() + ctrl->size()};
+  // A count is read whole, and its elements, at least `min_bytes` each,
+  // must fit in what is left of the section.
+  auto checked_count =
+      [&](const char* what,
+          std::size_t min_bytes) -> util::Result<std::uint64_t> {
+    const auto n = in.get<std::uint64_t>();
+    if (!in.ok) return util::data_loss("section CTRL: truncated decode");
+    if (n > static_cast<std::size_t>(in.end - in.p) / min_bytes) {
       return util::data_loss(std::string("section CTRL: implausible ") + what +
                              " count");
     }
     return n;
   };
-  const auto n_control = checked_count("control update");
+  // time, type, sender, origin, network, length, next hop, community count
+  constexpr std::size_t kMinUpdateBytes = 8 + 1 + 4 + 4 + 4 + 1 + 4 + 8;
+  // A community is its global then its local half, as in bgp::Community.
+  static_assert(sizeof(bgp::Community) == 4);
+  const auto n_control = checked_count("control update", kMinUpdateBytes);
   if (!n_control.ok()) return n_control.status();
   control_.resize(*n_control);
   for (auto& u : control_) {
-    u.time = get<util::TimeMs>(is);
-    u.type = static_cast<bgp::UpdateType>(get<std::uint8_t>(is));
-    u.sender_asn = get<bgp::Asn>(is);
-    u.origin_asn = get<bgp::Asn>(is);
-    const auto net_v = get<std::uint32_t>(is);
-    const auto len = get<std::uint8_t>(is);
+    u.time = in.get<util::TimeMs>();
+    u.type = static_cast<bgp::UpdateType>(in.get<std::uint8_t>());
+    u.sender_asn = in.get<bgp::Asn>();
+    u.origin_asn = in.get<bgp::Asn>();
+    const auto net_v = in.get<std::uint32_t>();
+    const auto len = in.get<std::uint8_t>();
     u.prefix = net::Prefix(net::Ipv4(net_v), len);
-    u.next_hop = net::Ipv4(get<std::uint32_t>(is));
-    const auto n_comms = checked_count("community");
+    u.next_hop = net::Ipv4(in.get<std::uint32_t>());
+    const auto n_comms = checked_count("community", sizeof(bgp::Community));
     if (!n_comms.ok()) return n_comms.status();
     u.communities.resize(*n_comms);
-    for (auto& c : u.communities) {
-      c.global = get<std::uint16_t>(is);
-      c.local = get<std::uint16_t>(is);
-    }
+    for (auto& c : u.communities) c = in.get<bgp::Community>();
   }
-  if (!is) return util::data_loss("section CTRL: truncated decode");
 
   // --- MACS / ORIG: fixed-width tables with exact-length checks -----------
-  auto mac_sec = open_section(is, toc, kSecMacs);
-  if (!mac_sec.ok()) return mac_sec.status();
-  const std::uint64_t n_macs = get_u64(is);
-  if (util::Status st = check_exact_length(*mac_sec, n_macs,
-                                           sizeof(DiskMacEntry));
-      !st.ok()) {
-    return st;
-  }
-  mac_to_asn_.reserve(n_macs);
-  get_span<DiskMacEntry>(is, n_macs, [&](const DiskMacEntry& d) {
-    mac_to_asn_[net::Mac(d.mac)] = d.asn;
-  });
+  const auto macs = read_table<DiskMacEntry>(is, toc, kSecMacs);
+  if (!macs.ok()) return macs.status();
+  mac_to_asn_.reserve(macs->size());
+  for (const DiskMacEntry& d : *macs) mac_to_asn_[net::Mac(d.mac)] = d.asn;
 
-  auto orig_sec = open_section(is, toc, kSecOrigins);
-  if (!orig_sec.ok()) return orig_sec.status();
-  const std::uint64_t n_origins = get_u64(is);
-  if (util::Status st = check_exact_length(*orig_sec, n_origins,
-                                           sizeof(DiskOriginEntry));
-      !st.ok()) {
-    return st;
-  }
-  origin_prefixes_.reserve(n_origins);
-  get_span<DiskOriginEntry>(is, n_origins, [&](const DiskOriginEntry& d) {
+  const auto origins = read_table<DiskOriginEntry>(is, toc, kSecOrigins);
+  if (!origins.ok()) return origins.status();
+  origin_prefixes_.reserve(origins->size());
+  for (const DiskOriginEntry& d : *origins) {
     // Copy the packed field: binding a reference to it is misaligned.
     origin_prefixes_.emplace_back(
         net::Prefix(net::Ipv4(d.network), d.length), bgp::Asn{d.asn});
-  });
-  if (!is) return util::data_loss("truncated file");
+  }
   return util::ok_status();
 }
 
@@ -942,7 +927,8 @@ namespace {
 
 /// dataset.load.{read,index,decode,columns}_us: where a materializing load
 /// spends its wall time, and control_us: its control-plane task, which
-/// runs during decode_us (see docs/observability.md).
+/// runs during decode_us, or a chunked open's table read and control
+/// indices (see docs/observability.md).
 struct LoadPhaseMetrics {
   obs::Counter& read_us;
   obs::Counter& index_us;
@@ -1253,20 +1239,22 @@ util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
     const util::Result<util::container::Toc> toc = open_toc(is, path, kOp);
     if (!toc.ok()) return toc.status();
     Dataset d;
+    const obs::StopWatch control;
     if (util::Status st = d.read_tables(is, *toc); !st.ok()) {
       return load_error(std::move(st), kOp, path);
     }
-    const auto store = store::FlowStore::open(path);
-    if (!store.ok()) return load_error(store.status(), kOp, path);
     // Shell construction: control-plane state and indices as usual, flows
     // left on disk behind the pruned chunk reader. columns_ and
     // time_order_ stay empty — every flow access goes through store_.
+    (void)d.build_control_indices();
+    load_phase_metrics().control_us.add(control.elapsed_us());
+    const auto store = store::FlowStore::open(path);
+    if (!store.ok()) return load_error(store.status(), kOp, path);
     d.store_ = *store;
     // Sanitation ran before the file was written; the only quality signal
     // that survives serialization is the persisted unknown-MAC count.
     d.quality_.unknown_mac_flows =
         static_cast<std::size_t>(d.store_->unknown_mac_flows());
-    (void)d.build_control_indices();
     return d;
   }();
   record_io(io_metrics("load"), result.ok(), wall);

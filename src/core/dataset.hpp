@@ -120,7 +120,7 @@ class Dataset {
 
   /// Only the RTBH-related updates, in time order.
   [[nodiscard]] const bgp::UpdateLog& blackhole_updates() const noexcept {
-    return blackhole_updates_;
+    return control_is_blackholes_ ? control_ : blackhole_updates_;
   }
 
   /// Route-server blackhole activity rebuilt from the control log.
@@ -230,7 +230,7 @@ class Dataset {
   /// Both v3 load modes read the control-plane tables here: the PERI,
   /// CTRL, MACS and ORIG sections `toc` lists, from `is` into period_,
   /// control_, mac_to_asn_ and origin_prefixes_.
-  util::Status read_tables(std::ifstream& is,
+  util::Status read_tables(std::istream& is,
                            const util::container::Toc& toc);
 
   void sanitize(flow::FlowLog& data, const BuildOptions& options,
@@ -268,7 +268,9 @@ class Dataset {
   util::TimeRange period_;
 
   Quality quality_;
+  /// Unused, and empty, when every control update is an RTBH one.
   bgp::UpdateLog blackhole_updates_;
+  bool control_is_blackholes_{false};
   bgp::BlackholeIndex rs_index_;
   net::FlatLpm<bgp::Asn> origin_lpm_;
   std::vector<bgp::Asn> source_as_;  ///< ascending unique member source ASes

@@ -18,6 +18,7 @@ namespace bw::store {
 
 namespace {
 
+using util::container::read_section;
 using util::container::Section;
 using util::container::Toc;
 
@@ -27,28 +28,6 @@ T read_raw(const std::uint8_t*& p) {
   std::memcpy(&v, p, sizeof(v));
   p += sizeof(v);
   return v;
-}
-
-/// Verify a metadata section's CRC and read its payload into memory.
-util::Result<std::vector<std::uint8_t>> read_section(std::istream& is,
-                                                     const Toc& toc,
-                                                     std::uint32_t id) {
-  const Section* section = toc.find(id);
-  if (section == nullptr) {
-    return util::data_loss("missing section " +
-                           util::container::section_name(id));
-  }
-  if (auto s = util::container::verify_section(is, *section); !s.ok()) {
-    return s;
-  }
-  std::vector<std::uint8_t> payload(section->length);
-  is.read(reinterpret_cast<char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  if (!is) {
-    return util::data_loss("cannot read section " +
-                           util::container::section_name(id));
-  }
-  return payload;
 }
 
 util::Result<std::vector<ChunkMeta>> parse_index(
@@ -298,10 +277,9 @@ util::Status FlowStore::decode_checked(
   if (payload == nullptr) return ctx(util::data_loss("truncated payload"));
 
   const obs::StopWatch crc_watch;
-  util::Crc32c crc;
-  crc.update(payload, section.length);
+  const std::uint32_t crc = util::crc32c(payload, section.length);
   cache_metrics().crc_us.add(crc_watch.elapsed_us());
-  if (crc.value() != section.crc) {
+  if (crc != section.crc) {
     return ctx(util::data_loss("checksum mismatch"));
   }
 

@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace bw::util {
 
 namespace {
@@ -36,11 +40,44 @@ constexpr std::array<Table, 8> make_tables() {
 
 constexpr std::array<Table, 8> kTables = make_tables();
 
+#if defined(__x86_64__)
+// The SSE4.2 `crc32` instruction computes this very CRC, reflected, so it
+// folds the same state the tables do.
+__attribute__((target("sse4.2"))) std::uint32_t fold_sse42(
+    std::uint32_t crc, const unsigned char* p, std::size_t n) noexcept {
+  std::uint64_t wide = crc;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    wide = _mm_crc32_u64(wide, word);
+  }
+  crc = static_cast<std::uint32_t>(wide);
+  for (; n > 0; --n, ++p) crc = _mm_crc32_u8(crc, *p);
+  return crc;
+}
+#endif
+
 }  // namespace
 
-void Crc32c::update(const void* data, std::size_t n) noexcept {
+namespace crc32c_detail {
+
+bool hardware_available() noexcept {
+#if defined(__x86_64__)
+  static const bool available =
+      (__builtin_cpu_init(), __builtin_cpu_supports("sse4.2") != 0);
+  return available;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t fold(std::uint32_t state, const void* data, std::size_t n,
+                   [[maybe_unused]] bool hardware) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = state_;
+#if defined(__x86_64__)
+  if (hardware) return fold_sse42(state, p, n);
+#endif
+  std::uint32_t crc = state;
   if constexpr (std::endian::native == std::endian::little) {
     for (; n >= 8; n -= 8, p += 8) {
       std::uint64_t word;
@@ -56,7 +93,14 @@ void Crc32c::update(const void* data, std::size_t n) noexcept {
   for (; n > 0; --n, ++p) {
     crc = (crc >> 8) ^ kTables[0][(crc ^ *p) & 0xFFu];
   }
-  state_ = crc;
+  return crc;
+}
+
+}  // namespace crc32c_detail
+
+void Crc32c::update(const void* data, std::size_t n) noexcept {
+  state_ = crc32c_detail::fold(state_, data, n,
+                               crc32c_detail::hardware_available());
 }
 
 std::uint32_t crc32c(const void* data, std::size_t n) noexcept {

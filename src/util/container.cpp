@@ -225,29 +225,26 @@ Result<Toc> read_toc(std::istream& is, std::uint64_t file_size) {
   return toc;
 }
 
-Status verify_section(std::istream& is, const Section& section) {
-  is.clear();
-  is.seekg(static_cast<std::streamoff>(section.offset), std::ios::beg);
-  Crc32c crc;
-  char buf[1 << 16];
-  std::uint64_t left = section.length;
-  while (left > 0) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(left, sizeof(buf)));
-    is.read(buf, static_cast<std::streamsize>(n));
-    if (!is) {
-      return data_loss("container: section " + section_name(section.id) +
-                       " truncated");
-    }
-    crc.update(buf, n);
-    left -= n;
+Result<std::vector<std::uint8_t>> read_section(std::istream& is,
+                                               const Toc& toc,
+                                               std::uint32_t id) {
+  const Section* section = toc.find(id);
+  if (section == nullptr) {
+    return data_loss("missing section " + section_name(id));
   }
-  if (crc.value() != section.crc) {
-    return data_loss("container: section " + section_name(section.id) +
+  std::vector<std::uint8_t> payload(section->length);
+  is.clear();
+  is.seekg(static_cast<std::streamoff>(section->offset), std::ios::beg);
+  is.read(reinterpret_cast<char*>(payload.data()),
+          static_cast<std::streamsize>(payload.size()));
+  if (!is) {
+    return data_loss("container: section " + section_name(id) + " truncated");
+  }
+  if (crc32c(payload.data(), payload.size()) != section->crc) {
+    return data_loss("container: section " + section_name(id) +
                      " checksum mismatch");
   }
-  is.seekg(static_cast<std::streamoff>(section.offset), std::ios::beg);
-  return ok_status();
+  return payload;
 }
 
 }  // namespace bw::util::container

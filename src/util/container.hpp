@@ -105,11 +105,13 @@ class Writer {
 /// Read and fully validate the footer and TOC of a seekable istream of
 /// `file_size` bytes: magics, version, size cross-check, bounds of every
 /// section, and the header+TOC checksum. Payload CRCs are NOT checked here
-/// (see verify_section) — this call touches only the frame metadata.
+/// (see read_section) — this call touches only the frame metadata.
 [[nodiscard]] Result<Toc> read_toc(std::istream& is, std::uint64_t file_size);
 
-/// Stream `section`'s payload and compare its CRC. Leaves the stream
-/// positioned at the section payload start on success.
-[[nodiscard]] Status verify_section(std::istream& is, const Section& section);
+/// The payload of the first `toc` section with `id`, read from `is` once
+/// and checked against its CRC in memory. data_loss when the TOC lists no
+/// such section, the stream ends inside it, or the CRC does not match.
+[[nodiscard]] Result<std::vector<std::uint8_t>> read_section(
+    std::istream& is, const Toc& toc, std::uint32_t id);
 
 }  // namespace bw::util::container

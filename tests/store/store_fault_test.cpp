@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -126,43 +128,93 @@ class StoreFaultTest : public ::testing::Test {
     return payload;
   }
 
-  /// Copy of the clean file with some chunk payloads replaced, keyed by
-  /// (src family?, chunk index). The container is written afresh, so every
-  /// section CRC in the copy is valid: only the load's structural checks
-  /// can catch what the replacement breaks.
-  std::string rewritten_copy(
-      const std::map<std::pair<bool, std::size_t>, std::vector<std::uint8_t>>&
-          payloads) {
+  /// Copy of the file at `from`, written afresh to `to`, where each
+  /// section's payload is what `replace` returns for it (null: the
+  /// original). Every section CRC in the copy is valid: only the load's
+  /// structural checks can catch what a replacement breaks.
+  static void rewrite(
+      const std::string& from, const std::string& to,
+      const std::function<const std::vector<std::uint8_t>*(
+          const util::container::Section&)>& replace) {
     std::string bytes;
     {
-      std::ifstream is(clean_path_, std::ios::binary);
+      std::ifstream is(from, std::ios::binary);
       std::ostringstream ss;
       ss << is.rdbuf();
       bytes = ss.str();
     }
     std::istringstream is(bytes);
     const auto toc = util::container::read_toc(is, bytes.size());
-    EXPECT_TRUE(toc.ok());
-    const std::string path = (dir_ / "rewritten.bwds").string();
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(toc.ok());
+    std::ofstream os(to, std::ios::binary | std::ios::trunc);
     util::container::Writer w(os);
-    std::size_t dst_k = 0;
-    std::size_t src_k = 0;
     for (const util::container::Section& sec : toc->sections) {
       w.begin_section(sec.id);
-      const auto it =
-          sec.id == kSecChunk      ? payloads.find({false, dst_k++})
-          : sec.id == kSecSrcChunk ? payloads.find({true, src_k++})
-                                   : payloads.end();
-      if (it != payloads.end()) {
-        w.write(it->second.data(), it->second.size());
+      if (const std::vector<std::uint8_t>* payload = replace(sec)) {
+        w.write(payload->data(), payload->size());
       } else {
         w.write(bytes.data() + sec.offset, sec.length);
       }
       w.end_section();
     }
-    EXPECT_TRUE(w.finish().ok());
+    ASSERT_TRUE(w.finish().ok());
+  }
+
+  /// Copy of the clean file with some chunk payloads replaced, keyed by
+  /// (src family?, chunk index), every section CRC valid (see rewrite).
+  std::string rewritten_copy(
+      const std::map<std::pair<bool, std::size_t>, std::vector<std::uint8_t>>&
+          payloads) {
+    const std::string path = (dir_ / "rewritten.bwds").string();
+    std::size_t dst_k = 0;
+    std::size_t src_k = 0;
+    rewrite(clean_path_, path, [&](const util::container::Section& sec) {
+      const auto it =
+          sec.id == kSecChunk      ? payloads.find({false, dst_k++})
+          : sec.id == kSecSrcChunk ? payloads.find({true, src_k++})
+                                   : payloads.end();
+      return it != payloads.end() ? &it->second : nullptr;
+    });
     return path;
+  }
+
+  /// The payload of section `id` of the file at `path`.
+  static std::vector<std::uint8_t> section_payload(const std::string& path,
+                                                   std::uint32_t id) {
+    std::ifstream is(path, std::ios::binary);
+    is.seekg(0, std::ios::end);
+    const auto toc = util::container::read_toc(
+        is, static_cast<std::uint64_t>(is.tellg()));
+    if (!toc.ok()) {
+      ADD_FAILURE() << toc.status().to_string();
+      return {};
+    }
+    auto payload = util::container::read_section(is, *toc, id);
+    EXPECT_TRUE(payload.ok()) << payload.status().to_string();
+    return payload.ok() ? *payload : std::vector<std::uint8_t>{};
+  }
+
+  /// Copy of the file at `from` with section `id`'s payload replaced by
+  /// `payload`, its CRC recomputed.
+  std::string table_copy(const std::string& from, std::uint32_t id,
+                         const std::vector<std::uint8_t>& payload) {
+    const std::string path = (dir_ / "table.bwds").string();
+    rewrite(from, path, [&](const util::container::Section& sec) {
+      return sec.id == id ? &payload : nullptr;
+    });
+    return path;
+  }
+
+  /// Both load modes of `path` must fail with data_loss saying `what`.
+  static void expect_both_loads_fail(const std::string& path,
+                                     const char* what) {
+    const auto loaded = core::Dataset::try_load(path);
+    const auto chunked = core::Dataset::try_open_chunked(path);
+    for (const util::Status& st : {loaded.status(), chunked.status()}) {
+      EXPECT_EQ(st.code(), util::StatusCode::kDataLoss) << st.to_string();
+      EXPECT_NE(st.to_string().find(what), std::string::npos)
+          << st.to_string();
+    }
   }
 
   /// try_load of `path` must fail with data_loss naming `section` and
@@ -462,6 +514,152 @@ TEST_F(StoreFaultTest, ChunkedDatasetScansSurviveCorruptionViaStatus) {
   // The throwing accessor surfaces the corruption as an exception that the
   // guarded pipeline stages absorb into a degraded-stage report.
   EXPECT_THROW(ds->store()->chunk(0), std::runtime_error);
+}
+
+// CTRL decodes from a bounded cursor over its payload: a count that runs
+// past the section end, or an update cut mid-field, is refused with its own
+// data_loss text even when the section's CRC is valid.
+
+constexpr std::uint32_t kSecControl =
+    util::container::section_id('C', 'T', 'R', 'L');
+// A CTRL payload is a u64 update count, then per update time(8) type(1)
+// sender(4) origin(4) network(4) length(1) next hop(4), a u64 community
+// count and 4 bytes per community.
+constexpr std::size_t kFirstUpdate = 8;
+constexpr std::size_t kFirstCommunityCount = kFirstUpdate + 26;
+constexpr std::size_t kMinUpdateBytes = 26 + 8;
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+void set_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+TEST_F(StoreFaultTest, CtrlCommunityCountPastTheSectionEndFailsLoad) {
+  std::vector<std::uint8_t> ctrl = section_payload(clean_path_, kSecControl);
+  ASSERT_EQ(get_u64(ctrl, 0), 1u);
+  ASSERT_EQ(ctrl.size(),
+            kFirstCommunityCount + 8 + 4 * get_u64(ctrl, kFirstCommunityCount));
+  set_u64(ctrl, kFirstCommunityCount, get_u64(ctrl, kFirstCommunityCount) + 1);
+  expect_both_loads_fail(table_copy(clean_path_, kSecControl, ctrl),
+                         "section CTRL: implausible community count");
+}
+
+TEST_F(StoreFaultTest, CtrlUpdateCountPastTheSectionEndFailsLoad) {
+  std::vector<std::uint8_t> ctrl = section_payload(clean_path_, kSecControl);
+  ASSERT_LT(ctrl.size(), kFirstUpdate + 2 * kMinUpdateBytes);
+  set_u64(ctrl, 0, 2);
+  expect_both_loads_fail(table_copy(clean_path_, kSecControl, ctrl),
+                         "section CTRL: implausible control update count");
+}
+
+/// Offset of every update in a CTRL payload.
+std::vector<std::size_t> update_offsets(const std::vector<std::uint8_t>& ctrl) {
+  std::vector<std::size_t> offsets;
+  std::size_t at = kFirstUpdate;
+  for (std::uint64_t n = get_u64(ctrl, 0); n > 0; --n) {
+    offsets.push_back(at);
+    at += kMinUpdateBytes + 4 * get_u64(ctrl, at + 26);
+  }
+  return offsets;
+}
+
+/// Save, to `path`, a corpus with a richer control log than the
+/// fixture's: four updates over two prefix lengths, with a
+/// re-announcement, a withdraw and an extra community.
+void save_four_update_corpus(const std::string& path) {
+  World world;
+  const ixp::BlackholeService& rs = world.platform->service();
+  const net::Ipv4 victim(24, 0, 0, 1);
+  const net::Prefix host = net::Prefix::host(victim);
+  const net::Prefix net24 = *net::Prefix::parse("24.0.0.0/24");
+  bgp::UpdateLog control;
+  control.push_back(rs.make_announce(util::kHour, World::kVictimAsn, 50000,
+                                     host));
+  control.push_back(rs.make_announce(util::kHour + 5, World::kVictimAsn,
+                                     50000, net24, {bgp::kNoExport}));
+  control.push_back(rs.make_announce(util::kHour + 9, World::kVictimAsn,
+                                     50000, host, {bgp::kNoExport}));
+  control.push_back(rs.make_withdraw(2 * util::kHour, World::kVictimAsn, 50000,
+                                     host));
+  std::vector<flow::TrafficBurst> bursts;
+  bursts.push_back(world.burst(net::Ipv4(64, 0, 0, 1), victim,
+                               net::Proto::kUdp, 123, 4444,
+                               {util::kHour, 2 * util::kHour}, 50,
+                               world.acceptor));
+  ASSERT_TRUE(world.run(std::move(control), bursts).try_save(path).ok());
+}
+
+TEST_F(StoreFaultTest, CtrlUpdateCutMidFieldFailsLoad) {
+  const std::string path = (dir_ / "ctrl.bwds").string();
+  save_four_update_corpus(path);
+  std::vector<std::uint8_t> ctrl = section_payload(path, kSecControl);
+  // Cut inside the last update's network field, where the update count
+  // still fits the bytes left.
+  ctrl.resize(update_offsets(ctrl).back() + 19);
+  ASSERT_LE(get_u64(ctrl, 0), (ctrl.size() - kFirstUpdate) / kMinUpdateBytes);
+  expect_both_loads_fail(table_copy(path, kSecControl, ctrl),
+                         "section CTRL: truncated decode");
+}
+
+TEST_F(StoreFaultTest, MutatedCtrlPayloadsLoadOrFailWithAStatus) {
+  const std::string path = (dir_ / "ctrl.bwds").string();
+  save_four_update_corpus(path);
+  const std::vector<std::uint8_t> clean = section_payload(path, kSecControl);
+  ASSERT_EQ(get_u64(clean, 0), 4u);
+
+  // Seeded: the same 1,000 payloads on every run. Each mutation flips
+  // bytes, cuts the payload, overwrites eight bytes with a random value (a
+  // count or a time, where it lands on one) or drops a run of bytes.
+  std::mt19937_64 rng(20191021);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t loaded = 0;
+  std::size_t refused = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<std::uint8_t> ctrl = clean;
+    switch (below(4)) {
+      case 0:
+        for (std::size_t flips = 1 + below(4); flips > 0; --flips) {
+          ctrl[below(ctrl.size())] ^= static_cast<std::uint8_t>(1 + below(255));
+        }
+        break;
+      case 1:
+        ctrl.resize(below(ctrl.size()));
+        break;
+      case 2:
+        set_u64(ctrl, below(ctrl.size() - 7), rng() >> below(64));
+        break;
+      default: {
+        const std::size_t at = below(ctrl.size());
+        ctrl.erase(ctrl.begin() + static_cast<std::ptrdiff_t>(at),
+                   ctrl.begin() + static_cast<std::ptrdiff_t>(
+                                      at + 1 + below(ctrl.size() - at)));
+        break;
+      }
+    }
+    const std::string mutated = table_copy(path, kSecControl, ctrl);
+    for (const bool chunked : {false, true}) {
+      util::Status st;
+      EXPECT_NO_THROW(st = chunked
+                               ? core::Dataset::try_open_chunked(mutated)
+                                     .status()
+                               : core::Dataset::try_load(mutated).status())
+          << "mutation " << i;
+      EXPECT_TRUE(st.ok() || st.code() == util::StatusCode::kDataLoss)
+          << "mutation " << i << ": " << st.to_string();
+      ++(st.ok() ? loaded : refused);
+    }
+  }
+  // Both outcomes occur: the mutations reach past the count checks.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace

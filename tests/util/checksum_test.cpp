@@ -39,8 +39,10 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
 }
 
 TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  // The bit-at-a-time definition, against which the sliced tables are
-  // checked over unaligned starts and every tail length.
+  // The bit-at-a-time definition, against which both folds — the sliced
+  // tables and, where the CPU has it, the SSE4.2 instruction — and the
+  // one Crc32c picks are checked over unaligned starts and every tail
+  // length.
   const auto reference = [](const unsigned char* p, std::size_t n) {
     std::uint32_t crc = 0xFFFFFFFFu;
     for (std::size_t i = 0; i < n; ++i) {
@@ -59,9 +61,18 @@ TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   }
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
-      EXPECT_EQ(crc32c(bytes.data() + offset, n),
-                reference(bytes.data() + offset, n))
+      const std::uint32_t want = reference(bytes.data() + offset, n);
+      EXPECT_EQ(crc32c(bytes.data() + offset, n), want)
           << "offset " << offset << " length " << n;
+      for (const bool hardware : {false, true}) {
+        if (hardware && !crc32c_detail::hardware_available()) continue;
+        EXPECT_EQ(crc32c_detail::fold(0xFFFFFFFFu, bytes.data() + offset, n,
+                                      hardware) ^
+                      0xFFFFFFFFu,
+                  want)
+            << (hardware ? "hardware" : "table") << " fold, offset "
+            << offset << " length " << n;
+      }
     }
   }
 }

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "cli.hpp"
+#include "core/flow_view.hpp"
 #include "core/io_text.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -130,11 +131,12 @@ int main(int argc, char** argv) {
       dataset.emplace(std::move(loaded).value());
     }
 
-    const auto s = dataset->summary();
-    std::cout << "Corpus: "
-              << util::fmt_count(static_cast<std::int64_t>(s.control_updates))
-              << " BGP updates, "
-              << util::fmt_count(static_cast<std::int64_t>(s.flow_records))
+    // Counts only: summary() would scan (out of core: decode) every flow.
+    const auto count = [](std::size_t n) {
+      return util::fmt_count(static_cast<std::int64_t>(n));
+    };
+    std::cout << "Corpus: " << count(dataset->control().size())
+              << " BGP updates, " << count(dataset->view().rows())
               << " flow records over "
               << util::format_duration(dataset->period().length()) << "\n";
 
@@ -152,12 +154,9 @@ int main(int argc, char** argv) {
 
     std::cout << "\n--- RTBH events (delta = "
               << util::format_duration(acfg.merge_delta) << ") ---\n";
-    std::cout << util::fmt_count(static_cast<std::int64_t>(s.blackhole_updates))
-              << " RTBH updates -> "
-              << util::fmt_count(static_cast<std::int64_t>(r.events.size()))
-              << " events over "
-              << util::fmt_count(
-                     static_cast<std::int64_t>(s.blackholed_prefixes))
+    std::cout << count(dataset->blackhole_updates().size())
+              << " RTBH updates -> " << count(r.events.size())
+              << " events over " << count(dataset->rs_index().prefix_count())
               << " prefixes\n";
 
     std::cout << "\n--- Pre-RTBH classification (Table 2) ---\n";
