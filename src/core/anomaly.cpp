@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/flow_view.hpp"
+#include "util/distinct.hpp"
 
 namespace bw::core {
 
@@ -29,9 +30,8 @@ FeatureMatrix compute_features(const Dataset& dataset,
                                const net::Prefix& prefix,
                                util::TimeRange range, util::DurationMs slot,
                                KernelEngine) {
-  // Sums accumulate in dst-row order; unique counts are done by sort-unique
-  // over (slot << 32) | value keys instead of per-slot hash sets, which is
-  // both faster and order-independent.
+  // Sums accumulate in dst-row order; a unique count adds an exact 1.0 per
+  // first insert of a (slot << 32) | value key, so row order cannot move it.
   static const KernelScanMetrics metrics = make_kernel_scan_metrics("anomaly");
   const obs::StopWatch watch;
   const FlowView view = dataset.view();
@@ -47,10 +47,15 @@ FeatureMatrix compute_features(const Dataset& dataset,
   auto& packets = m.series[static_cast<std::size_t>(Feature::kPackets)];
   auto& flows_f = m.series[static_cast<std::size_t>(Feature::kFlows)];
   auto& non_tcp = m.series[static_cast<std::size_t>(Feature::kNonTcpFlows)];
+  auto& sources = m.series[static_cast<std::size_t>(Feature::kUniqueSources)];
+  auto& ports = m.series[static_cast<std::size_t>(Feature::kUniqueDstPorts)];
   constexpr auto kTcp = static_cast<std::uint8_t>(net::Proto::kTcp);
 
-  std::vector<std::uint64_t> src_keys;
-  std::vector<std::uint64_t> port_keys;
+  // Per thread and reused: clear() is O(1) and keeps the grown table.
+  thread_local util::DistinctCounter<std::uint64_t> source_keys;
+  thread_local util::DistinctCounter<std::uint64_t> port_keys;
+  source_keys.clear();
+  port_keys.clear();
   const std::size_t rows =
       view.for_each_dst_row(prefix, range, [&](const flow::FlowColumns& cols,
                                                std::size_t i) {
@@ -60,23 +65,10 @@ FeatureMatrix compute_features(const Dataset& dataset,
         packets[s] += static_cast<double>(cols.packets[i]);
         flows_f[s] += 1.0;
         if (cols.proto[i] != kTcp) non_tcp[s] += 1.0;
-        src_keys.push_back((std::uint64_t{s} << 32) | cols.src_ip[i]);
-        port_keys.push_back((std::uint64_t{s} << 32) | cols.dst_port[i]);
+        const std::uint64_t slot_key = std::uint64_t{s} << 32;
+        if (source_keys.insert(slot_key | cols.src_ip[i])) sources[s] += 1.0;
+        if (port_keys.insert(slot_key | cols.dst_port[i])) ports[s] += 1.0;
       });
-
-  auto tally_unique = [](std::vector<std::uint64_t>& keys,
-                         std::vector<double>& out) {
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (i == 0 || keys[i] != keys[i - 1]) {
-        out[static_cast<std::size_t>(keys[i] >> 32)] += 1.0;
-      }
-    }
-  };
-  tally_unique(src_keys,
-               m.series[static_cast<std::size_t>(Feature::kUniqueSources)]);
-  tally_unique(port_keys,
-               m.series[static_cast<std::size_t>(Feature::kUniqueDstPorts)]);
 
   metrics.rows->add(rows);
   metrics.ns->add(watch.elapsed_ns());
@@ -102,10 +94,7 @@ AnomalyScan detect_anomalies(const FeatureMatrix& features,
   AnomalyScan scan;
   scan.level.assign(features.slot_count(), 0);
   for (const auto& series : features.series) {
-    util::EwmaDetector det(config);
-    for (std::size_t s = 0; s < series.size(); ++s) {
-      if (det.push(series[s])) ++scan.level[s];
-    }
+    util::ewma_count_anomalies(series, config, scan.level);
   }
   return scan;
 }

@@ -898,6 +898,11 @@ util::Status Dataset::read_tables(std::istream& is,
     u.origin_asn = in.get<bgp::Asn>();
     const auto net_v = in.get<std::uint32_t>();
     const auto len = in.get<std::uint8_t>();
+    // Refused as in the frame decoder: Prefix would clamp the length.
+    if (u.type > bgp::UpdateType::kWithdraw) {
+      return util::data_loss("section CTRL: bad bgp update type");
+    }
+    if (len > 32) return util::data_loss("section CTRL: bad prefix length");
     u.prefix = net::Prefix(net::Ipv4(net_v), len);
     u.next_hop = net::Ipv4(in.get<std::uint32_t>());
     const auto n_comms = checked_count("community", sizeof(bgp::Community));

@@ -5,6 +5,7 @@
 
 #include "core/flow_view.hpp"
 #include "net/ports.hpp"
+#include "util/flat_index.hpp"
 
 namespace bw::core {
 
@@ -26,11 +27,11 @@ ParticipationReport compute_participation(const Dataset& dataset,
 
   // Per-event scratch, reused: handover packets by dense member id (with a
   // seen flag, so a zero-packet record still counts its handover AS), and
-  // (amplifier address, packets) pairs whose sort-unique yields the
-  // distinct amplifiers, each resolved to its origin AS once.
+  // integer packet sums per distinct amplifier (a dense id per address),
+  // each resolved to its origin AS once; row order cannot change a sum.
   std::vector<std::uint64_t> ev_handover(n_src);
   std::vector<std::uint8_t> ev_seen(n_src);
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> ev_sources;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> ev_amplifiers;
   std::map<bgp::Asn, std::uint64_t> ev_origins;
 
   const FlowView view = dataset.view();
@@ -47,7 +48,8 @@ ParticipationReport compute_participation(const Dataset& dataset,
     const auto& ev = events[e];
     std::fill(ev_handover.begin(), ev_handover.end(), 0);
     std::fill(ev_seen.begin(), ev_seen.end(), std::uint8_t{0});
-    ev_sources.clear();
+    util::FlatIndex ev_amplifier_ids;
+    ev_amplifiers.clear();
     ev_origins.clear();
     rows += view.for_each_dst_row(
         ev.prefix, ev.span, [&](const flow::FlowColumns& cols, std::size_t i) {
@@ -57,14 +59,17 @@ ParticipationReport compute_participation(const Dataset& dataset,
             return;
           }
           const std::uint64_t pk = cols.packets[i];
-          ev_sources.emplace_back(cols.src_ip[i], pk);
+          const auto [id, added] = ev_amplifier_ids.try_emplace(
+              cols.src_ip[i], static_cast<std::uint32_t>(ev_amplifiers.size()));
+          if (added) ev_amplifiers.emplace_back(cols.src_ip[i], 0);
+          ev_amplifiers[id].second += pk;
           const std::uint32_t m = cols.src_member[i];
           if (m != flow::FlowColumns::kNoMember) {
             ev_seen[m] = 1;
             ev_handover[m] += pk;
           }
         });
-    if (ev_sources.empty()) continue;  // not an amplification attack
+    if (ev_amplifiers.empty()) continue;  // not an amplification attack
 
     ++report.attacks;
     for (std::uint32_t m = 0; m < n_src; ++m) {
@@ -73,13 +78,7 @@ ParticipationReport compute_participation(const Dataset& dataset,
       ++handover[m].events;
       handover[m].packets += ev_handover[m];
     }
-    std::sort(ev_sources.begin(), ev_sources.end());
-    for (std::size_t i = 0; i < ev_sources.size();) {
-      const std::uint32_t ip = ev_sources[i].first;
-      std::uint64_t pk = 0;
-      for (; i < ev_sources.size() && ev_sources[i].first == ip; ++i) {
-        pk += ev_sources[i].second;
-      }
+    for (const auto& [ip, pk] : ev_amplifiers) {
       total_packets += pk;
       ++total_amplifiers;
       if (const auto asn = dataset.origin_asn(net::Ipv4(ip))) {

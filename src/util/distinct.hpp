@@ -20,10 +20,12 @@ namespace bw::util {
 
 /// Insert-only distinct counter over unsigned integral keys. Not a general
 /// set: no erase, no iteration, no lookup — size() and clear() only.
-template <typename T>
+/// `Version` is the clear() tag; a narrow one lets tests reach its wrap.
+template <typename T, typename Version = std::uint32_t>
 class DistinctCounter {
  public:
-  void insert(T key) {
+  /// True the first time `key` is inserted since the last clear().
+  bool insert(T key) {
     if (slots_.empty()) slots_.resize(kInitialCapacity);
     if (size_ * 8 >= slots_.size() * 7) grow();
     const std::size_t mask = slots_.size() - 1;
@@ -34,9 +36,9 @@ class DistinctCounter {
         s.key = key;
         s.version = version_;
         ++size_;
-        return;
+        return true;
       }
-      if (s.key == key) return;
+      if (s.key == key) return false;
       i = (i + 1) & mask;
     }
   }
@@ -58,7 +60,7 @@ class DistinctCounter {
  private:
   struct Slot {
     T key{};
-    std::uint32_t version{0};
+    Version version{0};
   };
 
   static constexpr std::size_t kInitialCapacity = 16;  // power of two
@@ -85,7 +87,7 @@ class DistinctCounter {
 
   std::vector<Slot> slots_;
   std::size_t size_{0};
-  std::uint32_t version_{1};  // 0 marks never-used slots
+  Version version_{1};  // 0 marks never-used slots
 };
 
 }  // namespace bw::util

@@ -11,6 +11,7 @@ namespace bw::util {
 struct EwmaWeights {
   double decay{1.0};          ///< 1 - alpha
   double oldest_weight{0.0};  ///< (1-alpha)^window: weight of an evicted value
+  double grown_total{0.0};    ///< push()'s weight total once the window is full
   std::vector<double> w;      ///< w_i, i = 0 newest, by repeated multiplication
   std::vector<double> total;  ///< total[k] = ((0 + w_0) + w_1) + ... + w_{k-1}
 };
@@ -31,6 +32,7 @@ std::unique_ptr<const EwmaWeights> build_weights(std::size_t window) {
     sum += w;
     t->total[i + 1] = sum;
     w *= t->decay;
+    t->grown_total = t->grown_total * t->decay + 1.0;
   }
   t->oldest_weight = t->w.back() * t->decay;
   return t;
@@ -187,19 +189,48 @@ void EwmaDetector::reset() {
   weight_total_ = 0.0;
 }
 
-EwmaSeries ewma_scan(std::span<const double> series, EwmaConfig config) {
-  EwmaDetector det(config);
-  EwmaSeries out;
-  out.average.reserve(series.size());
-  out.stddev.reserve(series.size());
-  out.anomalous.reserve(series.size());
-  for (double x : series) {
-    const bool flag = det.push(x);
-    out.anomalous.push_back(flag);
-    out.average.push_back(det.current_average());
-    out.stddev.push_back(det.current_stddev());
+void ewma_count_anomalies(std::span<const double> series, EwmaConfig config,
+                          std::span<int> level) {
+  // push() and recompute_sums() over locals; a push evicts series[s - window].
+  const std::size_t window = std::max<std::size_t>(config.window, 1);
+  const EwmaWeights& t = shared_weights(window);
+  double weighted_sum = 0.0;
+  double weighted_sq_sum = 0.0;
+  double weight_total = t.grown_total;
+  std::size_t next_recompute = 4 * window;
+  for (std::size_t s = 0; s < series.size(); ++s) {
+    const double x = series[s];
+    const double evicted = s >= window ? series[s - window] : 0.0;
+    // A zero cannot exceed avg + threshold_sd * sd while all three are >= 0.
+    if (s >= window && (x != 0.0 || config.threshold_sd < 0.0 ||
+                        !(weighted_sum >= 0.0))) {
+      const double avg = weighted_sum / weight_total;
+      const double var = weighted_sq_sum / weight_total - avg * avg;
+      const double sd =
+          std::max(var > 0.0 ? std::sqrt(var) : 0.0, config.min_sd);
+      if (x > avg + config.threshold_sd * sd) ++level[s];
+    }
+    if (x == 0.0 && evicted == 0.0) {
+      // push()'s update without its zero terms: only the sign of a zero
+      // result can differ, and no comparison tells the two apart.
+      weighted_sum *= t.decay;
+      weighted_sq_sum *= t.decay;
+    } else {
+      weighted_sum = x + t.decay * weighted_sum - t.oldest_weight * evicted;
+      weighted_sq_sum = x * x + t.decay * weighted_sq_sum -
+                        t.oldest_weight * evicted * evicted;
+    }
+    if (s + 1 == next_recompute) {
+      next_recompute += 4 * window;
+      weighted_sum = weighted_sq_sum = 0.0;
+      weight_total = t.total[window];
+      for (std::size_t age = 0; age < window; ++age) {
+        const double v = series[s - age];
+        weighted_sum += t.w[age] * v;
+        weighted_sq_sum += t.w[age] * v * v;
+      }
+    }
   }
-  return out;
 }
 
 }  // namespace bw::util

@@ -40,13 +40,6 @@ struct EwmaConfig {
   double min_sd{1e-9};        ///< SD floor to avoid flagging flat-line jitter
 };
 
-/// Result of running the detector over one feature series.
-struct EwmaSeries {
-  std::vector<double> average;   ///< y_t per slot (0 while window incomplete)
-  std::vector<double> stddev;    ///< weighted SD per slot
-  std::vector<bool> anomalous;   ///< x_t > y_{t-1} + threshold * sd_{t-1}
-};
-
 /// Per-window-length constants shared by all detectors (see ewma.cpp).
 struct EwmaWeights;
 
@@ -98,8 +91,9 @@ class EwmaDetector {
   double weight_total_{0.0};
 };
 
-/// Run the detector over a whole series (convenience for offline analysis).
-[[nodiscard]] EwmaSeries ewma_scan(std::span<const double> series,
-                                   EwmaConfig config = {});
+/// Add 1 to level[s] for each sample s that push() on a fresh detector fed
+/// `series` would flag, in one pass. `level` is at least as long as `series`.
+void ewma_count_anomalies(std::span<const double> series, EwmaConfig config,
+                          std::span<int> level);
 
 }  // namespace bw::util

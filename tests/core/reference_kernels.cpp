@@ -136,6 +136,20 @@ FeatureMatrix features(const std::vector<const flow::FlowRecord*>& flows,
   return m;
 }
 
+/// Five util::EwmaDetectors, one per feature, fed one push per slot: the
+/// detector itself rather than core's one-pass scan of it.
+AnomalyScan ewma_anomalies(const FeatureMatrix& m, util::EwmaConfig config) {
+  AnomalyScan scan;
+  scan.level.assign(m.slot_count(), 0);
+  for (const auto& series : m.series) {
+    util::EwmaDetector det(config);
+    for (std::size_t s = 0; s < series.size(); ++s) {
+      if (det.push(series[s])) ++scan.level[s];
+    }
+  }
+  return scan;
+}
+
 PreRtbhReport pre_rtbh(const Dataset& dataset,
                        const std::vector<RtbhEvent>& events,
                        const EventFlows& flows, const PreRtbhConfig& config) {
@@ -158,7 +172,7 @@ PreRtbhReport pre_rtbh(const Dataset& dataset,
       const AnomalyScan scan =
           config.detector == PreRtbhConfig::Detector::kCusum
               ? detect_anomalies_cusum(m, config.cusum)
-              : detect_anomalies(m, config.ewma);
+              : ewma_anomalies(m, config.ewma);
       res.max_level = scan.max_level();
       res.anomaly_within_10min = scan.any_anomaly_in_last(slots_10min);
       res.anomaly_within_1h = scan.any_anomaly_in_last(slots_1h);

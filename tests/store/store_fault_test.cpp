@@ -607,6 +607,27 @@ TEST_F(StoreFaultTest, CtrlUpdateCutMidFieldFailsLoad) {
                          "section CTRL: truncated decode");
 }
 
+// A type or a prefix length the frame decoder refuses is refused here
+// too, rather than read one way by the event merger and another by the
+// blackhole index, or clamped by net::Prefix.
+TEST_F(StoreFaultTest, CtrlUnknownUpdateTypeFailsLoad) {
+  std::vector<std::uint8_t> ctrl = section_payload(clean_path_, kSecControl);
+  ASSERT_LE(ctrl[kFirstUpdate + 8], 1u);
+  ctrl[kFirstUpdate + 8] = 2;
+  expect_both_loads_fail(table_copy(clean_path_, kSecControl, ctrl),
+                         "section CTRL: bad bgp update type");
+}
+
+TEST_F(StoreFaultTest, CtrlPrefixLengthPast32FailsLoad) {
+  std::vector<std::uint8_t> ctrl = section_payload(clean_path_, kSecControl);
+  // time(8) type(1) sender(4) origin(4) network(4), then the length.
+  constexpr std::size_t kLength = kFirstUpdate + 21;
+  ASSERT_LE(ctrl[kLength], 32u);
+  ctrl[kLength] = 33;
+  expect_both_loads_fail(table_copy(clean_path_, kSecControl, ctrl),
+                         "section CTRL: bad prefix length");
+}
+
 TEST_F(StoreFaultTest, MutatedCtrlPayloadsLoadOrFailWithAStatus) {
   const std::string path = (dir_ / "ctrl.bwds").string();
   save_four_update_corpus(path);

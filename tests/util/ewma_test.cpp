@@ -234,12 +234,61 @@ TEST(EwmaTest, ScanMatchesDetector) {
   for (int i = 0; i < 500; ++i) series.push_back(rng.uniform(0.0, 10.0));
   series[400] = 500.0;
   const EwmaConfig cfg{.window = 50};
-  const EwmaSeries scan = ewma_scan(series, cfg);
+  std::vector<int> level(series.size(), 0);
+  ewma_count_anomalies(series, cfg, level);
   EwmaDetector det(cfg);
   for (std::size_t i = 0; i < series.size(); ++i) {
-    EXPECT_EQ(det.push(series[i]), scan.anomalous[i]) << "at " << i;
+    EXPECT_EQ(det.push(series[i]) ? 1 : 0, level[i]) << "at " << i;
   }
-  EXPECT_TRUE(scan.anomalous[400]);
+  EXPECT_EQ(level[400], 1);
+}
+
+// Property: the one-pass scan flags exactly the samples a detector fed one
+// push at a time flags, over seeded windows of 1 to 300 slots, thresholds
+// below, at and above zero, nonzero-sample densities from 0% to 100%, and
+// series that cross the 4 x window recompute period. A few negative
+// samples drive the average below zero, where zeros must be tested too,
+// and every seventh series is flat, where the SD floor decides.
+TEST(EwmaTest, CountAnomaliesMatchesPushOnSeededSeries) {
+  Rng rng(20191021);
+  const double thresholds[] = {-0.5, 0.0, 2.5};
+  std::size_t flags = 0;
+  std::size_t zero_flags[3] = {0, 0, 0};
+  for (int trial = 0; trial < 330; ++trial) {
+    const auto window = static_cast<std::size_t>(
+        trial < 3 ? 1 : trial < 6 ? 300 : rng.uniform_int(1, 300));
+    const EwmaConfig cfg{.window = window,
+                         .threshold_sd = thresholds[trial % 3]};
+    const double density = static_cast<double>(trial % 11) / 10.0;
+    const auto length = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(4 * window + 1),
+        static_cast<std::int64_t>(9 * window + 8)));
+    std::vector<double> series(length, 0.0);
+    for (double& x : series) {
+      if (!rng.chance(density)) continue;
+      const double r = rng.uniform();
+      x = r < 0.03   ? std::floor(rng.uniform(100.0, 5000.0))
+          : r < 0.15 ? -std::floor(rng.uniform(1.0, 30.0))
+                     : std::floor(rng.uniform(1.0, 30.0));
+    }
+    if (trial % 7 == 0) std::fill(series.begin(), series.end(), 0.7);
+    // The scan adds to the levels it is given, as one feature of five.
+    std::vector<int> level(length);
+    for (std::size_t s = 0; s < length; ++s) level[s] = static_cast<int>(s % 3);
+    ewma_count_anomalies(series, cfg, level);
+    EwmaDetector det(cfg);
+    for (std::size_t s = 0; s < length; ++s) {
+      const bool flag = det.push(series[s]);
+      ASSERT_EQ(level[s] - static_cast<int>(s % 3), flag ? 1 : 0)
+          << "trial " << trial << " window " << window << " threshold "
+          << cfg.threshold_sd << " density " << density << " slot " << s;
+      flags += flag ? 1 : 0;
+      zero_flags[trial % 3] += flag && series[s] == 0.0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(flags, zero_flags[0] + zero_flags[1] + zero_flags[2]);
+  EXPECT_GT(zero_flags[0], 0u) << "a negative threshold flags zeros";
+  EXPECT_GT(zero_flags[1], 0u) << "so does a negative average";
 }
 
 TEST(EwmaTest, PaperParameters) {
